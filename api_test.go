@@ -216,3 +216,27 @@ func TestFingerprintStability(t *testing.T) {
 		t.Fatal("different systems should not collide on n±1")
 	}
 }
+
+// TestH3ChainsFactorG1Once: both H3 chains run in the Schur coordinates
+// of G1, so a single-point reduction of the quadratic §3.1/§3.2
+// testbenches factors (G1 − s0·I) exactly once, shared by H1, H2 and
+// H3.
+func TestH3ChainsFactorG1Once(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		w          *avtmor.Workload
+		k1, k2, k3 int
+	}{
+		{"NTLVoltage(50)", avtmor.NTLVoltage(50), 7, 4, 2},
+		{"NTLCurrent(70)", avtmor.NTLCurrent(70), 6, 3, 2},
+	} {
+		rom, err := avtmor.Reduce(context.Background(), tc.w.System,
+			avtmor.WithOrders(tc.k1, tc.k2, tc.k3), avtmor.WithExpansion(tc.w.S0))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := rom.Stats().Factorizations; got != 1 {
+			t.Errorf("%s: %d factorizations, want 1", tc.name, got)
+		}
+	}
+}

@@ -61,6 +61,19 @@ func BenchmarkFig5Varistor(b *testing.B) {
 	}
 }
 
+// BenchmarkFig5VaristorReduce is the reduction half of Fig. 5 alone:
+// the §3.4 varistor at orders (7, 0, 2), whose build is the cubic H3
+// chain (BenchmarkFig5Varistor also runs the full stiff transient).
+func BenchmarkFig5VaristorReduce(b *testing.B) {
+	w := circuits.Varistor()
+	opt := core.Options{K1: 7, K3: 2, S0: w.S0}
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Reduce(w.Sys, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Table 1: subspace construction ("Arnoldi") and ODE-solve rows ---
 
 func sect32() (*circuits.Workload, core.Options) {

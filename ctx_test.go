@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"avtmor"
+	"avtmor/internal/circuits"
+	"avtmor/internal/kron"
 )
 
 // TestReduceCancelPrompt is the cancellation acceptance check: on a
@@ -101,5 +103,48 @@ func TestReduceNORMCancel(t *testing.T) {
 	_, err := avtmor.ReduceNORM(ctx, w.System, avtmor.WithOrders(6, 3, 2), avtmor.WithExpansion(w.S0))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v", err)
+	}
+}
+
+// TestReduceCancelCubicH3: the cubic H3 chain (⊕³G1 resolvent powers
+// on the 102-state varistor) polls the context once per Schur column
+// block, so a reduction canceled mid-chain returns within a few
+// column solves instead of finishing the power.
+func TestReduceCancelCubicH3(t *testing.T) {
+	w := avtmor.Varistor()
+	// Cancel 100 ms in, or later when the Schur decomposition of G1,
+	// which does not poll, takes longer than a third of that (as under
+	// the race detector): the bound is on the chain, not on the Schur.
+	t0 := time.Now()
+	if _, err := kron.NewSumSolver3(circuits.Varistor().Sys.G1); err != nil {
+		t.Fatal(err)
+	}
+	wait := max(100*time.Millisecond, 3*time.Since(t0))
+	ctx, cancel := context.WithCancel(context.Background())
+	type outcome struct {
+		err     error
+		elapsed time.Duration
+	}
+	done := make(chan outcome, 1)
+	canceledAt := make(chan time.Time, 1)
+	go func() {
+		_, err := avtmor.Reduce(ctx, w.System, avtmor.WithOrders(7, 0, 2), avtmor.WithExpansion(w.S0))
+		at := <-canceledAt
+		done <- outcome{err: err, elapsed: time.Since(at)}
+	}()
+	time.Sleep(wait)
+	canceledAt <- time.Now()
+	cancel()
+	select {
+	case out := <-done:
+		if !errors.Is(out.err, context.Canceled) {
+			t.Fatalf("got %v, want context.Canceled", out.err)
+		}
+		if out.elapsed > 250*time.Millisecond {
+			t.Fatalf("Reduce took %v to honor cancellation", out.elapsed)
+		}
+		t.Logf("canceled Reduce returned in %v", out.elapsed)
+	case <-time.After(30 * time.Second):
+		t.Fatal("canceled Reduce never returned")
 	}
 }

@@ -8,7 +8,9 @@
 //
 // is never formed: every (G̃2 − τI)⁻¹ application is one Kronecker-sum
 // solve (a Sylvester equation over the cached Schur form of G1) plus one
-// shifted LU solve with G1 — O(n³) instead of O((n+n²)³).
+// shifted LU solve with G1 — O(n³) instead of O((n+n²)³). The H3
+// resolvent chains go further and run entirely in the Schur coordinates
+// of G1 (kronSchur), where they need no LU at all.
 package assoc
 
 import (
@@ -24,6 +26,7 @@ import (
 	"avtmor/internal/qldae"
 	"avtmor/internal/schur"
 	"avtmor/internal/solver"
+	"avtmor/internal/sylv"
 )
 
 // Realization bundles a QLDAE with the cached factorizations used by every
@@ -225,9 +228,8 @@ func (r *Realization) Btilde2(i, j int) []float64 {
 }
 
 // Gt2 solves (G̃2 − τI)·z = rhs by block back-substitution:
-// w = (⊕²G1 − τI)⁻¹·g, then x = (G1 − τI)⁻¹·(f − G2·w). It implements
-// kron.ShiftedSolver so that the H̃3 operator (G1 ⊕ G̃2) can be handled by
-// the shared column recurrence.
+// w = (⊕²G1 − τI)⁻¹·g, then x = (G1 − τI)⁻¹·(f − G2·w). It is the
+// operator of the H2 Arnoldi chain, which stays in original coordinates.
 type Gt2 struct {
 	r *Realization
 }
@@ -239,8 +241,8 @@ func (g *Gt2) Dim() int {
 }
 
 // SolveShifted computes (G̃2 − τI)⁻¹·rhs for real τ. It is the inner
-// solve of every H2 Arnoldi step and of each H3 resolvent column, so
-// the ctx poll here is what makes those chains cancelable.
+// solve of every H2 Arnoldi step, so the ctx poll here is what makes
+// that chain cancelable.
 func (g *Gt2) SolveShifted(tau float64, rhs []float64) ([]float64, error) {
 	if err := g.r.ctx.Err(); err != nil {
 		return nil, err
@@ -363,24 +365,145 @@ func (g *Gt2) SolveShiftedC(tau complex128, rhs []complex128) ([]complex128, err
 	return out, nil
 }
 
-// SolveKron solves (G1⊕G̃2 − σI)·z = v, the resolvent of the H̃3
-// realization, via the shared column recurrence over Schur(G1) with inner
-// G̃2 solves. v has length n·(n+n²), stored as n column-stacked blocks.
-func (r *Realization) SolveKron(sigma float64, v []float64) ([]float64, error) {
-	s, err := r.Schur()
+// kronSchur is the H̃3 resolvent (G1⊕G̃2 − σI)⁻¹ in Schur coordinates.
+// With G1 = Q·R·Qᵀ and T = diag(Q, Q⊗Q),
+//
+//	(Q⊗T)ᵀ·(G1⊕G̃2)·(Q⊗T) = R ⊕ ⎡R  Ĝ2 ⎤,   Ĝ2 = Qᵀ·G2·(Q⊗Q),
+//	                            ⎣0  ⊕²R⎦
+//
+// so an iterate z = vec(X), X ∈ R^{(n+n²)×n}, splits into its top n×n
+// block and its bottom n²×n block, which solve
+//
+//	(⊕³R − σI)·vec(X̃_bot) = vec(Ṽ_bot),
+//	R·X̃_top + X̃_top·Rᵀ − σ·X̃_top = Ṽ_top − Ĝ2·X̃_bot.
+//
+// The bottom is the cubic chain's recurrence; the top is one
+// quasi-triangular Sylvester solve once G2 is contracted over its
+// nonzeros. No shifted LU of G1 and no complex LU is needed.
+type kronSchur struct {
+	s3 *kron.SumSolver3
+	g2 *gather // nil when G2 = 0
+}
+
+func (r *Realization) kronSchur() (*kronSchur, error) {
+	s2, err := r.Sum2()
 	if err != nil {
 		return nil, err
 	}
-	return kron.ColumnSylvester(r.gt2, s, sigma, v)
+	k := &kronSchur{s3: s2.Sum3()}
+	if r.Sys.G2 != nil {
+		k.g2 = newGather(r.Sys.G2, s2.Schur().Q, 2)
+	}
+	return k, nil
+}
+
+// step overwrites top (X̃_top, column-stacked) and bot (vec(X̃_bot)) with
+// one resolvent power. Read row-major, a column-stacked X̃_top is W =
+// X̃_topᵀ, which solves R·W + W·Rᵀ − σ·W = Ṽ_topᵀ − D·Q with
+// D[p][i] = (G2·(Q⊗Q)·x̃_bot,p)[i] (⊕²R commutes with transposition).
+func (k *kronSchur) step(ctx context.Context, sigma float64, top, bot []float64) error {
+	if err := k.s3.SolveSchur(ctx, sigma, bot); err != nil {
+		return err
+	}
+	n := k.s3.N()
+	sch := k.s3.Sum2().Schur()
+	w := &mat.Dense{R: n, C: n, A: top}
+	if k.g2 != nil {
+		d := mat.NewDense(n, n)
+		k.g2.apply(d.A, bot)
+		w.AddScaled(-1, d.Mul(sch.Q))
+	}
+	x, err := sylv.TrSylvT(sch.T, sch.T, -sigma, w)
+	if err != nil {
+		return err
+	}
+	copy(top, x.A)
+	return nil
+}
+
+// stepC is step for complex σ and iterates.
+func (k *kronSchur) stepC(ctx context.Context, sigma complex128, top, bot []complex128) error {
+	if err := k.s3.SolveSchurC(ctx, sigma, bot); err != nil {
+		return err
+	}
+	n := k.s3.N()
+	sch := k.s3.Sum2().Schur()
+	w := &mat.CDense{R: n, C: n, A: top}
+	if k.g2 != nil {
+		dre, dim := mat.NewDense(n, n), mat.NewDense(n, n)
+		k.g2.apply(dre.A, mat.RealPart(bot))
+		k.g2.apply(dim.A, mat.ImagPart(bot))
+		cre, cim := dre.Mul(sch.Q), dim.Mul(sch.Q)
+		for i := range w.A {
+			w.A[i] -= complex(cre.A[i], cim.A[i])
+		}
+	}
+	x, err := sylv.TrSylvTC(sch.T, sch.T, -sigma, w)
+	if err != nil {
+		return err
+	}
+	copy(top, x.A)
+	return nil
+}
+
+// splitKron splits an H̃3 iterate (n blocks of n+n²) into its
+// column-stacked top n×n block and its bottom n³ block.
+func splitKron[T float64 | complex128](v []T, n int) (top, bot []T) {
+	n2 := n + n*n
+	if len(v) != n*n2 {
+		panic("assoc: H̃3 iterate length mismatch")
+	}
+	top = make([]T, n*n)
+	bot = make([]T, n*n*n)
+	for p := 0; p < n; p++ {
+		copy(top[p*n:(p+1)*n], v[p*n2:p*n2+n])
+		copy(bot[p*n*n:(p+1)*n*n], v[p*n2+n:(p+1)*n2])
+	}
+	return top, bot
+}
+
+// joinKron is the inverse of splitKron.
+func joinKron[T float64 | complex128](top, bot []T, n int) []T {
+	n2 := n + n*n
+	v := make([]T, n*n2)
+	for p := 0; p < n; p++ {
+		copy(v[p*n2:p*n2+n], top[p*n:(p+1)*n])
+		copy(v[p*n2+n:(p+1)*n2], bot[p*n*n:(p+1)*n*n])
+	}
+	return v
+}
+
+// SolveKron solves (G1⊕G̃2 − σI)·z = v, the resolvent of the H̃3
+// realization: v (length n·(n+n²), n column-stacked blocks) is mapped
+// into Schur coordinates, advanced by the recurrence H3Moments runs per
+// power, and mapped back.
+func (r *Realization) SolveKron(sigma float64, v []float64) ([]float64, error) {
+	k, err := r.kronSchur()
+	if err != nil {
+		return nil, err
+	}
+	n, s2 := r.Sys.N, k.s3.Sum2()
+	top, bot := splitKron(v, n)
+	top, bot = s2.ToSchur(top, 2), s2.ToSchur(bot, 3)
+	if err := k.step(r.ctx, sigma, top, bot); err != nil {
+		return nil, err
+	}
+	return joinKron(s2.FromSchur(top, 2), s2.FromSchur(bot, 3), n), nil
 }
 
 // SolveKronC is the complex-shift variant of SolveKron.
 func (r *Realization) SolveKronC(sigma complex128, v []complex128) ([]complex128, error) {
-	s, err := r.Schur()
+	k, err := r.kronSchur()
 	if err != nil {
 		return nil, err
 	}
-	return kron.ColumnSylvesterC(r.gt2, s, sigma, v)
+	n, s2 := r.Sys.N, k.s3.Sum2()
+	top, bot := splitKron(v, n)
+	top, bot = s2.ToSchurC(top, 2), s2.ToSchurC(bot, 3)
+	if err := k.stepC(r.ctx, sigma, top, bot); err != nil {
+		return nil, err
+	}
+	return joinKron(s2.FromSchurC(top, 2), s2.FromSchurC(bot, 3), n), nil
 }
 
 // BuildGt2Dense forms G̃2 explicitly. Exponential in memory (n+n²)²; test

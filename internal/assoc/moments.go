@@ -202,7 +202,10 @@ func (r *Realization) solveMomentTable(f solver.Factorization, ws [][]float64, d
 //	m_k = Σ_{i+j=k} M^{−(i+1)}·G2·out_j − M^{−(k+1)}·D1²b,
 //
 // where out_j is the symmetrized output of the j-th resolvent power of
-// the H̃3 realization (one (G1⊕G̃2 − s0·I)-solve per j).
+// the H̃3 realization. The powers run in the Schur coordinates of G1
+// (kronSchur): the rank-one start vector b⊗b̃2 is transformed once, and
+// only each power's top block returns to original coordinates, as
+// Q·X̃_top·Qᵀ before G2.
 func (r *Realization) H3Moments(k3 int, s0 float64) ([][]float64, error) {
 	if k3 <= 0 {
 		return nil, nil
@@ -215,7 +218,6 @@ func (r *Realization) H3Moments(k3 int, s0 float64) ([][]float64, error) {
 		return nil, nil // H3 of the quadratic branch vanishes
 	}
 	n := sys.N
-	n2 := n + n*n
 	f, err := r.shiftedLU(s0)
 	if err != nil {
 		return nil, err
@@ -223,30 +225,31 @@ func (r *Realization) H3Moments(k3 int, s0 float64) ([][]float64, error) {
 	// w_j = G2·out_j for j = 0..k3-1.
 	ws := make([][]float64, 0, k3)
 	if sys.G2 != nil {
-		bt := r.Btilde2(0, 0)
-		b := sys.B.Col(0)
-		z := make([]float64, n*n2)
-		for p := 0; p < n; p++ {
-			if b[p] == 0 {
-				continue
-			}
-			col := z[p*n2 : (p+1)*n2]
-			for q, v := range bt {
-				col[q] = b[p] * v
-			}
+		k, err := r.kronSchur()
+		if err != nil {
+			return nil, err
 		}
+		s2 := k.s3.Sum2()
+		q := s2.Schur().Q
+		qt := q.T()
+		// b⊗b̃2 in Schur coordinates: X̃_top = Qᵀ·D1b·(Qᵀb)ᵀ and
+		// vec(X̃_bot) = (Qᵀb)^{3⊗}.
+		bt := s2.ToSchur(sys.B.Col(0), 1)
+		dt := s2.ToSchur(r.Btilde2(0, 0)[:n], 1)
+		top := kron.VecKron(bt, dt)
+		bot := kron.VecKron(kron.VecKron(bt, bt), bt)
 		h3t := make([]float64, n*n)
 		for j := 0; j < k3; j++ {
-			z, err = r.SolveKron(s0, z)
-			if err != nil {
+			if err := k.step(r.ctx, s0, top, bot); err != nil {
 				return nil, fmt.Errorf("assoc: H3 resolvent power %d: %w", j+1, err)
 			}
-			mat.Zero(h3t)
-			for jcol := 0; jcol < n; jcol++ {
-				for irow := 0; irow < n; irow++ {
-					top := z[jcol*n2+irow]
-					h3t[jcol*n+irow] += top
-					h3t[irow*n+jcol] += top
+			// The column-stacked top read row-major is X̃_topᵀ, so this
+			// is Z_topᵀ; the symmetrized output does not see the
+			// difference.
+			ztop := q.Mul(&mat.Dense{R: n, C: n, A: top}).Mul(qt)
+			for i := 0; i < n; i++ {
+				for c := 0; c < n; c++ {
+					h3t[i*n+c] = ztop.A[i*n+c] + ztop.A[c*n+i]
 				}
 			}
 			w := make([]float64, n)
@@ -292,6 +295,10 @@ func (r *Realization) H3Moments(k3 int, s0 float64) ([][]float64, error) {
 // associated transform A3(H3)(s) = (sI−G1)⁻¹G3(sI−⊕³G1)⁻¹b^{3⊗}:
 //
 //	m_k = Σ_{i+j=k} M^{−(i+1)}·G3·N3^{−(j+1)}·b^{3⊗},  N3 = ⊕³G1 − s0·I.
+//
+// The N3 powers run in the Schur coordinates of s3: b^{3⊗} maps to
+// (Qᵀb)^{3⊗}, every power is one SolveSchur, and G3 reads each power
+// through a gather over its nonzero columns.
 func (r *Realization) H3MomentsCubic(s3 *kron.SumSolver3, k3 int, s0 float64) ([][]float64, error) {
 	if k3 <= 0 {
 		return nil, nil
@@ -308,19 +315,17 @@ func (r *Realization) H3MomentsCubic(s3 *kron.SumSolver3, k3 int, s0 float64) ([
 	if err != nil {
 		return nil, err
 	}
-	b := sys.B.Col(0)
-	z := kron.VecKron(kron.VecKron(b, b), b)
+	s2 := s3.Sum2()
+	bt := s2.ToSchur(sys.B.Col(0), 1)
+	z := kron.VecKron(kron.VecKron(bt, bt), bt)
+	g3 := newGather(sys.G3, s2.Schur().Q, 3)
 	ws := make([][]float64, 0, k3)
 	for j := 0; j < k3; j++ {
-		if err := r.ctx.Err(); err != nil {
-			return nil, err
-		}
-		z, err = s3.Solve(s0, z)
-		if err != nil {
+		if err := s3.SolveSchur(r.ctx, s0, z); err != nil {
 			return nil, fmt.Errorf("assoc: cubic resolvent power %d: %w", j+1, err)
 		}
 		w := make([]float64, n)
-		sys.G3.MulVec(w, z)
+		g3.apply(w, z)
 		ws = append(ws, w)
 	}
 	table, _, err := r.solveMomentTable(f, ws, nil, k3)

@@ -1,6 +1,7 @@
 package assoc
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"avtmor/internal/mat"
 	"avtmor/internal/qldae"
 	"avtmor/internal/qr"
+	"avtmor/internal/schur"
 	"avtmor/internal/sparse"
 )
 
@@ -113,67 +115,101 @@ func TestH2CandidatesSpanTaylor(t *testing.T) {
 	}
 }
 
+// requireMixedSchur fails unless G1's real Schur form has both a 2×2
+// (complex pair) and a 1×1 diagonal block, so an H3 span case runs
+// both branches of the Schur-coordinate column recurrence.
+func requireMixedSchur(t *testing.T, g1 *mat.Dense) {
+	t.Helper()
+	s, err := schur.Decompose(g1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes [3]int
+	for _, b := range s.Blocks() {
+		sizes[b[1]]++
+	}
+	if sizes[1] == 0 || sizes[2] == 0 {
+		t.Fatalf("G1 Schur blocks: %d of 1×1, %d of 2×2; the case needs both", sizes[1], sizes[2])
+	}
+}
+
+// h3SpanCases are the (seed, s0) pairs of the H3 span tests: seeds whose
+// random stable G1 has mixed Schur blocks, at DC and off DC.
+var h3SpanCases = []struct {
+	seed int64
+	s0   float64
+}{{3, 0}, {3, 0.3}, {14, 0}, {14, 0.3}}
+
 func TestH3MomentsSpanTaylor(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	sys := testSystem(rng, 4, true)
-	r, err := New(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k3 = 3
-	ms, err := r.H3Moments(k3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != k3 {
-		t.Fatalf("got %d H3 moments", len(ms))
-	}
-	coeffs := taylorCoeffs(func(s complex128) ([]complex128, error) {
-		return r.EvalAssocH3(s)
-	}, 0, 0.05, k3, sys.N, t)
-	for k, c := range coeffs {
-		// m_k is the exact k-th moment (up to scale), so the span of
-		// m_0..m_k must contain the k-th Taylor coefficient.
-		if res := inSpan(ms[:k+1], c); res > 1e-5 {
-			t.Fatalf("A3(H3) Taylor coefficient %d not in moment span (residual %g)", k, res)
-		}
+	for _, tc := range h3SpanCases {
+		t.Run(fmt.Sprintf("seed=%d/s0=%g", tc.seed, tc.s0), func(t *testing.T) {
+			sys := testSystem(rand.New(rand.NewSource(tc.seed)), 4, true)
+			requireMixedSchur(t, sys.G1)
+			r, err := New(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const k3 = 3
+			ms, err := r.H3Moments(k3, tc.s0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ms) != k3 {
+				t.Fatalf("got %d H3 moments", len(ms))
+			}
+			coeffs := taylorCoeffs(func(s complex128) ([]complex128, error) {
+				return r.EvalAssocH3(s)
+			}, complex(tc.s0, 0), 0.05, k3, sys.N, t)
+			for k, c := range coeffs {
+				// m_k is the exact k-th moment (up to scale), so the span of
+				// m_0..m_k must contain the k-th Taylor coefficient.
+				if res := inSpan(ms[:k+1], c); res > 1e-5 {
+					t.Fatalf("A3(H3) Taylor coefficient %d not in moment span (residual %g)", k, res)
+				}
+			}
+		})
 	}
 }
 
 func TestH3MomentsCubicSpanTaylor(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	n := 4
-	g3b := sparse.NewBuilder(n, n*n*n)
-	for i := 0; i < 3*n; i++ {
-		g3b.Add(rng.Intn(n), rng.Intn(n*n*n), 0.3*(2*rng.Float64()-1))
-	}
-	sys := &qldae.System{
-		N:  n,
-		G1: mat.RandStable(rng, n, 0.4),
-		G3: g3b.Build(),
-		B:  mat.RandDense(rng, n, 1),
-		L:  mat.RandDense(rng, 1, n),
-	}
-	r, err := New(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s3, err := kron.NewSumSolver3(sys.G1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k3 = 2
-	ms, err := r.H3MomentsCubic(s3, k3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coeffs := taylorCoeffs(func(s complex128) ([]complex128, error) {
-		return r.EvalAssocH3Cubic(s3, s)
-	}, 0, 0.05, k3, sys.N, t)
-	for k, c := range coeffs {
-		if res := inSpan(ms[:k+1], c); res > 1e-5 {
-			t.Fatalf("cubic A3(H3) Taylor coefficient %d not in span (residual %g)", k, res)
-		}
+	for _, tc := range h3SpanCases {
+		t.Run(fmt.Sprintf("seed=%d/s0=%g", tc.seed, tc.s0), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.seed))
+			n := 4
+			g3b := sparse.NewBuilder(n, n*n*n)
+			for i := 0; i < 3*n; i++ {
+				g3b.Add(rng.Intn(n), rng.Intn(n*n*n), 0.3*(2*rng.Float64()-1))
+			}
+			sys := &qldae.System{
+				N:  n,
+				G1: mat.RandStable(rng, n, 0.4),
+				G3: g3b.Build(),
+				B:  mat.RandDense(rng, n, 1),
+				L:  mat.RandDense(rng, 1, n),
+			}
+			requireMixedSchur(t, sys.G1)
+			r, err := New(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s3, err := kron.NewSumSolver3(sys.G1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const k3 = 2
+			ms, err := r.H3MomentsCubic(s3, k3, tc.s0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coeffs := taylorCoeffs(func(s complex128) ([]complex128, error) {
+				return r.EvalAssocH3Cubic(s3, s)
+			}, complex(tc.s0, 0), 0.05, k3, sys.N, t)
+			for k, c := range coeffs {
+				if res := inSpan(ms[:k+1], c); res > 1e-5 {
+					t.Fatalf("cubic A3(H3) Taylor coefficient %d not in span (residual %g)", k, res)
+				}
+			}
+		})
 	}
 }
 

@@ -2,17 +2,13 @@ package kron
 
 import (
 	"math"
-	"math/cmplx"
 
 	"avtmor/internal/schur"
 )
 
-func cmplxSqrt(z complex128) complex128 { return cmplx.Sqrt(z) }
-
 // ShiftedSolver abstracts an operator L through its shifted resolvent:
-// SolveShifted computes (L − τI)⁻¹·rhs. Implementations in this repo:
-// SumSolver2 (L = ⊕²G1) and assoc's G̃2 solver (L = the block-triangular
-// realization matrix of Eq. (17)).
+// SolveShifted computes (L − τI)⁻¹·rhs. SumSolver2 (L = ⊕²A) implements
+// it for the Eq.-(18) decoupling (assoc.SolvePi).
 type ShiftedSolver interface {
 	// Dim is the dimension L acts on.
 	Dim() int
@@ -104,73 +100,4 @@ func ColumnSylvester(op ShiftedSolver, sa *schur.Schur, sigma float64, v []float
 		}
 	}
 	return rightMulCols(xt, sa.Q.T(), nn), nil
-}
-
-// ColumnSylvesterC is the fully complex variant of ColumnSylvester
-// (complex σ and V): 2×2 blocks are decoupled by diagonalizing the block
-// coupling instead of conjugate complexification.
-func ColumnSylvesterC(op ShiftedSolver, sa *schur.Schur, sigma complex128, v []complex128) ([]complex128, error) {
-	nn := op.Dim()
-	n := sa.T.R
-	if len(v) != nn*n {
-		panic("kron: ColumnSylvesterC length mismatch")
-	}
-	r := sa.T
-	vt := rightMulColsC(v, sa.Q, nn)
-	xt := make([]complex128, nn*n)
-	blks := sa.Blocks()
-	for bi := len(blks) - 1; bi >= 0; bi-- {
-		l0, ln := blks[bi][0], blks[bi][1]
-		rhs := make([][]complex128, ln)
-		for p := 0; p < ln; p++ {
-			w := make([]complex128, nn)
-			copy(w, vt[(l0+p)*nn:(l0+p+1)*nn])
-			for k := l0 + ln; k < n; k++ {
-				rlk := complex(r.At(l0+p, k), 0)
-				if rlk == 0 {
-					continue
-				}
-				xk := xt[k*nn : (k+1)*nn]
-				for i := range w {
-					w[i] -= rlk * xk[i]
-				}
-			}
-			rhs[p] = w
-		}
-		if ln == 1 {
-			x, err := op.SolveShiftedC(sigma-complex(r.At(l0, l0), 0), rhs[0])
-			if err != nil {
-				return nil, err
-			}
-			copy(xt[l0*nn:(l0+1)*nn], x)
-			continue
-		}
-		alpha := complex(r.At(l0, l0), 0)
-		beta := complex(r.At(l0, l0+1), 0)
-		gamma := complex(r.At(l0+1, l0), 0)
-		m := cmplxSqrt(beta * gamma)
-		w1 := make([]complex128, nn)
-		w2 := make([]complex128, nn)
-		for i := 0; i < nn; i++ {
-			wp, wq := rhs[0][i], rhs[1][i]
-			w1[i] = wp*gamma + wq*m
-			w2[i] = wp*gamma - wq*m
-		}
-		y1, err := op.SolveShiftedC(sigma-(alpha+m), w1)
-		if err != nil {
-			return nil, err
-		}
-		y2, err := op.SolveShiftedC(sigma-(alpha-m), w2)
-		if err != nil {
-			return nil, err
-		}
-		det := -2 * gamma * m
-		xp := xt[l0*nn : (l0+1)*nn]
-		xq := xt[(l0+1)*nn : (l0+2)*nn]
-		for i := 0; i < nn; i++ {
-			xp[i] = (y1[i]*(-m) + y2[i]*(-m)) / det
-			xq[i] = (y1[i]*(-gamma) + y2[i]*gamma) / det
-		}
-	}
-	return rightMulColsC(xt, sa.Q.T(), nn), nil
 }

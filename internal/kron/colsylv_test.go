@@ -106,36 +106,37 @@ func TestColumnSylvesterComplexPairs(t *testing.T) {
 	}
 }
 
-func TestColumnSylvesterCAgainstDense(t *testing.T) {
+// TestSumSolver3SolveCAgainstDense checks the complex-shift recurrence
+// (2×2 blocks decoupled by diagonalization) against a dense LU of ⊕³A.
+func TestSumSolver3SolveCAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a := rotationBlock(rng, 4)
-	l := mat.RandStable(rng, 3, 0.3)
-	sa, err := schur.Decompose(a)
+	a := rotationBlock(rng, 3)
+	ss, err := NewSumSolver3(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sigma := 0.1 + 0.9i
-	v := make([]complex128, 12)
+	v := make([]complex128, 27)
 	for i := range v {
 		v[i] = complex(2*rng.Float64()-1, 2*rng.Float64()-1)
 	}
-	got, err := ColumnSylvesterC(denseShiftedSolver{l}, sa, sigma, v)
+	got, err := ss.SolveC(sigma, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := SumDense(a, l).Complex()
-	for i := 0; i < 12; i++ {
+	big := SumDense(a, SumDense(a, a)).Complex()
+	for i := 0; i < 27; i++ {
 		big.Set(i, i, big.At(i, i)-sigma)
 	}
 	want, err := lu.SolveC(big, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := make([]complex128, 12)
+	d := make([]complex128, 27)
 	for i := range d {
 		d[i] = got[i] - want[i]
 	}
 	if mat.CNorm2(d) > 1e-8*(1+mat.CNorm2(want)) {
-		t.Fatalf("complex column recurrence differs from dense by %g", mat.CNorm2(d))
+		t.Fatalf("complex ⊕³ recurrence differs from dense by %g", mat.CNorm2(d))
 	}
 }

@@ -6,9 +6,11 @@
 // which by Theorem 1 / Corollary 1 of the paper are exactly the associated
 // transforms of Kronecker products of resolvents. The solvers never form
 // the big operators: order 2 reduces to a quasi-triangular Sylvester
-// equation over one cached real Schur form of A, and order 3 to a
-// Bartels–Stewart recurrence whose inner solves are order-2 solves
-// (complexified across 2×2 Schur blocks).
+// equation over one cached real Schur form A = Q·R·Qᵀ, and order 3 to a
+// Bartels–Stewart recurrence over R whose inner solves are order-2
+// quasi-triangular solves (complexified across 2×2 Schur blocks). The
+// order-3 recurrence runs in Schur coordinates, so a chain of resolvent
+// powers applies Q once at each end rather than once per power.
 //
 // Conventions (column-stacking): vec(X)[j·rows+i] = X[i][j], so
 // (A⊗B)·vec(X) = vec(B·X·Aᵀ) and (x⊗y)[p·len(y)+q] = x[p]·y[q].

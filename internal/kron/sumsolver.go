@@ -23,11 +23,6 @@ func NewSumSolver2(a *mat.Dense) (*SumSolver2, error) {
 	return &SumSolver2{n: a.R, s: s, qt: s.Q.T()}, nil
 }
 
-// FromSchur builds a solver around an existing decomposition.
-func FromSchur(s *schur.Schur) *SumSolver2 {
-	return &SumSolver2{n: s.T.R, s: s, qt: s.Q.T()}
-}
-
 // N returns the base dimension n (the solver acts on length-n² vectors).
 func (ss *SumSolver2) N() int { return ss.n }
 
@@ -108,53 +103,6 @@ func mulRealRight(x *mat.CDense, b *mat.Dense) *mat.CDense {
 	return out
 }
 
-// SumSolver3 solves (⊕³A − σI)·z = v by a Bartels–Stewart recurrence over
-// the Schur form of A on the right factor, with order-2 solves inside:
-// viewing z = vec(X), X ∈ R^{n²×n},
-//
-//	(⊕²A)·X + X·Aᵀ − σ·X = V.
-//
-// Complex-conjugate 2×2 Schur blocks are handled by one complexified
-// order-2 solve per pair (real path) or by diagonalizing the block
-// (complex path).
-type SumSolver3 struct {
-	n  int
-	s2 *SumSolver2
-}
-
-// NewSumSolver3 caches the Schur form of a.
-func NewSumSolver3(a *mat.Dense) (*SumSolver3, error) {
-	s2, err := NewSumSolver2(a)
-	if err != nil {
-		return nil, err
-	}
-	return &SumSolver3{n: a.R, s2: s2}, nil
-}
-
-// N returns the base dimension n (the solver acts on length-n³ vectors).
-func (ss *SumSolver3) N() int { return ss.n }
-
-// Solve computes z with (⊕³A − σI)·z = v for real σ and v of length n³.
-// Viewing z = vec(X) with X ∈ R^{n²×n}, the equation is
-// (⊕²A)·X + X·Aᵀ − σ·X = V, handled by the shared column recurrence with
-// L = ⊕²A.
-func (ss *SumSolver3) Solve(sigma float64, v []float64) ([]float64, error) {
-	n := ss.n
-	if len(v) != n*n*n {
-		panic("kron: SumSolver3 length mismatch")
-	}
-	return ColumnSylvester(ss.s2, ss.s2.s, sigma, v)
-}
-
-// SolveC computes z with (⊕³A − σI)·z = v for complex σ, v.
-func (ss *SumSolver3) SolveC(sigma complex128, v []complex128) ([]complex128, error) {
-	n := ss.n
-	if len(v) != n*n*n {
-		panic("kron: SumSolver3 length mismatch")
-	}
-	return ColumnSylvesterC(ss.s2, ss.s2.s, sigma, v)
-}
-
 // rightMulCols computes the column-block product W = Z·M where Z is
 // stored as cols columns of length rows (column-major), M is small.
 func rightMulCols(z []float64, m *mat.Dense, rows int) []float64 {
@@ -164,25 +112,6 @@ func rightMulCols(z []float64, m *mat.Dense, rows int) []float64 {
 		oj := out[j*rows : (j+1)*rows]
 		for k := 0; k < cols; k++ {
 			mkj := m.At(k, j)
-			if mkj == 0 {
-				continue
-			}
-			zk := z[k*rows : (k+1)*rows]
-			for i := range oj {
-				oj[i] += mkj * zk[i]
-			}
-		}
-	}
-	return out
-}
-
-func rightMulColsC(z []complex128, m *mat.Dense, rows int) []complex128 {
-	cols := m.R
-	out := make([]complex128, rows*m.C)
-	for j := 0; j < m.C; j++ {
-		oj := out[j*rows : (j+1)*rows]
-		for k := 0; k < cols; k++ {
-			mkj := complex(m.At(k, j), 0)
 			if mkj == 0 {
 				continue
 			}

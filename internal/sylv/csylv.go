@@ -29,6 +29,12 @@ func trSylvCplx(a, b *mat.Dense, sigma complex128, c *mat.CDense, transB bool) (
 		panic(fmt.Sprintf("sylv: shape mismatch A %d×%d B %d×%d C %d×%d", a.R, a.C, b.R, b.C, c.R, c.C))
 	}
 	x := mat.NewCDense(m, n)
+	// Column-major mirror of X and column access to B, as in trSylvReal.
+	xc := make([]complex128, m*n)
+	bc := b
+	if !transB {
+		bc = b.T()
+	}
 	ab := blocks(a)
 	bb := blocks(b)
 	lIdx := make([]int, len(bb))
@@ -45,25 +51,48 @@ func trSylvCplx(a, b *mat.Dense, sigma complex128, c *mat.CDense, transB bool) (
 		for ki := len(ab) - 1; ki >= 0; ki-- {
 			k0, kn := ab[ki][0], ab[ki][1]
 			for p := 0; p < kn; p++ {
+				xrow := x.A[(k0+p)*n : (k0+p+1)*n]
+				arow := a.A[(k0+p)*m+k0+kn : (k0+p+1)*m]
 				for q := 0; q < ln; q++ {
-					s := c.At(k0+p, l0+q)
-					for j := k0 + kn; j < m; j++ {
-						s -= complex(a.At(k0+p, j), 0) * x.At(j, l0+q)
+					s := c.A[(k0+p)*n+l0+q]
+					xcol := xc[(l0+q)*m+k0+kn : (l0+q+1)*m]
+					xcol = xcol[:len(arow)]
+					for j, av := range arow {
+						s -= complex(av, 0) * xcol[j]
 					}
+					brow := bc.A[(l0+q)*n : (l0+q+1)*n]
 					if transB {
 						for i := l0 + ln; i < n; i++ {
-							s -= x.At(k0+p, i) * complex(b.At(l0+q, i), 0)
+							s -= xrow[i] * complex(brow[i], 0)
 						}
 					} else {
 						for i := 0; i < l0; i++ {
-							s -= x.At(k0+p, i) * complex(b.At(i, l0+q), 0)
+							s -= xrow[i] * complex(brow[i], 0)
 						}
 					}
 					f[p*ln+q] = s
 				}
 			}
+			if kn == 1 && ln == 1 {
+				// The 1×1 case of solveSmallCplx, as in trSylvReal.
+				var v complex128
+				v += complex(a.A[k0*m+k0], 0)
+				v += complex(b.A[l0*n+l0], 0)
+				v += sigma
+				if v == 0 {
+					return nil, ErrSingular
+				}
+				x.A[k0*n+l0] = f[0] / v
+				xc[l0*m+k0] = x.A[k0*n+l0]
+				continue
+			}
 			if err := solveSmallCplx(a, b, k0, kn, l0, ln, sigma, transB, f[:kn*ln], x); err != nil {
 				return nil, err
+			}
+			for p := 0; p < kn; p++ {
+				for q := 0; q < ln; q++ {
+					xc[(l0+q)*m+k0+p] = x.A[(k0+p)*n+l0+q]
+				}
 			}
 		}
 	}

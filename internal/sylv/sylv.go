@@ -57,6 +57,14 @@ func trSylvReal(a, b *mat.Dense, sigma float64, c *mat.Dense, transB bool) (*mat
 		panic(fmt.Sprintf("sylv: shape mismatch A %d×%d B %d×%d C %d×%d", a.R, a.C, b.R, b.C, c.R, c.C))
 	}
 	x := mat.NewDense(m, n)
+	// xc mirrors X column-major (xc[j·m+i] = X[i][j]) so the A·X sums
+	// read a contiguous column; the N variant reads B by columns, i.e.
+	// the rows of Bᵀ.
+	xc := make([]float64, m*n)
+	bc := b
+	if !transB {
+		bc = b.T()
+	}
 	ab := blocks(a)
 	bb := blocks(b)
 	// Column-block processing order depends on the B variant.
@@ -75,28 +83,52 @@ func trSylvReal(a, b *mat.Dense, sigma float64, c *mat.Dense, transB bool) (*mat
 			k0, kn := ab[ki][0], ab[ki][1]
 			// RHS block F = C_kl − Σ_{j>k} A_kj X_jl − (X·B or X·Bᵀ terms).
 			for p := 0; p < kn; p++ {
+				xrow := x.A[(k0+p)*n : (k0+p+1)*n]
+				// Rows below the k block of A (A upper: columns j > k block).
+				arow := a.A[(k0+p)*m+k0+kn : (k0+p+1)*m]
 				for q := 0; q < ln; q++ {
-					s := c.At(k0+p, l0+q)
-					// Rows below the k block of A (A upper: columns j > k block).
-					for j := k0 + kn; j < m; j++ {
-						s -= a.At(k0+p, j) * x.At(j, l0+q)
+					s := c.A[(k0+p)*n+l0+q]
+					xcol := xc[(l0+q)*m+k0+kn : (l0+q+1)*m]
+					xcol = xcol[:len(arow)]
+					for j, av := range arow {
+						s -= av * xcol[j]
 					}
+					brow := bc.A[(l0+q)*n : (l0+q+1)*n]
 					if transB {
 						// (X Bᵀ)_{k,l} = Σ_{i>l-block} X_ki·B_{l i} over processed cols.
 						for i := l0 + ln; i < n; i++ {
-							s -= x.At(k0+p, i) * b.At(l0+q, i)
+							s -= xrow[i] * brow[i]
 						}
 					} else {
 						// (X B)_{k,l} = Σ_{i<l-block} X_ki·B_{i l}.
 						for i := 0; i < l0; i++ {
-							s -= x.At(k0+p, i) * b.At(i, l0+q)
+							s -= xrow[i] * brow[i]
 						}
 					}
 					f[p*ln+q] = s
 				}
 			}
+			if kn == 1 && ln == 1 {
+				// The 1×1 case of solveSmallReal, same operations in the
+				// same order: (0 + a_kk + b_ll + σ), then one division.
+				v := 0.0
+				v += a.A[k0*m+k0]
+				v += b.A[l0*n+l0]
+				v += sigma
+				if v == 0 {
+					return nil, ErrSingular
+				}
+				x.A[k0*n+l0] = f[0] / v
+				xc[l0*m+k0] = x.A[k0*n+l0]
+				continue
+			}
 			if err := solveSmallReal(a, b, k0, kn, l0, ln, sigma, transB, f[:kn*ln], x); err != nil {
 				return nil, err
+			}
+			for p := 0; p < kn; p++ {
+				for q := 0; q < ln; q++ {
+					xc[(l0+q)*m+k0+p] = x.A[(k0+p)*n+l0+q]
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package sylv
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -291,5 +292,161 @@ func BenchmarkTrSylvT100(b *testing.B) {
 		if _, err := TrSylvT(a, bm, 0, c); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// refTrSylvReal is the At()-indexed column recurrence the slice kernels
+// replaced, kept verbatim as the bitwise reference: the H2 path and
+// every K3 = 0 reduction go through TrSylvT, so any change in the
+// summation order would change artifact bytes.
+func refTrSylvReal(a, b *mat.Dense, sigma float64, c *mat.Dense, transB bool) (*mat.Dense, error) {
+	m, n := a.R, b.R
+	x := mat.NewDense(m, n)
+	ab := blocks(a)
+	bb := blocks(b)
+	lIdx := make([]int, len(bb))
+	for i := range lIdx {
+		if transB {
+			lIdx[i] = len(bb) - 1 - i
+		} else {
+			lIdx[i] = i
+		}
+	}
+	var f [4]float64
+	for _, li := range lIdx {
+		l0, ln := bb[li][0], bb[li][1]
+		for ki := len(ab) - 1; ki >= 0; ki-- {
+			k0, kn := ab[ki][0], ab[ki][1]
+			for p := 0; p < kn; p++ {
+				for q := 0; q < ln; q++ {
+					s := c.At(k0+p, l0+q)
+					for j := k0 + kn; j < m; j++ {
+						s -= a.At(k0+p, j) * x.At(j, l0+q)
+					}
+					if transB {
+						for i := l0 + ln; i < n; i++ {
+							s -= x.At(k0+p, i) * b.At(l0+q, i)
+						}
+					} else {
+						for i := 0; i < l0; i++ {
+							s -= x.At(k0+p, i) * b.At(i, l0+q)
+						}
+					}
+					f[p*ln+q] = s
+				}
+			}
+			if err := solveSmallReal(a, b, k0, kn, l0, ln, sigma, transB, f[:kn*ln], x); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return x, nil
+}
+
+// refTrSylvCplx is the complex counterpart of refTrSylvReal.
+func refTrSylvCplx(a, b *mat.Dense, sigma complex128, c *mat.CDense, transB bool) (*mat.CDense, error) {
+	m, n := a.R, b.R
+	x := mat.NewCDense(m, n)
+	ab := blocks(a)
+	bb := blocks(b)
+	lIdx := make([]int, len(bb))
+	for i := range lIdx {
+		if transB {
+			lIdx[i] = len(bb) - 1 - i
+		} else {
+			lIdx[i] = i
+		}
+	}
+	var f [4]complex128
+	for _, li := range lIdx {
+		l0, ln := bb[li][0], bb[li][1]
+		for ki := len(ab) - 1; ki >= 0; ki-- {
+			k0, kn := ab[ki][0], ab[ki][1]
+			for p := 0; p < kn; p++ {
+				for q := 0; q < ln; q++ {
+					s := c.At(k0+p, l0+q)
+					for j := k0 + kn; j < m; j++ {
+						s -= complex(a.At(k0+p, j), 0) * x.At(j, l0+q)
+					}
+					if transB {
+						for i := l0 + ln; i < n; i++ {
+							s -= x.At(k0+p, i) * complex(b.At(l0+q, i), 0)
+						}
+					} else {
+						for i := 0; i < l0; i++ {
+							s -= x.At(k0+p, i) * complex(b.At(i, l0+q), 0)
+						}
+					}
+					f[p*ln+q] = s
+				}
+			}
+			if err := solveSmallCplx(a, b, k0, kn, l0, ln, sigma, transB, f[:kn*ln], x); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return x, nil
+}
+
+// TestTrSylvBitExactAgainstReference pins the slice kernels bit for bit
+// to the At()-indexed recurrence on random quasi-triangular pairs with
+// 2×2 blocks, for all four variants and real and complex shifts.
+func TestTrSylvBitExactAgainstReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	twoByTwo := 0
+	for trial := 0; trial < 60; trial++ {
+		m, n := 1+rng.Intn(14), 1+rng.Intn(14)
+		a := randQuasiTri(rng, m)
+		b := randQuasiTri(rng, n)
+		for _, blk := range append(blocks(a), blocks(b)...) {
+			if blk[1] == 2 {
+				twoByTwo++
+			}
+		}
+		sigma := 0.5 * rng.Float64()
+		csigma := complex(0.5*rng.Float64(), 2*rng.Float64()-1)
+		c := mat.RandDense(rng, m, n)
+		cc := mat.NewCDense(m, n)
+		for i := range cc.A {
+			cc.A[i] = complex(2*rng.Float64()-1, 2*rng.Float64()-1)
+		}
+		variants := []struct {
+			transB bool
+			real   func(a, b *mat.Dense, sigma float64, c *mat.Dense) (*mat.Dense, error)
+			cplx   func(a, b *mat.Dense, sigma complex128, c *mat.CDense) (*mat.CDense, error)
+		}{{false, TrSylvN, TrSylvNC}, {true, TrSylvT, TrSylvTC}}
+		for _, v := range variants {
+			transB := v.transB
+			got, err := v.real(a, b, sigma, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refTrSylvReal(a, b, sigma, c, transB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.A {
+				if !sameBits(got.A[i], want.A[i]) {
+					t.Fatalf("trial %d transB=%v real: entry %d is %v, reference %v", trial, transB, i, got.A[i], want.A[i])
+				}
+			}
+			gotC, err := v.cplx(a, b, csigma, cc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantC, err := refTrSylvCplx(a, b, csigma, cc, transB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range wantC.A {
+				if !sameBits(real(gotC.A[i]), real(wantC.A[i])) || !sameBits(imag(gotC.A[i]), imag(wantC.A[i])) {
+					t.Fatalf("trial %d transB=%v complex: entry %d is %v, reference %v", trial, transB, i, gotC.A[i], wantC.A[i])
+				}
+			}
+		}
+	}
+	if twoByTwo == 0 {
+		t.Fatal("no 2×2 Schur block was exercised")
 	}
 }
