@@ -185,6 +185,15 @@ func BenchmarkTable1Sect33ODESolveNORM(b *testing.B) {
 	benchODESolve(b, w, rom.Sys)
 }
 
+// BenchmarkTrapezoidalRLCLine is the full-order stiff transient of the
+// 1999-state RLC line (RLCLine(1000)) over its workload's 4000
+// trapezoidal steps: a linear system on the sparse Newton route, whose
+// one Newton matrix is factored once per run.
+func BenchmarkTrapezoidalRLCLine(b *testing.B) {
+	w := circuits.RLCLine(1000)
+	benchODESolve(b, w, w.Sys)
+}
+
 // --- §4 ablation: subspace growth vs moment count ---
 
 func BenchmarkAblationSubspaceGrowth(b *testing.B) {

@@ -25,13 +25,22 @@ type LU struct {
 	sign float64
 }
 
-// Factor computes the LU factorization of a. The input is not modified.
+// Factor computes the LU factorization of a. The input is not modified:
+// Factor is FactorInPlace on a clone.
 func Factor(a *mat.Dense) (*LU, error) {
+	return FactorInPlace(a.Clone())
+}
+
+// FactorInPlace computes the LU factorization of a in a's own storage,
+// which the returned LU keeps as its factors: the caller hands a over
+// and must not read or write it while the factorization is in use. On
+// error a holds a partial elimination.
+func FactorInPlace(a *mat.Dense) (*LU, error) {
 	if a.R != a.C {
 		return nil, errors.New("lu: matrix must be square")
 	}
 	n := a.R
-	f := &LU{lu: a.Clone(), piv: make([]int, n), sign: 1}
+	f := &LU{lu: a, piv: make([]int, n), sign: 1}
 	for i := range f.piv {
 		f.piv[i] = i
 	}

@@ -196,6 +196,45 @@ func TestCLUSingular(t *testing.T) {
 	}
 }
 
+// TestFactorInPlaceIsFactor pins the one-kernel contract: Factor is
+// FactorInPlace on a clone, so both produce the same factor bits, Factor
+// leaves its input alone, and FactorInPlace keeps the caller's storage.
+func TestFactorInPlaceIsFactor(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	a := mat.RandDense(rng, 9, 9)
+	orig := a.Clone()
+	ref, err := Factor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range a.A {
+		if math.Float64bits(v) != math.Float64bits(orig.A[i]) {
+			t.Fatal("Factor modified its input")
+		}
+	}
+	scratch := a.Clone()
+	f, err := FactorInPlace(scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.lu != scratch {
+		t.Fatal("FactorInPlace did not keep the caller's storage")
+	}
+	for i, v := range ref.lu.A {
+		if math.Float64bits(v) != math.Float64bits(scratch.A[i]) {
+			t.Fatalf("factor entry %d differs: %v in place, %v cloned", i, scratch.A[i], v)
+		}
+	}
+	if f.sign != ref.sign {
+		t.Fatal("pivot sign differs")
+	}
+	for i := range f.piv {
+		if f.piv[i] != ref.piv[i] {
+			t.Fatal("pivot order differs")
+		}
+	}
+}
+
 func BenchmarkFactor100(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := mat.RandStable(rng, 100, 0.1)

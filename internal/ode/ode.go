@@ -56,26 +56,34 @@ type Result struct {
 	// Y[k] is the output vector at T[k].
 	Y [][]float64
 	// Steps counts accepted integrator steps; Rejected counts adaptive
-	// rejections; NewtonIters counts total Newton iterations (implicit
-	// methods only).
-	Steps, Rejected, NewtonIters int
+	// rejections; NewtonIters counts total Newton iterations and
+	// Factorizations the Newton matrices factored (implicit methods
+	// only).
+	Steps, Rejected, NewtonIters, Factorizations int
 }
 
 // OutputAt linearly interpolates output channel ch at time t.
 func (r *Result) OutputAt(t float64, ch int) float64 {
-	k := 0
+	y, _ := r.outputFrom(0, t, ch)
+	return y
+}
+
+// outputFrom is OutputAt with the interval scan starting at index k,
+// which must not lie past t's interval. It also returns the interval it
+// stopped at, so a caller sampling ascending times resumes from there.
+func (r *Result) outputFrom(k int, t float64, ch int) (float64, int) {
 	for k < len(r.T)-1 && r.T[k+1] < t {
 		k++
 	}
 	if k >= len(r.T)-1 {
-		return r.Y[len(r.Y)-1][ch]
+		return r.Y[len(r.Y)-1][ch], k
 	}
 	t0, t1 := r.T[k], r.T[k+1]
 	if t1 == t0 {
-		return r.Y[k][ch]
+		return r.Y[k][ch], k
 	}
 	w := (t - t0) / (t1 - t0)
-	return (1-w)*r.Y[k][ch] + w*r.Y[k+1][ch]
+	return (1-w)*r.Y[k][ch] + w*r.Y[k+1][ch], k
 }
 
 // RK4 integrates with the classical fixed-step fourth-order Runge–Kutta
@@ -245,15 +253,18 @@ func Trapezoidal(sys *qldae.System, x0 []float64, u Input, tEnd float64, nSteps 
 // step's Jacobian is factored once at the predictor state and reused;
 // while the iteration has not converged, it is refactored at the
 // current iterate every newtonRefresh iterations (an unconditional
-// cadence — there is no separate stall detector).
+// cadence — there is no separate stall detector). A linear system's
+// Newton matrix never changes, so it is factored once per run instead.
 const newtonRefresh = 6
 
 // TrapezoidalSolver is Trapezoidal with an explicit linear-solver
 // backend (nil selects solver.Auto). The Newton matrix I − h/2·∂f/∂x is
-// factored once per step through the LinearSolver interface — in CSR
-// form for systems carrying a sparse G1 mirror beyond the dense routing
-// cutoff — so full-order reference simulations of large circuits pay
-// O(nnz·fill) per step, not O(n³) per Newton iteration.
+// factored through the LinearSolver interface — in CSR form for systems
+// carrying a sparse G1 mirror beyond the dense routing cutoff — once
+// per step, or once per run when the Jacobian is G1 alone
+// (qldae.System.Linear), since the fixed step then makes every Newton
+// matrix identical. Large circuits thus pay O(nnz·fill) per factor, not
+// O(n³) per Newton iteration, and a linear one pays it once.
 func TrapezoidalSolver(sys *qldae.System, x0 []float64, u Input, tEnd float64, nSteps int, ls solver.LinearSolver) (*Result, error) {
 	return TrapezoidalSolverCtx(context.Background(), sys, x0, u, tEnd, nSteps, ls)
 }
@@ -281,19 +292,27 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 	}
 	var eye *sparse.CSR
 	var jb *sparse.Builder
+	var jd *mat.Dense
 	if sparseAssembly {
 		eye = sparse.Eye(n)
 		jb = sparse.NewBuilder(n, n)
+	} else {
+		jd = mat.NewDense(n, n)
 	}
+	// The dense Newton matrix is assembled into jd, one buffer per run,
+	// and handed over as a Scratch operand: the dense backend factors it
+	// in place. Refilling jd only ever happens right before the next
+	// factorization replaces the one that owned it.
 	newtonMatrix := func(xn []float64, u1 []float64, h float64) *solver.Matrix {
 		if sparseAssembly {
 			return solver.FromCSR(sparse.Add(1, eye, -0.5*h, sys.JacobianCSRInto(jb, xn, u1)))
 		}
-		jac := sys.Jacobian(xn, u1).Scale(-0.5 * h)
+		sys.JacobianInto(jd, xn, u1)
+		jd.Scale(-0.5 * h)
 		for i := 0; i < n; i++ {
-			jac.Add(i, i, 1)
+			jd.Add(i, i, 1)
 		}
-		return solver.FromDense(jac)
+		return solver.Scratch(jd)
 	}
 	// One symbolic analysis serves the whole transient: Newton matrices
 	// share the Jacobian's sparsity pattern across iterations, steps, and
@@ -304,6 +323,11 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 	// Either way the factors — and the trajectory — are bit-identical to
 	// factoring fresh every time.
 	var sym solver.SymbolicCache
+	// A linear system's Newton matrix I − h/2·G1 is the same at every
+	// iterate of every step, so its one factorization serves the whole
+	// run: the same bits a per-step refactor would produce.
+	linear := sys.Linear()
+	var fac solver.Factorization
 	h := tEnd / float64(nSteps)
 	x := mat.CopyVec(x0)
 	res := &Result{}
@@ -314,6 +338,7 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 	f0 := ws.vec(n)
 	f1 := ws.vec(n)
 	g := ws.vec(n)
+	xn := ws.vec(n)
 	// The Newton correction solves through the factorization's batch
 	// path with a persistent one-column block (g solved in place), so a
 	// stiff run's thousands of Newton iterations share one workspace
@@ -329,10 +354,12 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 		u1 := u(t + h)
 		sys.Eval(f0, x, u0)
 		// Predictor: forward Euler.
-		xn := mat.CopyVec(x)
+		copy(xn, x)
 		mat.Axpy(h, f0, xn)
 		converged := false
-		var fac solver.Factorization
+		if !linear {
+			fac = nil
+		}
 		for it := 0; it < maxNewton; it++ {
 			res.NewtonIters++
 			sys.Eval(f1, xn, u1)
@@ -346,7 +373,7 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 				converged = true
 				break
 			}
-			if fac == nil || (it > 0 && it%newtonRefresh == 0) {
+			if fac == nil || (!linear && it > 0 && it%newtonRefresh == 0) {
 				var err error
 				fac, err = sym.FactorCtx(ctx, ls, newtonMatrix(xn, u1, h))
 				if err != nil {
@@ -355,6 +382,7 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 					}
 					return nil, fmt.Errorf("ode: Newton Jacobian singular at t=%g: %w", t, err)
 				}
+				res.Factorizations++
 			}
 			// The Newton correction must stay abortable: SolveBatch would
 			// strand a cancellation until the next step boundary on large
@@ -395,9 +423,18 @@ func RelErrSeries(ref, approx *Result, ch int) ([]float64, []float64) {
 	}
 	ts := make([]float64, len(ref.T))
 	es := make([]float64, len(ref.T))
+	// ref.T ascends, so one forward cursor walks approx's grid once for
+	// the whole series, keeping it linear in the two lengths. A
+	// descending sample restarts the scan, as OutputAt would.
+	cur := 0
 	for k, t := range ref.T {
+		if k > 0 && t < ref.T[k-1] {
+			cur = 0
+		}
+		var y float64
+		y, cur = approx.outputFrom(cur, t, ch)
 		ts[k] = t
-		es[k] = math.Abs(ref.Y[k][ch]-approx.OutputAt(t, ch)) / peak
+		es[k] = math.Abs(ref.Y[k][ch]-y) / peak
 	}
 	return ts, es
 }

@@ -28,6 +28,9 @@ func TestRK4ExponentialDecay(t *testing.T) {
 	if math.Abs(got-want) > 1e-8 {
 		t.Fatalf("RK4 decay: got %v want %v", got, want)
 	}
+	if res.Factorizations != 0 {
+		t.Fatalf("RK4 reports %d factorizations", res.Factorizations)
+	}
 }
 
 func TestRK4ConvergenceOrder(t *testing.T) {
@@ -86,6 +89,9 @@ func TestDopri5AdaptsToTolerance(t *testing.T) {
 	}
 	if tight.Steps <= loose.Steps {
 		t.Fatalf("tolerance did not change step count: %d vs %d", loose.Steps, tight.Steps)
+	}
+	if loose.Factorizations != 0 || tight.Factorizations != 0 {
+		t.Fatal("Dopri5 reports factorizations")
 	}
 }
 

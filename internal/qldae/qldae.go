@@ -176,14 +176,33 @@ func solveCSR(f *lu.LU, m *sparse.CSR) *sparse.CSR {
 	return b.Build()
 }
 
-// MulG1 computes dst = G1·x through whichever representation is present
-// (CSR preferred when the dense form is absent).
+// MulG1 computes dst = G1·x, through the CSR mirror whenever one
+// exists. Every producer derives one representation from the other
+// (sparse.FromDense, or CSR.Dense of a built CSR), so G1S holds exactly
+// G1's nonzeros in ascending column order. Its row sums therefore add
+// the same products in the same order as the dense rows and skip only
+// exact-zero terms: bit-identical to the dense product for finite x
+// (0·±Inf and 0·NaN are the only skipped terms that would not vanish).
 func (s *System) MulG1(dst, x []float64) {
-	if s.G1 != nil {
-		s.G1.MulVecTo(dst, x)
+	if s.G1S != nil {
+		s.G1S.MulVecTo(dst, x)
 		return
 	}
-	s.G1S.MulVecTo(dst, x)
+	s.G1.MulVecTo(dst, x)
+}
+
+// Linear reports whether ∂RHS/∂x is G1 alone: no G2, G3 or D1 term, so
+// the Jacobian is the same at every state and input.
+func (s *System) Linear() bool {
+	if s.G2 != nil || s.G3 != nil {
+		return false
+	}
+	for _, d := range s.D1 {
+		if d != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // Eval computes dst = RHS(x, u). Scratch comes from the shared
@@ -217,23 +236,35 @@ func (s *System) Eval(dst, x, u []float64) {
 	if tmp != nil {
 		mat.PutVec(tmp)
 	}
-	for i := 0; i < s.Inputs(); i++ {
-		if u[i] == 0 {
-			continue
-		}
-		for r := 0; r < s.N; r++ {
-			dst[r] += s.B.At(r, i) * u[i]
+	// Each dst[r] receives its input terms in ascending input order.
+	for r := range dst {
+		row := s.B.Row(r)
+		for i, ui := range u {
+			if ui != 0 {
+				dst[r] += row[i] * ui
+			}
 		}
 	}
 }
 
 // Jacobian returns ∂RHS/∂x at (x, u) as a dense matrix.
 func (s *System) Jacobian(x, u []float64) *mat.Dense {
-	var j *mat.Dense
+	j := mat.NewDense(s.N, s.N)
+	s.JacobianInto(j, x, u)
+	return j
+}
+
+// JacobianInto writes ∂RHS/∂x at (x, u) into the n×n matrix j,
+// overwriting all of it: the Newton loop of ode.Trapezoidal assembles
+// every dense Newton matrix of a transient into one buffer.
+func (s *System) JacobianInto(j *mat.Dense, x, u []float64) {
+	if j.R != s.N || j.C != s.N {
+		panic("qldae: JacobianInto shape mismatch")
+	}
 	if s.G1 != nil {
-		j = s.G1.Clone()
+		copy(j.A, s.G1.A)
 	} else {
-		j = s.G1S.Dense()
+		s.G1S.DenseTo(j)
 	}
 	if s.G2 != nil {
 		s.G2.QuadJacobian(j.A, 1, x)
@@ -247,7 +278,6 @@ func (s *System) Jacobian(x, u []float64) *mat.Dense {
 		}
 		j.AddScaled(u[i], d)
 	}
-	return j
 }
 
 // JacobianCSR assembles ∂RHS/∂x at (x, u) directly in CSR form, never

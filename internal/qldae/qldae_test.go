@@ -80,6 +80,81 @@ func TestEvalAgainstExplicitKron(t *testing.T) {
 	}
 }
 
+// TestEvalMatchesDenseColumnOrder pins Eval bit for bit to a plain
+// transcription of its earlier form: G1 through the dense matrix, and
+// B·u accumulated one input column at a time. The CSR-mirror product
+// and the row-major B loop must reproduce it exactly, with inputs that
+// are zero or not.
+func TestEvalMatchesDenseColumnOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	n, m := 7, 3
+	s := randSystem(rng, n, m)
+	g3b := sparse.NewBuilder(n, n*n*n)
+	for i := 0; i < n; i++ {
+		g3b.Add(rng.Intn(n), rng.Intn(n*n*n), 0.1*(2*rng.Float64()-1))
+	}
+	s.G3 = g3b.Build()
+	s.G1S = sparse.FromDense(s.G1)
+	got := make([]float64, n)
+	want := make([]float64, n)
+	tmp := make([]float64, n)
+	for trial := 0; trial < 6; trial++ {
+		x := mat.RandVec(rng, n)
+		u := mat.RandVec(rng, m)
+		u[trial%m] = 0
+		s.Eval(got, x, u)
+		s.G1.MulVec(want, x)
+		s.G2.QuadAddApply(want, 1, x, x)
+		s.G3.CubeApply(tmp, x)
+		mat.Axpy(1, tmp, want)
+		for i, d := range s.D1 {
+			if u[i] != 0 {
+				d.MulVec(tmp, x)
+				mat.Axpy(u[i], tmp, want)
+			}
+		}
+		for i := 0; i < m; i++ {
+			if u[i] == 0 {
+				continue
+			}
+			for r := 0; r < n; r++ {
+				want[r] += s.B.At(r, i) * u[i]
+			}
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: Eval[%d] = %v, transcription %v", trial, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestJacobianIntoOverwrites pins JacobianInto against Jacobian: it must
+// overwrite a dirty buffer completely, from the dense G1 or from a
+// CSR-only G1S alike.
+func TestJacobianIntoOverwrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	n, m := 6, 2
+	s := randSystem(rng, n, m)
+	x := mat.RandVec(rng, n)
+	u := mat.RandVec(rng, m)
+	want := s.Jacobian(x, u)
+	csrOnly := *s
+	csrOnly.G1S, csrOnly.G1 = sparse.FromDense(s.G1), nil
+	for _, sys := range []*System{s, &csrOnly} {
+		j := mat.NewDense(n, n)
+		for i := range j.A {
+			j.A[i] = math.NaN()
+		}
+		sys.JacobianInto(j, x, u)
+		for i, v := range want.A {
+			if math.Float64bits(j.A[i]) != math.Float64bits(v) {
+				t.Fatalf("entry %d: JacobianInto %v, Jacobian %v (CSR-only %v)", i, j.A[i], v, sys.G1 == nil)
+			}
+		}
+	}
+}
+
 func TestJacobianFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n, m := 6, 2

@@ -68,10 +68,21 @@ type Matrix struct {
 	mu    sync.Mutex
 	dense *mat.Dense  // guarded by mu
 	csr   *sparse.CSR // guarded by mu
+	// scratch is set at construction (Scratch) and never changes: the
+	// dense backend may factor the dense side in place.
+	scratch bool
 }
 
 // FromDense wraps a dense operand.
 func FromDense(d *mat.Dense) *Matrix { return &Matrix{dense: d} }
+
+// Scratch wraps a dense operand the caller gives up: the dense backend
+// factors it in place, and the Factorization then owns d's storage. The
+// caller must not read or write d again until it has dropped that
+// Factorization — refilling d for the next factorization is fine once
+// the previous one is dead. The sparse backend copies d to CSR as for
+// FromDense and never writes it.
+func Scratch(d *mat.Dense) *Matrix { return &Matrix{dense: d, scratch: true} }
 
 // FromCSR wraps a sparse operand.
 func FromCSR(c *sparse.CSR) *Matrix { return &Matrix{csr: c} }
@@ -166,7 +177,8 @@ func (m *Matrix) MaxAbs() float64 {
 type LinearSolver interface {
 	// Name identifies the backend ("dense", "sparse", "auto").
 	Name() string
-	// Factor computes a factorization of a; a is not modified.
+	// Factor computes a factorization of a; a is not modified, except
+	// that a Scratch operand's dense storage may become the factors.
 	Factor(a *Matrix) (Factorization, error)
 	// FactorCtx is Factor with cooperative cancellation: long
 	// factorizations (the sparse-LU column loop) poll ctx and abort with
@@ -187,12 +199,17 @@ func (Dense) Factor(a *Matrix) (Factorization, error) {
 }
 
 // FactorCtx runs the dense LU (the ctx is checked on entry only; the
-// dense kernel is a tight third-party-free loop kept check-free).
+// dense kernel is a tight third-party-free loop kept check-free). A
+// Scratch operand is factored in place; any other is cloned first.
 func (Dense) FactorCtx(ctx context.Context, a *Matrix) (Factorization, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	f, err := lu.Factor(a.AsDense())
+	factor := lu.Factor
+	if a.scratch {
+		factor = lu.FactorInPlace
+	}
+	f, err := factor(a.AsDense())
 	if err != nil {
 		return nil, err
 	}

@@ -324,3 +324,48 @@ func TestDenseBackendMatchesLUPackage(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchOperandFactorsInPlace pins the ownership rule of Scratch:
+// the dense backend factors it in the caller's storage (same solves as a
+// cloned factorization), and the sparse backend never writes it.
+func TestScratchOperandFactorsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	a := mat.RandDense(rng, 10, 10)
+	for i := 0; i < 10; i++ {
+		a.Add(i, i, 12)
+	}
+	ref, err := (Dense{}).Factor(FromDense(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := mat.RandVec(rng, 10)
+	want := make([]float64, 10)
+	ref.Solve(want, b)
+	for _, tc := range []struct {
+		ls      LinearSolver
+		inPlace bool
+	}{{Dense{}, true}, {Sparse{}, false}, {Auto{}, true}} {
+		d := a.Clone()
+		f, err := tc.ls.Factor(Scratch(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		changed := false
+		for i, v := range d.A {
+			changed = changed || math.Float64bits(v) != math.Float64bits(a.A[i])
+		}
+		if changed != tc.inPlace {
+			t.Fatalf("%s: scratch storage rewritten = %v, want %v", tc.ls.Name(), changed, tc.inPlace)
+		}
+		if !tc.inPlace {
+			continue
+		}
+		got := make([]float64, 10)
+		f.Solve(got, b)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: in-place solve[%d] = %v, cloned %v", tc.ls.Name(), i, got[i], want[i])
+			}
+		}
+	}
+}

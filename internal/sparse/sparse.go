@@ -168,12 +168,21 @@ func (m *CSR) AddMulVec(dst []float64, a float64, x []float64) {
 // Dense expands to a dense matrix (small sizes / tests).
 func (m *CSR) Dense() *mat.Dense {
 	d := mat.NewDense(m.Rows, m.Cols)
+	m.DenseTo(d)
+	return d
+}
+
+// DenseTo writes M into the same-shape dense d, overwriting all of it.
+func (m *CSR) DenseTo(d *mat.Dense) {
+	if d.R != m.Rows || d.C != m.Cols {
+		panic("sparse: DenseTo shape mismatch")
+	}
+	mat.Zero(d.A)
 	for r := 0; r < m.Rows; r++ {
 		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
 			d.Add(r, m.ColIdx[k], m.Val[k])
 		}
 	}
-	return d
 }
 
 // FromDense converts a dense matrix, dropping zeros.

@@ -23,15 +23,17 @@ type Result struct {
 	T []float64
 	Y [][]float64
 	// Steps counts accepted integrator steps; Rejected counts adaptive
-	// rejections; NewtonIters counts total Newton iterations (implicit
-	// methods only).
-	Steps, Rejected, NewtonIters int
+	// rejections; NewtonIters counts total Newton iterations and
+	// Factorizations the Newton matrices factored (implicit methods
+	// only).
+	Steps, Rejected, NewtonIters, Factorizations int
 
 	res *ode.Result
 }
 
 func wrapResult(r *ode.Result) *Result {
-	return &Result{T: r.T, Y: r.Y, Steps: r.Steps, Rejected: r.Rejected, NewtonIters: r.NewtonIters, res: r}
+	return &Result{T: r.T, Y: r.Y, Steps: r.Steps, Rejected: r.Rejected, NewtonIters: r.NewtonIters,
+		Factorizations: r.Factorizations, res: r}
 }
 
 // OutputAt linearly interpolates output channel ch at time t.
@@ -73,8 +75,10 @@ func WithRK4(steps int) SimOption {
 
 // WithTrapezoidal selects the implicit trapezoidal rule with Newton
 // iteration — the right choice for stiff systems. The Newton matrix is
-// factored once per step through the solver layer (sparse assembly for
-// large CSR-mirrored systems).
+// factored through the solver layer (sparse assembly for large
+// CSR-mirrored systems) once per step, or once per run for a linear
+// system, whose Newton matrix never changes; Result.Factorizations
+// counts them.
 func WithTrapezoidal(steps int) SimOption {
 	return func(c *simConfig) { c.method, c.steps = simTrapezoidal, steps }
 }
