@@ -3,7 +3,6 @@ package avtmorclient_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -15,6 +14,7 @@ import (
 	"time"
 
 	"avtmor/avtmorclient"
+	"avtmor/internal/promtext"
 	"avtmor/serve"
 )
 
@@ -53,7 +53,6 @@ func startFleet(t testing.TB, n int) *fleet {
 	for i := range lns {
 		s, err := serve.New(serve.Config{
 			StoreDir: t.TempDir(),
-			Workers:  2,
 			Node:     addrs[i],
 			Peers:    addrs,
 		})
@@ -68,49 +67,47 @@ func startFleet(t testing.TB, n int) *fleet {
 	return f
 }
 
-func fleetMetrics(t testing.TB, url string) map[string]any {
+// nodeMetric scrapes one node's GET /metrics through the strict
+// exposition parser and returns one sample name summed across its
+// label sets.
+func nodeMetric(t testing.TB, url, name string) float64 {
 	t.Helper()
-	resp, err := http.Get(url + "/metrics.json")
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
+	scrape, err := promtext.Parse(resp.Body)
+	if err != nil {
+		t.Fatalf("node %s: invalid exposition: %v", url, err)
 	}
-	return m
+	v, ok := scrape.Value(name)
+	if !ok {
+		t.Fatalf("node %s emits no %s", url, name)
+	}
+	return v
+}
+
+// fleetMetric sums nodeMetric across the fleet.
+func fleetMetric(t testing.TB, f *fleet, name string) float64 {
+	t.Helper()
+	var total float64
+	for _, u := range f.urls {
+		total += nodeMetric(t, u, name)
+	}
+	return total
 }
 
 // fleetForwards sums every node's outbound peer forwards — the relay
 // hops a ring-aware client exists to avoid.
 func fleetForwards(t testing.TB, f *fleet) float64 {
 	t.Helper()
-	var total float64
-	for _, u := range f.urls {
-		cl, ok := fleetMetrics(t, u)["cluster"].(map[string]any)
-		if !ok {
-			t.Fatalf("node %s has no cluster metrics", u)
-		}
-		peers, _ := cl["peers"].(map[string]any)
-		for _, pv := range peers {
-			m, _ := pv.(map[string]any)
-			if v, ok := m["forwards"].(float64); ok {
-				total += v
-			}
-		}
-	}
-	return total
+	return fleetMetric(t, f, "avtmor_cluster_peer_forwards_total")
 }
 
 func fleetReductions(t testing.TB, f *fleet) float64 {
 	t.Helper()
-	var total float64
-	for _, u := range f.urls {
-		v, _ := fleetMetrics(t, u)["reductions"].(float64)
-		total += v
-	}
-	return total
+	return fleetMetric(t, f, "avtmor_reductions_total")
 }
 
 // TestClientDirectPlacement: the ring-aware client computes the key's
@@ -142,7 +139,7 @@ func TestClientDirectPlacement(t *testing.T) {
 	// on: client-side and server-side rings agree.
 	owner := c.Owner(res.Key)
 	for i, addr := range f.addrs {
-		red, _ := fleetMetrics(t, f.urls[i])["reductions"].(float64)
+		red := nodeMetric(t, f.urls[i], "avtmor_reductions_total")
 		if (addr == owner) != (red == 1) {
 			t.Fatalf("node %s: reductions=%v, client says owner is %s", addr, red, owner)
 		}
@@ -229,7 +226,7 @@ func TestClientRetryBackoff(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if hits.Add(1) <= 2 {
 			w.Header().Set("Retry-After", "0")
-			http.Error(w, "worker pool saturated, retry later", http.StatusTooManyRequests)
+			http.Error(w, "admission budget exhausted, retry later", http.StatusTooManyRequests)
 			return
 		}
 		w.Write([]byte("rom-bytes"))

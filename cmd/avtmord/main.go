@@ -3,12 +3,12 @@
 // associated-transform engine, persists the resulting ROM artifacts in
 // a content-addressed on-disk store, and simulates stored ROMs on
 // demand. Identical concurrent requests coalesce onto one reduction;
-// artifacts survive restarts; overload sheds with 429 at a bounded
-// worker pool instead of piling up goroutines.
+// artifacts survive restarts; overload sheds with 429 at a cost-priced
+// admission budget instead of piling up work.
 //
 // Usage:
 //
-//	avtmord [-addr HOST:PORT] [-store DIR] [-workers N] [-queue N]
+//	avtmord [-addr HOST:PORT] [-store DIR]
 //	        [-cache-limit N] [-grace D] [-drain-notice D]
 //	        [-node HOST:PORT -peers HOST:PORT,HOST:PORT,...]
 //	        [-replicas N] [-join HOST:PORT] [-leave] [-anti-entropy D]
@@ -16,11 +16,10 @@
 //	        [-access-log FILE] [-pprof HOST:PORT]
 //
 // Operability (docs/OPERATIONS.md has the full runbook): GET /metrics
-// serves Prometheus text exposition, GET /metrics.json the legacy
-// expvar JSON. -cost-budget bounds the total estimated cost of
-// concurrently admitted work (expensive reduces queue behind their own
-// kind while cheap ones keep flowing; the estimate is returned in
-// X-Avtmor-Cost). -quota attaches a token bucket to an API key (the
+// serves the Prometheus text exposition. -cost-budget bounds the total
+// estimated cost of concurrently admitted work (expensive reduces queue
+// behind their own kind while cheap ones keep flowing; the estimate is
+// returned in X-Avtmor-Cost). -quota attaches a token bucket to an API key (the
 // X-Avtmor-Api-Key header); the form without KEY= sets the default
 // bucket shared by unkeyed clients. -access-log appends one JSON line
 // per request ("-" for stdout), each carrying the request ID that
@@ -80,7 +79,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -122,8 +120,6 @@ func (q *quotaFlags) Set(v string) error {
 func main() {
 	addr := flag.String("addr", defaultAddr, "listen address (port 0 picks an ephemeral port; defaults to -node in cluster mode)")
 	dir := flag.String("store", "avtmord-store", "ROM store directory; \"\" keeps artifacts in memory only")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "reduction/simulation worker pool size")
-	queue := flag.Int("queue", 64, "pending-request queue depth; 0 = no queue, a request runs immediately or is answered 429")
 	cacheLimit := flag.Int("cache-limit", 256, "max ROMs held in memory, LRU-evicted to the store (0 = unbounded)")
 	grace := flag.Duration("grace", 10*time.Second, "graceful-shutdown drain window")
 	drainNotice := flag.Duration("drain-notice", time.Second, "how long /healthz advertises 503 draining before the listener closes (0 disables)")
@@ -191,10 +187,6 @@ func main() {
 		log.Printf("warning: listening on %s but joining the ring as %s — peers forward to the latter; make sure it routes here", listenAddr, *node)
 	}
 
-	qd := *queue
-	if qd == 0 {
-		qd = -1 // the flag's 0 means "no queue"; Config's 0 means "default"
-	}
 	var logSink io.Writer
 	switch *accessLog {
 	case "":
@@ -210,8 +202,6 @@ func main() {
 	}
 	s, err := serve.New(serve.Config{
 		StoreDir:            *dir,
-		Workers:             *workers,
-		QueueDepth:          qd,
 		CacheLimit:          *cacheLimit,
 		Node:                *node,
 		Peers:               peerList,
@@ -253,8 +243,7 @@ func main() {
 	if len(peerList) > 0 {
 		log.Printf("cluster node %s in fleet %v", *node, peerList)
 	}
-	log.Printf("listening on %s (store %q, workers %d, queue %d, cache limit %d)",
-		ln.Addr(), *dir, *workers, *queue, *cacheLimit)
+	log.Printf("listening on %s (store %q, cache limit %d)", ln.Addr(), *dir, *cacheLimit)
 
 	srv := &http.Server{Handler: s.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

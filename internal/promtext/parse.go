@@ -74,9 +74,9 @@ const maxLineBytes = 1 << 20
 
 // Parse reads and validates one exposition document. Violations of the
 // format — samples before their # TYPE, bad metric or label names,
-// malformed values, duplicate samples, histogram children missing
-// +Inf or with non-cumulative buckets, counters going negative — are
-// errors.
+// duplicate labels, malformed values, duplicate samples, histogram
+// children missing +Inf, with two buckets at one bound, or with
+// non-cumulative buckets, counters going negative — are errors.
 func Parse(r io.Reader) (*Scrape, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
@@ -242,7 +242,7 @@ func (f *Family) validate() error {
 				}
 			}
 			bound, err := parseValue(le)
-			if err != nil {
+			if err != nil || math.IsNaN(bound) {
 				return fmt.Errorf("promtext: histogram %s: bad le %q", f.Name, le)
 			}
 			c.bounds = append(c.bounds, bound)
@@ -270,8 +270,12 @@ func (f *Family) validate() error {
 		sort.Slice(idx, func(a, b int) bool { return c.bounds[idx[a]] < c.bounds[idx[b]] })
 		prev := math.Inf(-1)
 		prevCount := 0.0
-		for _, i := range idx {
-			if c.counts[i] < prevCount {
+		for n, i := range idx {
+			if n > 0 && c.bounds[i] == prev {
+				return fmt.Errorf("promtext: histogram %s has two buckets with le %v", f.Name, prev)
+			}
+			// Negated so a NaN count fails too.
+			if !(c.counts[i] >= prevCount) {
 				return fmt.Errorf("promtext: histogram %s buckets are not cumulative", f.Name)
 			}
 			prev, prevCount = c.bounds[i], c.counts[i]
@@ -323,6 +327,11 @@ func splitLabels(rest string) ([]Label, string, error) {
 		lname := strings.TrimSpace(rest[start:i])
 		if !validLabelName(lname) && lname != "le" {
 			return nil, "", fmt.Errorf("invalid label name %q", lname)
+		}
+		for _, l := range labels {
+			if l.Name == lname {
+				return nil, "", fmt.Errorf("duplicate label %s", lname)
+			}
 		}
 		i++ // '='
 		if i >= len(rest) || rest[i] != '"' {

@@ -155,8 +155,8 @@ func (c *funcChild) write(sb *strings.Builder, fam *family) {
 }
 
 // CounterFunc registers a counter whose value is read from f at scrape
-// time — the bridge from pre-existing counters (expvar cells, stats
-// snapshots) without double bookkeeping. f must be monotonic.
+// time — the bridge from counts another component already keeps (a
+// stats snapshot) without double bookkeeping. f must be monotonic.
 func (r *Registry) CounterFunc(name, help string, f func() float64, labels ...Label) {
 	r.register(name, help, KindCounter, &funcChild{f: f, ls: labels})
 }

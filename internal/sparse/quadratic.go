@@ -5,34 +5,46 @@ package sparse
 // package kron's (x⊗x)[p·n+q] = x_p·x_q convention; G3 ∈ R^{n×n³} indexes
 // (p·n+q)·n+r ↔ x_p·x_q·x_r.
 
-// quadIndex decodes and caches the (p, q) factor indices of every
-// nonzero for Kronecker-square columns (c = p·n + q). Decoding once
-// removes the per-nonzero integer division from the simulation hot loop.
-func (m *CSR) quadIndex(n int) {
-	if m.qp != nil {
-		return
+// kronIndex holds the decoded Kronecker factor indices of every
+// nonzero: (p, q) for a Kronecker-square column c = p·n + q, (p, q, r)
+// for a cube column c = (p·n + q)·n + r. It is immutable once
+// published.
+type kronIndex struct {
+	p, q, r []int32
+}
+
+// quadIndex returns the (p, q) factor indices of every nonzero for
+// Kronecker-square columns, decoding them on first use. Decoding once
+// removes the per-nonzero integer division from the simulation hot
+// loop; publishing through an atomic pointer lets concurrent
+// simulations of one system share the matrix (a racing first use
+// decodes twice and keeps the first result, which is identical).
+func (m *CSR) quadIndex(n int) *kronIndex {
+	if ix := m.quad.Load(); ix != nil {
+		return ix
 	}
-	m.qp = make([]int32, len(m.ColIdx))
-	m.qq = make([]int32, len(m.ColIdx))
+	ix := &kronIndex{p: make([]int32, len(m.ColIdx)), q: make([]int32, len(m.ColIdx))}
 	for k, c := range m.ColIdx {
-		m.qp[k] = int32(c / n)
-		m.qq[k] = int32(c % n)
+		ix.p[k] = int32(c / n)
+		ix.q[k] = int32(c % n)
 	}
+	m.quad.CompareAndSwap(nil, ix)
+	return m.quad.Load()
 }
 
 // cubeIndex is the Kronecker-cube analogue of quadIndex.
-func (m *CSR) cubeIndex(n int) {
-	if m.cp != nil {
-		return
+func (m *CSR) cubeIndex(n int) *kronIndex {
+	if ix := m.cube.Load(); ix != nil {
+		return ix
 	}
-	m.cp = make([]int32, len(m.ColIdx))
-	m.cq = make([]int32, len(m.ColIdx))
-	m.cr = make([]int32, len(m.ColIdx))
+	ix := &kronIndex{p: make([]int32, len(m.ColIdx)), q: make([]int32, len(m.ColIdx)), r: make([]int32, len(m.ColIdx))}
 	for k, c := range m.ColIdx {
-		m.cp[k] = int32(c / (n * n))
-		m.cq[k] = int32((c / n) % n)
-		m.cr[k] = int32(c % n)
+		ix.p[k] = int32(c / (n * n))
+		ix.q[k] = int32((c / n) % n)
+		ix.r[k] = int32(c % n)
 	}
+	m.cube.CompareAndSwap(nil, ix)
+	return m.cube.Load()
 }
 
 // QuadApply computes dst = G2·(x⊗y) without forming x⊗y.
@@ -42,11 +54,11 @@ func (m *CSR) QuadApply(dst, x, y []float64) {
 	if len(y) != n || m.Cols != n*n || len(dst) != m.Rows {
 		panic("sparse: QuadApply length mismatch")
 	}
-	m.quadIndex(n)
+	ix := m.quadIndex(n)
 	for r := 0; r < m.Rows; r++ {
 		s := 0.0
 		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			s += m.Val[k] * x[m.qp[k]] * y[m.qq[k]]
+			s += m.Val[k] * x[ix.p[k]] * y[ix.q[k]]
 		}
 		dst[r] = s
 	}
@@ -58,11 +70,11 @@ func (m *CSR) QuadAddApply(dst []float64, a float64, x, y []float64) {
 	if len(y) != n || m.Cols != n*n || len(dst) != m.Rows {
 		panic("sparse: QuadAddApply length mismatch")
 	}
-	m.quadIndex(n)
+	ix := m.quadIndex(n)
 	for r := 0; r < m.Rows; r++ {
 		s := 0.0
 		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			s += m.Val[k] * x[m.qp[k]] * y[m.qq[k]]
+			s += m.Val[k] * x[ix.p[k]] * y[ix.q[k]]
 		}
 		dst[r] += a * s
 	}
@@ -75,11 +87,11 @@ func (m *CSR) QuadJacobian(dst []float64, a float64, x []float64) {
 	if m.Cols != n*n || len(dst) != m.Rows*n {
 		panic("sparse: QuadJacobian length mismatch")
 	}
-	m.quadIndex(n)
+	ix := m.quadIndex(n)
 	for r := 0; r < m.Rows; r++ {
 		row := dst[r*n : (r+1)*n]
 		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			p, q := m.qp[k], m.qq[k]
+			p, q := ix.p[k], ix.q[k]
 			v := a * m.Val[k]
 			row[p] += v * x[q]
 			row[q] += v * x[p]
@@ -95,10 +107,10 @@ func (m *CSR) QuadJacobianVisit(a float64, x []float64, visit func(r, c int, v f
 	if m.Cols != n*n {
 		panic("sparse: QuadJacobianVisit length mismatch")
 	}
-	m.quadIndex(n)
+	ix := m.quadIndex(n)
 	for r := 0; r < m.Rows; r++ {
 		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			p, q := m.qp[k], m.qq[k]
+			p, q := ix.p[k], ix.q[k]
 			v := a * m.Val[k]
 			visit(r, int(p), v*x[q])
 			visit(r, int(q), v*x[p])
@@ -112,11 +124,11 @@ func (m *CSR) CubeApply(dst, x []float64) {
 	if m.Cols != n*n*n || len(dst) != m.Rows {
 		panic("sparse: CubeApply length mismatch")
 	}
-	m.cubeIndex(n)
+	ix := m.cubeIndex(n)
 	for r := 0; r < m.Rows; r++ {
 		s := 0.0
 		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			s += m.Val[k] * x[m.cp[k]] * x[m.cq[k]] * x[m.cr[k]]
+			s += m.Val[k] * x[ix.p[k]] * x[ix.q[k]] * x[ix.r[k]]
 		}
 		dst[r] = s
 	}
@@ -129,11 +141,11 @@ func (m *CSR) CubeJacobian(dst []float64, a float64, x []float64) {
 	if m.Cols != n*n*n || len(dst) != m.Rows*n {
 		panic("sparse: CubeJacobian length mismatch")
 	}
-	m.cubeIndex(n)
+	ix := m.cubeIndex(n)
 	for r := 0; r < m.Rows; r++ {
 		row := dst[r*n : (r+1)*n]
 		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			p, q, t := m.cp[k], m.cq[k], m.cr[k]
+			p, q, t := ix.p[k], ix.q[k], ix.r[k]
 			v := a * m.Val[k]
 			row[p] += v * x[q] * x[t]
 			row[q] += v * x[p] * x[t]
@@ -148,10 +160,10 @@ func (m *CSR) CubeJacobianVisit(a float64, x []float64, visit func(r, c int, v f
 	if m.Cols != n*n*n {
 		panic("sparse: CubeJacobianVisit length mismatch")
 	}
-	m.cubeIndex(n)
+	ix := m.cubeIndex(n)
 	for r := 0; r < m.Rows; r++ {
 		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			p, q, t := m.cp[k], m.cq[k], m.cr[k]
+			p, q, t := ix.p[k], ix.q[k], ix.r[k]
 			v := a * m.Val[k]
 			visit(r, int(p), v*x[q]*x[t])
 			visit(r, int(q), v*x[p]*x[t])

@@ -9,6 +9,7 @@ package sparse
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"avtmor/internal/mat"
 )
@@ -29,8 +30,7 @@ type CSR struct {
 	// Cached Kronecker factor indices of each nonzero (decoded from
 	// ColIdx on first use by the Quad/Cube kernels); see quadIndex and
 	// cubeIndex in quadratic.go.
-	qp, qq     []int32
-	cp, cq, cr []int32
+	quad, cube atomic.Pointer[kronIndex]
 }
 
 // Builder accumulates COO triplets; duplicate coordinates sum.

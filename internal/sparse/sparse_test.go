@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -241,5 +242,41 @@ func BenchmarkQuadApply100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g2.QuadApply(dst, x, x)
+	}
+}
+
+// TestKronIndexConcurrentFirstUse: goroutines sharing one fresh G2/G3
+// (concurrent simulations of one ROM) may race to decode the Kronecker
+// factor indices; every caller must get the sequential answer. Run
+// under -race.
+func TestKronIndexConcurrentFirstUse(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	n := 4
+	x := mat.RandVec(rng, n)
+	g2 := randCSR(rng, n, n*n, 10)
+	g3 := randCSR(rng, n, n*n*n, 12)
+	want2, want3 := make([]float64, n), make([]float64, n)
+	FromDense(g2.Dense()).QuadApply(want2, x, x)
+	FromDense(g3.Dense()).CubeApply(want3, x)
+
+	const callers = 8
+	got := make([][2][]float64, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = [2][]float64{make([]float64, n), make([]float64, n)}
+			g2.QuadApply(got[i][0], x, x)
+			g3.CubeApply(got[i][1], x)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		for j := 0; j < n; j++ {
+			if got[i][0][j] != want2[j] || got[i][1][j] != want3[j] {
+				t.Fatalf("caller %d, row %d: (%v, %v), want (%v, %v)", i, j, got[i][0][j], got[i][1][j], want2[j], want3[j])
+			}
+		}
 	}
 }

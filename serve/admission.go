@@ -1,19 +1,22 @@
 package serve
 
-// Cost-aware admission: price a reduce request from its parsed input
-// before it touches the worker pool, and admit against a concurrent
-// cost budget instead of a job count. Counting jobs treats a 3-state
-// clipper and a 2000-state multipoint reduce as equals, so a burst of
-// expensive requests fills the queue and 429s the cheap traffic behind
-// it; pricing by the moment-generation work (the same expansion-factor
-// economics the reducer's own cost model uses to pick its solver)
-// lets cheap requests keep flowing while expensive ones wait their
-// turn.
+// Cost-aware admission, the server's one load gate: price a request
+// from its parsed input before it computes anything, and admit against
+// a concurrent cost budget instead of a job count. Counting jobs
+// treats a 3-state clipper and a 2000-state multipoint reduce as
+// equals, so a burst of expensive requests occupies every slot and
+// starves the cheap traffic behind it; pricing by the moment-generation
+// work (the same expansion-factor economics the reducer's own cost
+// model uses to pick its solver) lets cheap requests keep flowing while
+// expensive ones wait their turn. An admitted request computes on its
+// own request goroutine.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -78,19 +81,16 @@ func simulateCost(order, steps int) int64 {
 	return 1 + int64(order)*int64(steps)/(costDivisor*16)
 }
 
-// overBudgetError rejects a request whose estimated cost did not fit
-// the concurrent budget within its admission window. It carries the
-// estimate so the handler can answer with a cost-proportional
-// Retry-After.
-type overBudgetError struct {
-	cost int64
-}
+// Admission failures that are not the request's own context.
+var (
+	// errOverBudget: the request's cost did not fit the concurrent
+	// budget within admitWindow.
+	errOverBudget = errors.New("serve: admission budget exhausted")
+	// errClosed: Close began before the request was admitted.
+	errClosed = errors.New("serve: server is shutting down")
+)
 
-func (e *overBudgetError) Error() string {
-	return fmt.Sprintf("serve: admission budget exhausted (request cost %d)", e.cost)
-}
-
-// admission is the concurrent cost budget. Admit reserves units for
+// admission is the concurrent cost budget. admit reserves units for
 // the lifetime of one request's compute; requests that do not fit wait
 // until running work releases units, bounded by the caller's context.
 //
@@ -99,11 +99,18 @@ func (e *overBudgetError) Error() string {
 // expensive burst queues behind itself while clippers keep flowing.
 // An idle server admits anything (a request dearer than the whole
 // budget must still be able to run alone).
+//
+// Shutdown: close turns every waiter and every later request away with
+// errClosed, then waits for admitted work to release its units. Every
+// cost is at least 1, so inUse counts the admitted work still running,
+// and because admission and that count share mu, nothing is admitted
+// once close has started waiting.
 type admission struct {
 	budget int64
 	mu     sync.Mutex
 	cond   *sync.Cond
 	inUse  int64 // guarded by mu
+	closed bool  // guarded by mu
 }
 
 func newAdmission(budget int64) *admission {
@@ -129,9 +136,25 @@ func (a *admission) fits(cost int64) bool { // holds a.mu
 	return a.inUse+cost <= limit
 }
 
-// admit reserves cost units, waiting until they fit or ctx expires.
-// The returned release must be called exactly once when the request's
-// compute finishes.
+// reserve books cost units and returns their release, which must be
+// called exactly once when the request's compute finishes (later calls
+// are no-ops). The caller holds a.mu.
+func (a *admission) reserve(cost int64) (release func()) { // holds a.mu
+	a.inUse += cost
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			a.mu.Lock()
+			a.inUse -= cost
+			a.cond.Broadcast()
+			a.mu.Unlock()
+		})
+	}
+}
+
+// admit reserves cost units, waiting until they fit. It fails with
+// ctx's error when ctx ends first, and with errClosed once close has
+// begun.
 func (a *admission) admit(ctx context.Context, cost int64) (release func(), err error) {
 	// A context door: wake the cond loop when the caller gives up.
 	stop := context.AfterFunc(ctx, func() {
@@ -142,41 +165,27 @@ func (a *admission) admit(ctx context.Context, cost int64) (release func(), err 
 	defer stop()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for !a.fits(cost) {
-		if ctx.Err() != nil {
-			return nil, &overBudgetError{cost: cost}
+	for {
+		switch {
+		case a.closed:
+			return nil, errClosed
+		case ctx.Err() != nil:
+			return nil, ctx.Err()
+		case a.fits(cost):
+			return a.reserve(cost), nil
 		}
 		a.cond.Wait()
 	}
-	a.inUse += cost
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			a.mu.Lock()
-			a.inUse -= cost
-			a.cond.Broadcast()
-			a.mu.Unlock()
-		})
-	}, nil
 }
 
 // tryAdmit reserves cost units only if they fit right now.
 func (a *admission) tryAdmit(cost int64) (release func(), ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !a.fits(cost) {
+	if a.closed || !a.fits(cost) {
 		return nil, false
 	}
-	a.inUse += cost
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			a.mu.Lock()
-			a.inUse -= cost
-			a.cond.Broadcast()
-			a.mu.Unlock()
-		})
-	}, true
+	return a.reserve(cost), true
 }
 
 // used returns the units currently reserved (the admission gauge).
@@ -186,34 +195,83 @@ func (a *admission) used() int64 {
 	return a.inUse
 }
 
+// close turns away every waiting and later request with errClosed and
+// returns once all admitted work has released its units.
+func (a *admission) close() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.closed = true
+	a.cond.Broadcast()
+	for a.inUse > 0 {
+		a.cond.Wait()
+	}
+}
+
 // admitWindow bounds how long an over-budget request waits for units
 // before shedding with 429 — long enough to ride out a short burst,
 // short enough that the client's retry governs, not our queue.
 const admitWindow = 2 * time.Second
 
-// admitted reserves cost units for the request, waiting up to
-// admitWindow. On rejection it answers 429 with a cost-proportional
-// Retry-After and returns a nil release.
-func (s *Server) admitted(w http.ResponseWriter, r *http.Request, cost int64) (release func(), ok bool) {
-	ctx, cancel := context.WithTimeout(r.Context(), admitWindow)
+// admit is the gate every reduce, simulate and batch item passes before
+// it computes: it reserves cost units, waiting until they fit or until
+// the first of ctx (the client's connection and the request's own
+// deadline) and admitWindow ends. It fails with errOverBudget when the
+// window ends first, errClosed during shutdown, or ctx's error;
+// admitStatus maps each to its status. The wait of every admitted
+// request lands in avtmor_queue_wait_seconds.
+func (s *Server) admit(ctx context.Context, cost int64) (release func(), err error) {
+	start := time.Now()
+	wctx, cancel := context.WithTimeout(ctx, admitWindow)
 	defer cancel()
-	release, err := s.adm.admit(ctx, cost)
+	release, err = s.adm.admit(wctx, cost)
+	switch {
+	case err == nil:
+		s.queueWait.Observe(time.Since(start).Seconds())
+	case errors.Is(err, errClosed):
+		// Reported as is.
+	case ctx.Err() != nil:
+		err = ctx.Err()
+	default:
+		s.admissionRejected.Add(1)
+		err = errOverBudget
+	}
+	return release, err
+}
+
+// admitStatus maps an admission failure of a request of the given cost
+// to its status: over budget → 429, shutdown → 503, the request's own
+// deadline → 504, client gone → 499 (nginx's convention; the client
+// never sees it). It is the one taxonomy both the single-request and
+// the per-item batch paths speak.
+func (s *Server) admitStatus(err error, cost int64) (int, string) {
+	switch {
+	case errors.Is(err, errOverBudget):
+		return http.StatusTooManyRequests,
+			fmt.Sprintf("admission budget exhausted (request cost %d of %d), retry later", cost, s.adm.budget)
+	case errors.Is(err, errClosed):
+		return http.StatusServiceUnavailable, "shutting down"
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, "deadline exceeded"
+	default:
+		return 499, "client canceled"
+	}
+}
+
+// admitted is admit for a single request: on failure it answers the
+// status itself — a 429 carries a Retry-After scaled by the request's
+// share of the budget — and returns a nil release.
+func (s *Server) admitted(ctx context.Context, w http.ResponseWriter, cost int64) (release func(), ok bool) {
+	release, err := s.admit(ctx, cost)
 	if err == nil {
 		return release, true
 	}
-	if r.Context().Err() != nil {
-		s.httpError(w, 499, "client canceled")
-		return nil, false
+	code, msg := s.admitStatus(err, cost)
+	if code == http.StatusTooManyRequests {
+		// A clipper retries in a second, a fleet-filling multipoint
+		// reduce backs off harder.
+		w.Header().Set("Retry-After", strconv.FormatInt(1+4*cost/s.adm.budget, 10))
 	}
-	s.admissionRejected.Add(1)
-	// Scale the retry hint with how much of the budget the request
-	// wants: a clipper retries in a second, a fleet-filling multipoint
-	// reduce backs off harder.
-	retry := 1 + 4*cost/s.adm.budget
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", retry))
-	w.Header().Set(HeaderCost, fmt.Sprintf("%d", cost))
-	s.httpError(w, http.StatusTooManyRequests,
-		"admission budget exhausted (request cost %d of %d), retry later", cost, s.adm.budget)
+	s.httpError(w, code, "%s", msg)
 	return nil, false
 }
 

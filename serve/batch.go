@@ -23,13 +23,13 @@ import (
 // of the solver's block multi-RHS path. Reduction options apply
 // batch-wide via the usual query parameters.
 //
-// Admission is cost-weighted: every item that needs compute is
-// submitted to the worker pool individually, so a batch of N cold
-// items consumes N admission units and pool overflow sheds per item
-// (429 in that item's status) instead of rejecting or buffering the
-// whole batch; cache hits are answered inline and consume nothing. The HTTP status is 200
-// whenever the batch itself parsed; per-item outcomes live in the
-// response frame, in request order.
+// Admission is cost-weighted and per item: every item that needs
+// compute is admitted against the cost budget individually and reduced
+// on its own goroutine, so a saturated budget sheds per item (429 in
+// that item's status) instead of rejecting or buffering the whole
+// batch; cache hits are answered inline and consume nothing. The HTTP
+// status is 200 whenever the batch itself parsed; per-item outcomes
+// live in the response frame, in request order.
 //
 // On a clustered server the batch is split by ring owner: items owned
 // here (or already cached here) are computed locally, the rest are
@@ -100,8 +100,8 @@ func (s *Server) handleReduceBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if owner == "" {
-			// Cache hits bypass the pool: admission is cost-weighted, and
-			// a hit costs no compute — spending an admission unit (and a
+			// Cache hits bypass admission: it is cost-weighted, and a hit
+			// costs no compute — spending an admission unit (and a
 			// goroutine) on it would let a sweep of warm keys shed work
 			// that is actually free.
 			if cached, err := s.reducer.Lookup(it.key); err == nil && cached != nil {
@@ -187,39 +187,26 @@ type batchItem struct {
 	cost   int64
 }
 
-// batchItemLocal reduces one item on the worker pool, mapping failures
-// through the same status taxonomy as single requests. Each item is
-// admitted against the cost budget individually, so a batch of heavy
-// items self-paces instead of reserving the fleet in one gulp.
+// batchItemLocal admits and reduces one item, mapping failures through
+// the same status taxonomy as single requests. Each item is admitted
+// against the cost budget individually, so a batch of heavy items
+// self-paces instead of reserving the fleet in one gulp.
 func (s *Server) batchItemLocal(ctx context.Context, it *batchItem, req *query.Request) wire.Result {
 	reduce := s.reducer.Reduce
 	if req.Norm {
 		reduce = s.reducer.ReduceNORM
 	}
-	admitCtx, cancel := context.WithTimeout(ctx, admitWindow)
-	release, err := s.adm.admit(admitCtx, it.cost)
-	cancel()
+	release, err := s.admit(ctx, it.cost)
 	if err != nil {
-		s.admissionRejected.Add(1)
-		s.countError(http.StatusTooManyRequests)
-		return wire.Result{Status: http.StatusTooManyRequests, Key: it.digest,
-			Body: []byte(fmt.Sprintf("admission budget exhausted (item cost %d)", it.cost))}
-	}
-	defer release()
-	had := s.hasLocal(it.digest)
-	var (
-		rom  *avtmor.ROM
-		rerr error
-	)
-	if err := s.run(ctx, func() {
-		rom, rerr = reduce(ctx, it.sys, req.Opts...)
-	}); err != nil {
-		code, msg := poolStatus(err)
+		code, msg := s.admitStatus(err, it.cost)
 		s.countError(code)
 		return wire.Result{Status: code, Key: it.digest, Body: []byte(msg)}
 	}
-	if rerr != nil {
-		code, msg := opStatus("reduction", rerr)
+	defer release()
+	had := s.hasLocal(it.digest)
+	rom, err := reduce(ctx, it.sys, req.Opts...)
+	if err != nil {
+		code, msg := opStatus("reduction", err)
 		s.countError(code)
 		return wire.Result{Status: code, Key: it.digest, Body: []byte(msg)}
 	}

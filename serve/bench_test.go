@@ -53,7 +53,7 @@ func benchPost(b *testing.B, h http.Handler, path, body string) *httptest.Respon
 }
 
 func BenchmarkServeReduceCold(b *testing.B) {
-	s, err := serve.New(serve.Config{StoreDir: b.TempDir(), Workers: 2})
+	s, err := serve.New(serve.Config{StoreDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func BenchmarkServeReduceCold(b *testing.B) {
 }
 
 func BenchmarkServeReduceStoreHit(b *testing.B) {
-	s, err := serve.New(serve.Config{StoreDir: b.TempDir(), Workers: 2, CacheLimit: 1})
+	s, err := serve.New(serve.Config{StoreDir: b.TempDir(), CacheLimit: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func BenchmarkServeReduceStoreHit(b *testing.B) {
 }
 
 func BenchmarkServeHTTPRoundTrip(b *testing.B) {
-	s, err := serve.New(serve.Config{StoreDir: b.TempDir(), Workers: 2})
+	s, err := serve.New(serve.Config{StoreDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func BenchmarkServeHTTPRoundTrip(b *testing.B) {
 func BenchmarkServeBatch(b *testing.B) {
 	for _, n := range []int{1, 16} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s, err := serve.New(serve.Config{StoreDir: b.TempDir(), Workers: 2})
+			s, err := serve.New(serve.Config{StoreDir: b.TempDir()})
 			if err != nil {
 				b.Fatal(err)
 			}

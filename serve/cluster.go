@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
@@ -32,10 +31,11 @@ const HeaderForwarded = "X-Avtmor-Forwarded"
 // next anti-entropy sweep.
 const HeaderEpoch = "X-Avtmor-Epoch"
 
-// peerVars is the per-peer counter pair surfaced under
-// /metrics → cluster.peers.<addr>.
+// peerVars is the per-peer counter pair: the peer's children of the
+// avtmor_cluster_peer_forwards_total and
+// avtmor_cluster_peer_forward_errors_total families.
 type peerVars struct {
-	forwards, forwardErrors expvar.Int
+	forwards, forwardErrors *promtext.Counter
 }
 
 // clusterState is the routing tier of a Server: the epoch-versioned
@@ -51,11 +51,10 @@ type clusterState struct {
 	sweeper    *replica.Sweeper // nil without a store or with sweeps disabled
 	refreshing atomic.Bool      // one membership refresh in flight at a time
 
-	promReg *promtext.Registry // set by initProm; nil during construction
+	prom *promtext.Registry // set by initProm, which registers every counter below
 
-	mu       sync.Mutex
-	peers    map[string]*peerVars // guarded by mu; normalized peer addr → counters (self excluded)
-	peersVar *expvar.Map          // per-peer metrics map; grows with membership
+	mu    sync.Mutex
+	peers map[string]*peerVars // guarded by mu; normalized peer addr → counters (self excluded)
 
 	// ownerHits counts requests this node answered because the ring
 	// placed the key here; forwardedServes the requests answered
@@ -64,15 +63,15 @@ type clusterState struct {
 	// the key (the artifact was already on this node); fallbackLocal
 	// requests computed/served locally because every owner was
 	// unreachable or draining.
-	ownerHits, forwardedServes, localHits, fallbackLocal expvar.Int
+	ownerHits, forwardedServes, localHits, fallbackLocal *promtext.Counter
 	// replicaWrites counts replica copies accepted over
 	// PUT /v1/cluster/roms (write-through pushes, sweeper pushes);
 	// replicaPushes/replicaPushErrors the outbound side; readRepairs
 	// GETs that pulled a missing local copy from a co-replica;
 	// epochMismatches requests or relays that met a different epoch;
 	// orphansMarked fallback artifacts tagged for anti-entropy handoff.
-	replicaWrites, replicaPushes, replicaPushErrors expvar.Int
-	readRepairs, epochMismatches, orphansMarked     expvar.Int
+	replicaWrites, replicaPushes, replicaPushErrors *promtext.Counter
+	readRepairs, epochMismatches, orphansMarked     *promtext.Counter
 }
 
 // newClusterState validates and builds the routing tier from Config.
@@ -107,10 +106,9 @@ func newClusterState(cfg Config) (*clusterState, error) {
 		headerTimeout = 30 * time.Second
 	}
 	cs := &clusterState{
-		state:    state,
-		self:     self,
-		peers:    map[string]*peerVars{},
-		peersVar: new(expvar.Map).Init(),
+		state: state,
+		self:  self,
+		peers: map[string]*peerVars{},
 		hc: &http.Client{
 			// No overall client timeout: the forwarded request carries
 			// the caller's context (and ?timeout= deadline). The dial
@@ -131,33 +129,25 @@ func newClusterState(cfg Config) (*clusterState, error) {
 			},
 		},
 	}
-	for _, p := range state.Ring().Nodes() {
-		if p != self {
-			cs.peerVar(p)
-		}
-	}
 	return cs, nil
 }
 
-// peerVar returns the counter pair for a peer, creating (and mounting
-// under /metrics.json → cluster.peers plus the labeled Prometheus
-// children) one the first time a dynamically joined peer is addressed.
+// peerVar returns the counter pair for a peer, registering its labeled
+// children the first time the peer is addressed (statically configured
+// peers at initProm, dynamically joined ones on first contact).
+// Registration runs under cs.mu, so the lock order is cs.mu → registry;
+// no scrape-time value function takes cs.mu.
 func (cs *clusterState) peerVar(addr string) *peerVars {
 	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	pv, ok := cs.peers[addr]
 	if !ok {
-		pv = &peerVars{}
+		lbl := promtext.Label{Name: "peer", Value: addr}
+		pv = &peerVars{
+			forwards:      cs.prom.Counter("avtmor_cluster_peer_forwards_total", "Requests relayed to this peer.", lbl),
+			forwardErrors: cs.prom.Counter("avtmor_cluster_peer_forward_errors_total", "Relays to this peer that failed or found it draining.", lbl),
+		}
 		cs.peers[addr] = pv
-		pm := new(expvar.Map).Init()
-		pm.Set("forwards", &pv.forwards)
-		pm.Set("forward_errors", &pv.forwardErrors)
-		cs.peersVar.Set(addr, pm)
-	}
-	cs.mu.Unlock()
-	if !ok {
-		// Outside cs.mu: registration takes the registry lock, and a
-		// scrape holding that lock reads gauges that may want cs.mu.
-		cs.promPeer(addr)
 	}
 	return pv
 }
@@ -167,41 +157,6 @@ func (cs *clusterState) peerVar(addr string) *peerVars {
 func (cs *clusterState) ownersFor(digest string) []string {
 	ms, ring := cs.state.View()
 	return ring.Owners(digest, min(ms.Replicas, ring.Len()))
-}
-
-// vars renders the routing tier as a nested expvar map mounted at
-// /metrics → "cluster".
-func (cs *clusterState) vars() *expvar.Map {
-	m := new(expvar.Map).Init()
-	self := cs.self
-	m.Set("node", expvar.Func(func() any { return self }))
-	m.Set("nodes", expvar.Func(func() any { return cs.state.Ring().Len() }))
-	m.Set("epoch", expvar.Func(func() any { return cs.state.Epoch() }))
-	m.Set("replicas", expvar.Func(func() any { return cs.state.Replicas() }))
-	m.Set("owner_hits", &cs.ownerHits)
-	m.Set("forwarded_serves", &cs.forwardedServes)
-	m.Set("local_hits", &cs.localHits)
-	m.Set("fallback_local", &cs.fallbackLocal)
-	m.Set("replica_writes", &cs.replicaWrites)
-	m.Set("replica_pushes", &cs.replicaPushes)
-	m.Set("replica_push_errors", &cs.replicaPushErrors)
-	m.Set("read_repairs", &cs.readRepairs)
-	m.Set("epoch_mismatches", &cs.epochMismatches)
-	m.Set("orphans_marked", &cs.orphansMarked)
-	sweep := func(f func(replica.SweepStats) any) expvar.Func {
-		return func() any {
-			if cs.sweeper == nil {
-				return 0
-			}
-			return f(cs.sweeper.Stats())
-		}
-	}
-	m.Set("anti_entropy_pulls", sweep(func(st replica.SweepStats) any { return st.Pulls }))
-	m.Set("anti_entropy_sweeps", sweep(func(st replica.SweepStats) any { return st.Sweeps }))
-	m.Set("orphan_handoffs", sweep(func(st replica.SweepStats) any { return st.Handoffs }))
-	m.Set("membership_updates", sweep(func(st replica.SweepStats) any { return st.MembershipUpdates }))
-	m.Set("peers", cs.peersVar)
-	return m
 }
 
 // route classifies a request against the ring. It returns the replica

@@ -60,7 +60,6 @@ func startClusterCfg(t testing.TB, n int, mut func(i int, cfg *serve.Config)) []
 	for i := range nodes {
 		cfg := serve.Config{
 			StoreDir: t.TempDir(),
-			Workers:  2,
 			Node:     addrs[i],
 			Peers:    addrs,
 		}
@@ -84,8 +83,8 @@ func startClusterCfg(t testing.TB, n int, mut func(i int, cfg *serve.Config)) []
 	return nodes
 }
 
-// kill hard-stops a node: listener and connections closed, workers
-// drained. Idempotent.
+// kill hard-stops a node: listener and connections closed, admitted
+// work drained. Idempotent.
 func (n *clusterNode) kill(t testing.TB) {
 	t.Helper()
 	if n.dead {
@@ -94,40 +93,6 @@ func (n *clusterNode) kill(t testing.TB) {
 	n.dead = true
 	n.srv.Close()
 	n.s.Close()
-}
-
-// metricsAny fetches /metrics.json without assuming flat values (the
-// cluster section is a nested object).
-func metricsAny(t testing.TB, base string) map[string]any {
-	t.Helper()
-	resp, err := http.Get(base + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func num(t testing.TB, m map[string]any, key string) float64 {
-	t.Helper()
-	v, ok := m[key].(float64)
-	if !ok {
-		t.Fatalf("metric %q is %T (%v), want number", key, m[key], m[key])
-	}
-	return v
-}
-
-func sub(t testing.TB, m map[string]any, key string) map[string]any {
-	t.Helper()
-	v, ok := m[key].(map[string]any)
-	if !ok {
-		t.Fatalf("metric %q is %T, want object", key, m[key])
-	}
-	return v
 }
 
 // totalReductions sums the reductions counter across the fleet's
@@ -139,7 +104,7 @@ func totalReductions(t testing.TB, nodes []*clusterNode) float64 {
 		if n.dead {
 			continue
 		}
-		total += num(t, metricsAny(t, n.url), "reductions")
+		total += metrics(t, n.url)("avtmor_reductions_total")
 	}
 	return total
 }
@@ -153,7 +118,7 @@ func ownerIndex(t testing.TB, nodes []*clusterNode) int {
 		if n.dead {
 			continue
 		}
-		if num(t, metricsAny(t, n.url), "reductions") > 0 {
+		if metrics(t, n.url)("avtmor_reductions_total") > 0 {
 			if owner >= 0 {
 				t.Fatalf("nodes %d and %d both reduced", owner, i)
 			}
@@ -197,20 +162,18 @@ func TestClusterSingleOwner(t *testing.T) {
 	// The owner's cluster counters show it answered for its keyspace;
 	// every other node shows the forward.
 	for i, n := range nodes {
-		cl := sub(t, metricsAny(t, n.url), "cluster")
+		m := metrics(t, n.url)
 		if i == owner {
-			if num(t, cl, "forwarded_serves") < 2 {
-				t.Fatalf("owner forwarded_serves = %v, want >= 2", cl["forwarded_serves"])
+			if fs := m("avtmor_cluster_forwarded_serves_total"); fs < 2 {
+				t.Fatalf("owner forwarded serves = %v, want >= 2", fs)
 			}
 			continue
 		}
-		peers := sub(t, cl, "peers")
-		pv := sub(t, peers, nodes[owner].addr)
-		if num(t, pv, "forwards") < 1 {
-			t.Fatalf("node %d never forwarded to the owner: %v", i, cl)
+		if f := m(peerSeries("avtmor_cluster_peer_forwards_total", nodes[owner].addr)); f < 1 {
+			t.Fatalf("node %d never forwarded to the owner (%v forwards)", i, f)
 		}
-		if num(t, pv, "forward_errors") != 0 {
-			t.Fatalf("node %d saw forward errors against a healthy owner: %v", i, cl)
+		if fe := m(peerSeries("avtmor_cluster_peer_forward_errors_total", nodes[owner].addr)); fe != 0 {
+			t.Fatalf("node %d saw %v forward errors against a healthy owner", i, fe)
 		}
 	}
 
@@ -227,7 +190,7 @@ func TestClusterSingleOwner(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, bodies[0]) {
 			t.Fatalf("GET via node %d: %d, identical=%v", i, resp.StatusCode, bytes.Equal(got, bodies[0]))
 		}
-		if num(t, metricsAny(t, n.url), "store_roms") > 0 {
+		if metrics(t, n.url)("avtmor_store_roms") > 0 {
 			stored++
 		}
 	}
@@ -294,17 +257,15 @@ func TestClusterOwnerDownFallback(t *testing.T) {
 		t.Fatalf("fallback artifact shape (q=%d m=%d) differs from the owner's (q=%d m=%d)",
 			gotROM.Order(), gotROM.Inputs(), refROM.Order(), refROM.Inputs())
 	}
-	m := metricsAny(t, nodes[entry].url)
-	if num(t, m, "reductions") != 1 {
-		t.Fatalf("entry node reductions = %v, want 1 (local fallback compute)", m["reductions"])
+	m := metrics(t, nodes[entry].url)
+	if r := m("avtmor_reductions_total"); r != 1 {
+		t.Fatalf("entry node reductions = %v, want 1 (local fallback compute)", r)
 	}
-	cl := sub(t, m, "cluster")
-	if num(t, cl, "fallback_local") < 1 {
-		t.Fatalf("fallback_local = %v, want >= 1", cl["fallback_local"])
+	if fl := m("avtmor_cluster_fallback_local_total"); fl < 1 {
+		t.Fatalf("local fallbacks = %v, want >= 1", fl)
 	}
-	pv := sub(t, sub(t, cl, "peers"), nodes[owner].addr)
-	if num(t, pv, "forward_errors") < 1 {
-		t.Fatalf("dead owner produced no forward_errors: %v", cl)
+	if fe := m(peerSeries("avtmor_cluster_peer_forward_errors_total", nodes[owner].addr)); fe < 1 {
+		t.Fatalf("dead owner produced %v forward errors, want >= 1", fe)
 	}
 
 	// The fallback copy now serves by-address requests on the entry
@@ -318,9 +279,8 @@ func TestClusterOwnerDownFallback(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(direct, got) {
 		t.Fatalf("GET after fallback: %d, identical=%v", resp.StatusCode, bytes.Equal(direct, got))
 	}
-	cl = sub(t, metricsAny(t, nodes[entry].url), "cluster")
-	if num(t, cl, "local_hits") < 1 {
-		t.Fatalf("local_hits = %v, want >= 1", cl["local_hits"])
+	if lh := metrics(t, nodes[entry].url)("avtmor_cluster_local_hits_total"); lh < 1 {
+		t.Fatalf("local hits = %v, want >= 1", lh)
 	}
 }
 
@@ -344,7 +304,7 @@ func TestClusterLoopGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set(serve.HeaderForwarded, "test-forger")
-	before := num(t, metricsAny(t, nodes[nonOwner].url), "reductions")
+	before := metrics(t, nodes[nonOwner].url)("avtmor_reductions_total")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -354,12 +314,12 @@ func TestClusterLoopGuard(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("forwarded request: %d: %s", resp.StatusCode, data)
 	}
-	m := metricsAny(t, nodes[nonOwner].url)
-	if num(t, m, "reductions") != before+1 {
-		t.Fatalf("forwarded request did not reduce locally: %v", m["reductions"])
+	m := metrics(t, nodes[nonOwner].url)
+	if r := m("avtmor_reductions_total"); r != before+1 {
+		t.Fatalf("forwarded request did not reduce locally: %v reductions", r)
 	}
-	if num(t, sub(t, m, "cluster"), "forwarded_serves") < 1 {
-		t.Fatal("forwarded_serves not counted")
+	if m("avtmor_cluster_forwarded_serves_total") < 1 {
+		t.Fatal("forwarded serve not counted")
 	}
 }
 
@@ -367,7 +327,7 @@ func TestClusterLoopGuard(t *testing.T) {
 // (Close implies it) while the metrics gauge follows, so load
 // balancers and ring peers can stop routing before the listener dies.
 func TestServeDrainingHealthz(t *testing.T) {
-	s, ts := newTestServer(t, serve.Config{Workers: 1})
+	s, ts := newTestServer(t, serve.Config{})
 	check := func(wantCode int, wantBody string) {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/healthz")
@@ -389,8 +349,8 @@ func TestServeDrainingHealthz(t *testing.T) {
 		t.Fatal("Drain did not latch")
 	}
 	check(http.StatusServiceUnavailable, "draining")
-	if m := metrics(t, ts.URL); m["draining"] != 1 {
-		t.Fatalf("draining gauge = %v, want 1", m["draining"])
+	if d := metrics(t, ts.URL)("avtmor_draining"); d != 1 {
+		t.Fatalf("draining gauge = %v, want 1", d)
 	}
 	// A draining node still serves traffic until the listener closes.
 	if _, key := postReduce(t, ts.URL, reducePath, clipper); key == "" {
@@ -402,16 +362,16 @@ func TestServeDrainingHealthz(t *testing.T) {
 
 // TestClusterConfigValidation: a clustered Config must be coherent.
 func TestClusterConfigValidation(t *testing.T) {
-	if _, err := serve.New(serve.Config{Workers: 1, Peers: []string{":1", ":2"}}); err == nil {
+	if _, err := serve.New(serve.Config{Peers: []string{":1", ":2"}}); err == nil {
 		t.Fatal("Peers without Node accepted")
 	}
-	if _, err := serve.New(serve.Config{Workers: 1, Node: ":9", Peers: []string{":1", ":2"}}); err == nil {
+	if _, err := serve.New(serve.Config{Node: ":9", Peers: []string{":1", ":2"}}); err == nil {
 		t.Fatal("Node outside Peers accepted")
 	}
-	if _, err := serve.New(serve.Config{Workers: 1, Node: ":9"}); err == nil {
+	if _, err := serve.New(serve.Config{Node: ":9"}); err == nil {
 		t.Fatal("Node without Peers accepted")
 	}
-	s, err := serve.New(serve.Config{Workers: 1, Node: ":8081", Peers: []string{":8081", "127.0.0.1:8082"}})
+	s, err := serve.New(serve.Config{Node: ":8081", Peers: []string{":8081", "127.0.0.1:8082"}})
 	if err != nil {
 		t.Fatalf("normalized self entry rejected: %v", err)
 	}
@@ -428,7 +388,7 @@ func BenchmarkServeClusterForward(b *testing.B) {
 	body := fmt.Sprintf(clipperVar, 2.0)
 	_, _ = postReduce(b, nodes[0].url, reducePath, body)
 	owner := 0
-	if num(b, metricsAny(b, nodes[1].url), "reductions") > 0 {
+	if metrics(b, nodes[1].url)("avtmor_reductions_total") > 0 {
 		owner = 1
 	}
 	entry := nodes[1-owner]
@@ -526,7 +486,7 @@ func TestClusterBatchMultiOwner(t *testing.T) {
 		t.Fatalf("fleet performed %v reductions for %d unique items", total, unique)
 	}
 	for _, n := range nodes {
-		got := num(t, metricsAny(t, n.url), "reductions")
+		got := metrics(t, n.url)("avtmor_reductions_total")
 		if got != float64(ownedBy[n.addr]) {
 			t.Fatalf("node %s reduced %v items, ring owns %d", n.addr, got, ownedBy[n.addr])
 		}

@@ -1,23 +1,22 @@
 package serve
 
-// The Prometheus face of the server: GET /metrics renders an
-// internal/promtext registry whose counters and gauges read the same
-// cells /metrics.json reports (no double bookkeeping — the expvar
-// surface stays the single source of truth for counts), plus the
-// latency histograms that JSON surface never had. Cluster gauges that
-// must be mutually consistent (epoch, node count, replication factor)
-// are filled from ONE membership snapshot taken in an OnScrape
-// prelude, so a scrape racing a membership transition can never
-// observe a torn combination like the new epoch with the old node
-// count.
+// The server's one metric surface: GET /metrics renders an
+// internal/promtext registry. The registry owns the server's own
+// counters (the *promtext.Counter cells the handlers increment); the
+// reducer, store and sweeper keep their own stats, which value
+// functions read at scrape time. Cluster gauges that must be mutually
+// consistent (epoch, node count, replication factor) are filled from
+// ONE membership snapshot taken in an OnScrape prelude, so a scrape
+// racing a membership transition can never observe a torn combination
+// like the new epoch with the old node count.
 
 import (
-	"expvar"
 	"net/http"
 
 	"avtmor"
 	"avtmor/internal/promtext"
 	"avtmor/internal/replica"
+	"avtmor/internal/store"
 )
 
 // Histogram bucket layouts. Latency buckets span 100µs–60s (queue
@@ -38,35 +37,23 @@ type memSnap struct {
 	replicas int
 }
 
-// initProm builds the Prometheus registry. Counters bridge the
-// existing expvar cells via CounterFunc; histograms are the only new
-// state. Call after initVars and cluster construction.
+// initProm builds the Prometheus registry and its counter cells. Call
+// after cluster construction.
 func (s *Server) initProm() {
 	r := promtext.NewRegistry()
 	s.prom = r
 
-	ivar := func(v *expvar.Int) func() float64 {
-		return func() float64 { return float64(v.Value()) }
-	}
-	r.CounterFunc("avtmor_reduce_total", "Reduce requests received (counted before quota and admission).", ivar(&s.reduceReqs))
-	r.CounterFunc("avtmor_simulate_total", "Simulation requests accepted for handling.", ivar(&s.simReqs))
-	r.CounterFunc("avtmor_rom_get_total", "By-address ROM GET requests.", ivar(&s.romGets))
-	r.CounterFunc("avtmor_batch_total", "Batch reduce requests.", ivar(&s.batchReqs))
-	r.CounterFunc("avtmor_batch_items_total", "Items across all batch requests.", ivar(&s.batchItems))
-	r.CounterFunc("avtmor_rejected_total", "Requests shed with 429 or 503 (backpressure, drain).", ivar(&s.rejected))
-	r.CounterFunc("avtmor_client_errors_total", "Requests answered with a 4xx other than backpressure.", ivar(&s.clientErrs))
-	r.CounterFunc("avtmor_server_errors_total", "Requests answered with a 5xx.", ivar(&s.srvErrs))
-	r.CounterFunc("avtmor_quota_rejected_total", "Requests shed because the client's quota bucket was dry.", ivar(&s.quotaRejected))
-	r.CounterFunc("avtmor_admission_rejected_total", "Requests shed because their cost did not fit the admission budget.", ivar(&s.admissionRejected))
+	s.reduceReqs = r.Counter("avtmor_reduce_total", "Reduce requests received (counted before quota and admission).")
+	s.simReqs = r.Counter("avtmor_simulate_total", "Simulation requests accepted for handling.")
+	s.romGets = r.Counter("avtmor_rom_get_total", "By-address ROM GET requests.")
+	s.batchReqs = r.Counter("avtmor_batch_total", "Batch reduce requests.")
+	s.batchItems = r.Counter("avtmor_batch_items_total", "Items across all batch requests.")
+	s.rejected = r.Counter("avtmor_rejected_total", "Requests shed with 429 or 503 (backpressure, drain).")
+	s.clientErrs = r.Counter("avtmor_client_errors_total", "Requests answered with a 4xx other than backpressure.")
+	s.srvErrs = r.Counter("avtmor_server_errors_total", "Requests answered with a 5xx.")
+	s.quotaRejected = r.Counter("avtmor_quota_rejected_total", "Requests shed because the client's quota bucket was dry.")
+	s.admissionRejected = r.Counter("avtmor_admission_rejected_total", "Requests shed because their cost did not fit the admission budget.")
 
-	r.GaugeFunc("avtmor_workers", "Size of the reduce/simulate worker pool.",
-		func() float64 { return float64(s.cfg.Workers) })
-	r.GaugeFunc("avtmor_workers_busy", "Workers currently executing.",
-		func() float64 { return float64(s.busy.Load()) })
-	r.GaugeFunc("avtmor_queue_capacity", "Bounded wait-queue capacity.",
-		func() float64 { return float64(s.cfg.QueueDepth) })
-	r.GaugeFunc("avtmor_queue_depth", "Requests waiting for a worker.",
-		func() float64 { return float64(len(s.queue)) })
 	r.GaugeFunc("avtmor_admission_budget", "Concurrent cost budget, in admission units.",
 		func() float64 { return float64(s.adm.budget) })
 	r.GaugeFunc("avtmor_admission_in_use", "Admission units reserved by running requests.",
@@ -109,25 +96,27 @@ func (s *Server) initProm() {
 	r.CounterFunc("avtmor_solver_numeric_refactors_total", "Numeric refactorizations reusing a symbolic analysis.",
 		rstat(func(st avtmor.ReducerStats) int64 { return st.NumericRefactors }))
 
+	sstat := func(f func(store.Stats) int64) func() float64 {
+		return func() float64 {
+			if s.st == nil {
+				return 0
+			}
+			return float64(f(s.st.Stats()))
+		}
+	}
 	r.GaugeFunc("avtmor_store_roms", "Artifacts resident in the on-disk store.",
-		func() float64 {
-			if s.st == nil {
-				return 0
-			}
-			return float64(s.st.Len())
-		})
+		sstat(func(st store.Stats) int64 { return int64(st.ROMs) }))
 	r.GaugeFunc("avtmor_store_quarantined", "Store files quarantined by the magic sniff.",
-		func() float64 {
-			if s.st == nil {
-				return 0
-			}
-			return float64(s.st.Stats().Quarantined)
-		})
+		sstat(func(st store.Stats) int64 { return st.Quarantined }))
+	r.CounterFunc("avtmor_store_loads_total", "Artifacts read and parsed from the on-disk store.",
+		sstat(func(st store.Stats) int64 { return st.Loads }))
+	r.CounterFunc("avtmor_store_raw_opens_total", "Store files opened for zero-copy GETs, unparsed.",
+		sstat(func(st store.Stats) int64 { return st.RawOpens }))
 
 	s.queueWait = r.Histogram("avtmor_queue_wait_seconds",
-		"Time an admitted job waited for a worker before executing.", latencyBuckets)
+		"Time an admitted request waited for admission before computing.", latencyBuckets)
 	s.reduceLatency = r.Histogram("avtmor_reduce_seconds",
-		"End-to-end reduce handling time (queue wait + reduction).", latencyBuckets)
+		"End-to-end reduce handling time (admission wait + reduction).", latencyBuckets)
 	s.simLatency = r.Histogram("avtmor_simulate_seconds",
 		"End-to-end simulate handling time.", latencyBuckets)
 	s.httpLatency = r.Histogram("avtmor_http_request_seconds",
@@ -149,7 +138,7 @@ func (s *Server) initProm() {
 // prelude — the torn-read fix: one State.View() per scrape, not three
 // independent reads racing a membership transition.
 func (cs *clusterState) initProm(r *promtext.Registry) {
-	cs.promReg = r
+	cs.prom = r
 	snap := &memSnap{}
 	r.OnScrape(func() {
 		ms, ring := cs.state.View()
@@ -164,19 +153,16 @@ func (cs *clusterState) initProm(r *promtext.Registry) {
 	r.GaugeFunc("avtmor_cluster_replicas", "Replication factor R under this node's membership view.",
 		func() float64 { return float64(snap.replicas) })
 
-	ivar := func(v *expvar.Int) func() float64 {
-		return func() float64 { return float64(v.Value()) }
-	}
-	r.CounterFunc("avtmor_cluster_owner_hits_total", "Requests served here because the ring placed the key here.", ivar(&cs.ownerHits))
-	r.CounterFunc("avtmor_cluster_forwarded_serves_total", "Requests served here because a peer forwarded them (loop guard).", ivar(&cs.forwardedServes))
-	r.CounterFunc("avtmor_cluster_local_hits_total", "Peer-owned requests served from a local copy.", ivar(&cs.localHits))
-	r.CounterFunc("avtmor_cluster_fallback_local_total", "Requests computed locally because every owner was unreachable or draining.", ivar(&cs.fallbackLocal))
-	r.CounterFunc("avtmor_cluster_replica_writes_total", "Replica copies accepted over PUT /v1/cluster/roms.", ivar(&cs.replicaWrites))
-	r.CounterFunc("avtmor_cluster_replica_pushes_total", "Replica copies pushed to co-replicas.", ivar(&cs.replicaPushes))
-	r.CounterFunc("avtmor_cluster_replica_push_errors_total", "Replica pushes that failed (anti-entropy will retry).", ivar(&cs.replicaPushErrors))
-	r.CounterFunc("avtmor_cluster_read_repairs_total", "Missing local copies restored from a co-replica during a GET.", ivar(&cs.readRepairs))
-	r.CounterFunc("avtmor_cluster_epoch_mismatches_total", "Requests or relays that met a peer on a different epoch.", ivar(&cs.epochMismatches))
-	r.CounterFunc("avtmor_cluster_orphans_marked_total", "Fallback artifacts tagged for anti-entropy handoff.", ivar(&cs.orphansMarked))
+	cs.ownerHits = r.Counter("avtmor_cluster_owner_hits_total", "Requests served here because the ring placed the key here.")
+	cs.forwardedServes = r.Counter("avtmor_cluster_forwarded_serves_total", "Requests served here because a peer forwarded them (loop guard).")
+	cs.localHits = r.Counter("avtmor_cluster_local_hits_total", "Peer-owned requests served from a local copy.")
+	cs.fallbackLocal = r.Counter("avtmor_cluster_fallback_local_total", "Requests computed locally because every owner was unreachable or draining.")
+	cs.replicaWrites = r.Counter("avtmor_cluster_replica_writes_total", "Replica copies accepted over PUT /v1/cluster/roms.")
+	cs.replicaPushes = r.Counter("avtmor_cluster_replica_pushes_total", "Replica copies pushed to co-replicas.")
+	cs.replicaPushErrors = r.Counter("avtmor_cluster_replica_push_errors_total", "Replica pushes that failed (anti-entropy will retry).")
+	cs.readRepairs = r.Counter("avtmor_cluster_read_repairs_total", "Missing local copies restored from a co-replica during a GET.")
+	cs.epochMismatches = r.Counter("avtmor_cluster_epoch_mismatches_total", "Requests or relays that met a peer on a different epoch.")
+	cs.orphansMarked = r.Counter("avtmor_cluster_orphans_marked_total", "Fallback artifacts tagged for anti-entropy handoff.")
 
 	sweep := func(f func(st replica.SweepStats) int64) func() float64 {
 		return func() float64 {
@@ -195,38 +181,12 @@ func (cs *clusterState) initProm(r *promtext.Registry) {
 	r.CounterFunc("avtmor_cluster_membership_updates_total", "Membership views adopted from peers.",
 		sweep(func(st replica.SweepStats) int64 { return st.MembershipUpdates }))
 
-	// Per-peer counters for statically configured peers register now;
-	// dynamically joined peers register on first contact via peerVar.
-	cs.mu.Lock()
-	peers := make([]string, 0, len(cs.peers))
-	for addr := range cs.peers {
-		peers = append(peers, addr)
+	// Statically configured peers get their per-peer counters now.
+	for _, p := range cs.state.Ring().Nodes() {
+		if p != cs.self {
+			cs.peerVar(p)
+		}
 	}
-	cs.mu.Unlock()
-	for _, addr := range peers {
-		cs.promPeer(addr)
-	}
-}
-
-// promPeer registers the per-peer forward counters as labeled children
-// of the peer counter families. Safe to call once per peer; peerVar
-// guards the once.
-func (cs *clusterState) promPeer(addr string) {
-	r := cs.promReg
-	if r == nil {
-		return
-	}
-	cs.mu.Lock()
-	pv := cs.peers[addr]
-	cs.mu.Unlock()
-	if pv == nil {
-		return
-	}
-	lbl := promtext.Label{Name: "peer", Value: addr}
-	r.CounterFunc("avtmor_cluster_peer_forwards_total", "Requests relayed to this peer.",
-		func() float64 { return float64(pv.forwards.Value()) }, lbl)
-	r.CounterFunc("avtmor_cluster_peer_forward_errors_total", "Relays to this peer that failed or found it draining.",
-		func() float64 { return float64(pv.forwardErrors.Value()) }, lbl)
 }
 
 // handlePromMetrics is GET /metrics: the Prometheus text exposition.

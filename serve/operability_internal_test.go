@@ -100,10 +100,10 @@ R2 n2 0 2.0
 // TestCacheHitBypassesSaturatedBudget is the queue-fairness
 // acceptance check: with the admission budget fully reserved by
 // expensive work, a warm key is still answered immediately (cache hits
-// bypass the pool and the budget), while a cold key sheds with a
+// bypass the budget), while a cold key sheds with a
 // cost-stamped 429 after its admission window.
 func TestCacheHitBypassesSaturatedBudget(t *testing.T) {
-	s, err := New(Config{StoreDir: t.TempDir(), Workers: 2, CostBudget: 8})
+	s, err := New(Config{StoreDir: t.TempDir(), CostBudget: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,6 @@ func TestCacheHitBypassesSaturatedBudget(t *testing.T) {
 func TestClusterGaugeScrapeConsistency(t *testing.T) {
 	s, err := New(Config{
 		StoreDir: t.TempDir(),
-		Workers:  1,
 		Node:     "127.0.0.1:7101",
 		Peers:    []string{"127.0.0.1:7101", "127.0.0.1:7102", "127.0.0.1:7103"},
 	})

@@ -6,11 +6,14 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,7 +28,6 @@ import (
 func TestQuotaExhaustion(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{
 		StoreDir: t.TempDir(),
-		Workers:  2,
 		Quotas: map[string]serve.QuotaSpec{
 			"":     {Rate: 0.001, Burst: 2}, // effectively no refill within the test
 			"gold": {Rate: 1000, Burst: 1000},
@@ -74,9 +76,9 @@ func TestQuotaExhaustion(t *testing.T) {
 		t.Fatalf("unlisted key should share the default bucket: %d, want 429", resp.StatusCode)
 	}
 
-	// The rejections are visible in the legacy JSON metrics.
-	if m := metrics(t, ts.URL); m["quota_rejected"] < 2 {
-		t.Fatalf("quota_rejected = %v, want >= 2", m["quota_rejected"])
+	// The rejections are visible in the metrics.
+	if q := metrics(t, ts.URL)("avtmor_quota_rejected_total"); q < 2 {
+		t.Fatalf("quota rejections = %v, want >= 2", q)
 	}
 }
 
@@ -86,7 +88,6 @@ func TestQuotaExhaustion(t *testing.T) {
 func TestAdmissionEdgeInputs(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{
 		StoreDir:     t.TempDir(),
-		Workers:      2,
 		MaxBodyBytes: 1 << 10,
 	})
 
@@ -120,8 +121,67 @@ func TestAdmissionEdgeInputs(t *testing.T) {
 	}
 
 	// No admission units leaked by either rejection.
-	if m := metrics(t, ts.URL); m["admission_in_use"] != 0 {
-		t.Fatalf("admission_in_use = %v after rejected requests, want 0", m["admission_in_use"])
+	if u := metrics(t, ts.URL)("avtmor_admission_in_use"); u != 0 {
+		t.Fatalf("admission units in use = %v after rejected requests, want 0", u)
+	}
+}
+
+// TestCheapReduceNotStuckBehindSimulates: with a default Config and
+// every CPU busy with a long admitted simulation, a cold clipper
+// reduce is still admitted at once and answered while the simulations
+// run. Admission prices the simulations at 92 units each, far below
+// the budget, so nothing but CPU stands between the reduce and its
+// answer.
+func TestCheapReduceNotStuckBehindSimulates(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{})
+	_, key := postReduce(t, ts.URL, reducePath, clipper)
+
+	procs := runtime.GOMAXPROCS(0)
+	const simCost = 92 // 1 + order 3 · 2e6 steps / 65536
+	workload := `{"tEnd": 5, "steps": 2000000, "every": 2000000, "integrator": "trapezoidal", "input": {"kind": "const", "values": [1]}}`
+	ctx, cancel := context.WithCancel(t.Context())
+	var sims sync.WaitGroup
+	var finished atomic.Int32
+	for i := 0; i < procs; i++ {
+		sims.Add(1)
+		go func() {
+			defer sims.Done()
+			defer finished.Add(1)
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/roms/"+key+"/simulate", strings.NewReader(workload))
+			if err != nil {
+				return
+			}
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+	}
+	defer func() {
+		cancel()
+		sims.Wait()
+	}()
+	waitFor(t, 5*time.Second, "every simulation to be admitted", func() bool {
+		return metrics(t, ts.URL)("avtmor_admission_in_use") >= float64(procs*simCost)
+	})
+
+	start := time.Now()
+	resp, err := http.Post(ts.URL+"/v1/reduce?k1=1&k2=1&s0=0.7", "text/plain", strings.NewReader(clipper))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold reduce beside the simulations: %d, want 200", resp.StatusCode)
+	}
+	if n := finished.Load(); n != 0 {
+		t.Fatalf("%d simulations finished before the check; they must still run", n)
+	}
+	t.Logf("cold reduce answered in %v", elapsed)
+	if elapsed > 250*time.Millisecond {
+		t.Fatalf("cold reduce took %v beside %d running simulations, want <= 250ms", elapsed, procs)
 	}
 }
 
@@ -129,7 +189,7 @@ func TestAdmissionEdgeInputs(t *testing.T) {
 // the client supplies none (or an invalid one) and echoes a valid
 // client ID back unchanged.
 func TestRequestIDMintAndEcho(t *testing.T) {
-	_, ts := newTestServer(t, serve.Config{StoreDir: t.TempDir(), Workers: 2})
+	_, ts := newTestServer(t, serve.Config{StoreDir: t.TempDir()})
 
 	get := func(rid string) string {
 		t.Helper()
@@ -302,13 +362,5 @@ func TestPromExpositionCluster(t *testing.T) {
 	}
 	if reduceTotal < 3 {
 		t.Fatalf("fleet-wide avtmor_reduce_total = %v, want >= 3", reduceTotal)
-	}
-
-	// The legacy JSON surface still answers with the PR 5 schema.
-	m := metricsAny(t, nodes[0].url)
-	for _, key := range []string{"reductions", "cache_hits", "store_roms", "workers", "cluster"} {
-		if _, ok := m[key]; !ok {
-			t.Fatalf("/metrics.json lost key %q: %v", key, m)
-		}
 	}
 }

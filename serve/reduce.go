@@ -18,7 +18,7 @@ import (
 )
 
 // handleReduce accepts a netlist (text) or a serialized System
-// (binary, sniffed by magic) body, reduces it on the worker pool, and
+// (binary, sniffed by magic) body, reduces it once admitted, and
 // streams the ROM artifact back. The response carries the artifact's
 // content address in X-Avtmor-Rom-Key for later GET/simulate calls.
 //
@@ -88,24 +88,15 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		writeROM(w, digest, cached)
 		return
 	}
-	release, admitted := s.admitted(w, r, cost)
+	release, admitted := s.admitted(ctx, w, cost)
 	if !admitted {
 		return
 	}
 	defer release()
 	had := s.hasLocal(digest)
-	var (
-		rom  *avtmor.ROM
-		rerr error
-	)
-	if err := s.run(ctx, func() {
-		rom, rerr = reduce(ctx, sys, req.Opts...)
-	}); err != nil {
-		s.runError(w, err)
-		return
-	}
-	if rerr != nil {
-		s.opError(w, "reduction", rerr)
+	rom, err := reduce(ctx, sys, req.Opts...)
+	if err != nil {
+		s.opError(w, "reduction", err)
 		return
 	}
 	s.remember(digest, rom)

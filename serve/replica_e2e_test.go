@@ -44,7 +44,6 @@ func startReplicated(t testing.TB, n, r int, sweep time.Duration) []*clusterNode
 	for i := range nodes {
 		s, err := serve.New(serve.Config{
 			StoreDir:            t.TempDir(),
-			Workers:             2,
 			Node:                addrs[i],
 			Peers:               addrs,
 			Replicas:            r,
@@ -77,7 +76,6 @@ func joinNode(t testing.TB, seed string, r int, sweep time.Duration) *clusterNod
 	addr := ln.Addr().String()
 	s, err := serve.New(serve.Config{
 		StoreDir:            t.TempDir(),
-		Workers:             2,
 		Node:                addr,
 		Peers:               []string{addr, seed},
 		Replicas:            r,
@@ -170,21 +168,21 @@ func TestReplicatedWriteAndFailover(t *testing.T) {
 	// write-through push. Both owners — and nobody else — must end up
 	// holding the artifact.
 	waitFor(t, 5*time.Second, "write-through to both replicas", func() bool {
-		return num(t, metricsAny(t, primary.url), "store_roms") == 1 &&
-			num(t, metricsAny(t, follower.url), "store_roms") == 1
+		return metrics(t, primary.url)("avtmor_store_roms") == 1 &&
+			metrics(t, follower.url)("avtmor_store_roms") == 1
 	})
 	for _, n := range nodes {
 		if n == primary || n == follower {
 			continue
 		}
-		if got := num(t, metricsAny(t, n.url), "store_roms"); got != 0 {
+		if got := metrics(t, n.url)("avtmor_store_roms"); got != 0 {
 			t.Fatalf("non-replica %s persisted %v artifacts", n.addr, got)
 		}
 	}
-	writes := num(t, sub(t, metricsAny(t, primary.url), "cluster"), "replica_writes") +
-		num(t, sub(t, metricsAny(t, follower.url), "cluster"), "replica_writes")
+	writes := metrics(t, primary.url)("avtmor_cluster_replica_writes_total") +
+		metrics(t, follower.url)("avtmor_cluster_replica_writes_total")
 	if writes != 1 {
-		t.Fatalf("replica_writes across the owners = %v, want exactly 1 (one pushed copy)", writes)
+		t.Fatalf("replica writes across the owners = %v, want exactly 1 (one pushed copy)", writes)
 	}
 	if total := totalReductions(t, nodes); total != 1 {
 		t.Fatalf("fleet reductions = %v, want exactly 1", total)
@@ -196,7 +194,7 @@ func TestReplicatedWriteAndFailover(t *testing.T) {
 	before := map[string]float64{}
 	for _, n := range nodes {
 		if n != primary {
-			before[n.addr] = num(t, metricsAny(t, n.url), "reductions")
+			before[n.addr] = metrics(t, n.url)("avtmor_reductions_total")
 		}
 	}
 	primary.kill(t)
@@ -221,7 +219,7 @@ func TestReplicatedWriteAndFailover(t *testing.T) {
 		if n == primary {
 			continue
 		}
-		if got := num(t, metricsAny(t, n.url), "reductions"); got != before[n.addr] {
+		if got := metrics(t, n.url)("avtmor_reductions_total"); got != before[n.addr] {
 			t.Fatalf("node %s recomputed after primary death (%v -> %v)", n.addr, before[n.addr], got)
 		}
 	}
@@ -244,8 +242,8 @@ func TestAntiEntropyLateJoiner(t *testing.T) {
 	for _, n := range nodes {
 		n := n
 		waitFor(t, 5*time.Second, "epoch propagation to "+n.addr, func() bool {
-			cl := sub(t, metricsAny(t, n.url), "cluster")
-			return num(t, cl, "epoch") == 2 && num(t, cl, "nodes") == 4
+			m := metrics(t, n.url)
+			return m("avtmor_cluster_epoch") == 2 && m("avtmor_cluster_nodes") == 4
 		})
 	}
 
@@ -274,12 +272,12 @@ func TestAntiEntropyLateJoiner(t *testing.T) {
 		}
 		return true
 	})
-	m := metricsAny(t, d.url)
-	if got := num(t, m, "reductions"); got != 0 {
+	m := metrics(t, d.url)
+	if got := m("avtmor_reductions_total"); got != 0 {
 		t.Fatalf("joiner recomputed %v artifacts instead of pulling", got)
 	}
-	if pulls := num(t, sub(t, m, "cluster"), "anti_entropy_pulls"); pulls < float64(len(owned)) {
-		t.Fatalf("anti_entropy_pulls = %v, want >= %d", pulls, len(owned))
+	if pulls := m("avtmor_cluster_anti_entropy_pulls_total"); pulls < float64(len(owned)) {
+		t.Fatalf("anti-entropy pulls = %v, want >= %d", pulls, len(owned))
 	}
 	// Pulled copies are the owners' exact bytes: a GET served by the
 	// joiner matches a GET served by an original owner.
@@ -356,8 +354,8 @@ func TestOrphanHandoff(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("forged forwarded reduce: %d", resp.StatusCode)
 	}
-	if got := num(t, sub(t, metricsAny(t, nonOwner.url), "cluster"), "orphans_marked"); got != 1 {
-		t.Fatalf("orphans_marked = %v, want 1", got)
+	if got := metrics(t, nonOwner.url)("avtmor_cluster_orphans_marked_total"); got != 1 {
+		t.Fatalf("orphans marked = %v, want 1", got)
 	}
 
 	// The sweeper hands the copy to the owner and drops it here. The
@@ -368,7 +366,7 @@ func TestOrphanHandoff(t *testing.T) {
 	waitFor(t, 10*time.Second, "orphan handoff", func() bool {
 		return hasKey(nodeKeys(t, owner.url, owner.addr), key) &&
 			!hasKey(nodeKeys(t, nonOwner.url, nonOwner.addr), key) &&
-			num(t, sub(t, metricsAny(t, nonOwner.url), "cluster"), "orphan_handoffs") >= 1
+			metrics(t, nonOwner.url)("avtmor_cluster_orphan_handoffs_total") >= 1
 	})
 	// The artifact stayed reachable throughout — and still is, from
 	// anywhere.
@@ -430,8 +428,8 @@ func TestEpochJoinLeave(t *testing.T) {
 	for _, n := range nodes {
 		n := n
 		waitFor(t, 5*time.Second, "join epoch on "+n.addr, func() bool {
-			cl := sub(t, metricsAny(t, n.url), "cluster")
-			return num(t, cl, "epoch") == 2 && num(t, cl, "nodes") == 3
+			m := metrics(t, n.url)
+			return m("avtmor_cluster_epoch") == 2 && m("avtmor_cluster_nodes") == 3
 		})
 	}
 
@@ -454,8 +452,8 @@ func TestEpochJoinLeave(t *testing.T) {
 	for _, n := range nodes {
 		n := n
 		waitFor(t, 5*time.Second, "leave epoch on "+n.addr, func() bool {
-			cl := sub(t, metricsAny(t, n.url), "cluster")
-			return num(t, cl, "epoch") == 3 && num(t, cl, "nodes") == 2
+			m := metrics(t, n.url)
+			return m("avtmor_cluster_epoch") == 3 && m("avtmor_cluster_nodes") == 2
 		})
 	}
 }

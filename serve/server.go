@@ -13,34 +13,30 @@
 //	POST /v1/roms/{key}/simulate     workload JSON → transient result JSON/CSV
 //	GET  /healthz                    liveness
 //	GET  /metrics                    Prometheus text exposition (docs/METRICS.md)
-//	GET  /metrics.json               legacy expvar-style JSON counters
 //
-// Reductions and simulations execute on a bounded worker pool with a
-// bounded wait queue; overflow is answered 429 so load sheds at the
-// edge instead of piling up goroutines. Identical concurrent reduce
-// requests coalesce onto one reduction (Reducer singleflight), and
-// completed artifacts are written through to the store, where a
-// restarted daemon finds them again.
+// Identical concurrent reduce requests coalesce onto one reduction
+// (Reducer singleflight), and completed artifacts are written through
+// to the store, where a restarted daemon finds them again.
 //
-// Load is managed in three layers, outermost first: per-API-key
-// token-bucket quotas (Config.Quotas, X-Avtmor-Api-Key), a cost-aware
-// admission budget that prices each request from its parsed input
-// before it queues (Config.CostBudget, estimate echoed in
-// X-Avtmor-Cost), and the worker pool itself. Every request carries a
-// trace ID (X-Avtmor-Request-Id, minted at the entry node) that
-// propagates across forwards, batch fan-out, and replica pushes, and
-// lands in the optional JSON access log (Config.AccessLog). The
-// operator-facing story is docs/OPERATIONS.md.
+// Load is managed in two layers, outermost first: per-API-key
+// token-bucket quotas (Config.Quotas, X-Avtmor-Api-Key), then a
+// cost-aware admission budget that prices each request from its parsed
+// input before it computes (Config.CostBudget, estimate echoed in
+// X-Avtmor-Cost). A request that does not fit waits up to 2 s, or
+// until its own deadline if that comes first, and is then shed (429,
+// or 504 for the deadline); an admitted request computes on its own
+// request goroutine. Cache and store hits cost no compute and skip
+// admission. Every request carries a trace ID (X-Avtmor-Request-Id,
+// minted at the entry node) that propagates across forwards, batch
+// fan-out, and replica pushes, and lands in the optional JSON access
+// log (Config.AccessLog). The operator-facing story is
+// docs/OPERATIONS.md.
 package serve
 
 import (
-	"context"
-	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,13 +53,6 @@ type Config struct {
 	// persistence: artifacts live in memory only and die with the
 	// process.
 	StoreDir string
-	// Workers bounds concurrently executing reductions and
-	// simulations. Default: runtime.GOMAXPROCS(0).
-	Workers int
-	// QueueDepth bounds requests waiting for a worker; overflow is
-	// answered 429. Default 64; negative means no queue (a request
-	// either starts immediately or is rejected).
-	QueueDepth int
 	// CacheLimit bounds the in-memory ROM cache (LRU eviction; evicted
 	// entries reload from the store). With persistence disabled it
 	// also bounds the by-address artifact map (oldest dropped, so old
@@ -99,7 +88,7 @@ type Config struct {
 	AntiEntropyInterval time.Duration
 	// CostBudget bounds the total estimated cost of concurrently
 	// admitted work, in admission units (see docs/OPERATIONS.md for the
-	// cost model). Requests are priced before enqueue and admitted
+	// cost model). Requests are priced before they compute and admitted
 	// against this budget instead of a job count, so expensive reduces
 	// queue behind their own kind while cheap ones keep flowing.
 	// Default 1024.
@@ -126,27 +115,22 @@ type Server struct {
 	mem      map[string]*avtmor.ROM // guarded by mu; digest → artifact, when st == nil
 	memOrder []string               // guarded by mu; insertion order, for CacheLimit trimming
 
-	queue    chan func()
-	closed   chan struct{}
-	closeOne sync.Once
-	wg       sync.WaitGroup
 	repWG    sync.WaitGroup // background replication/membership goroutines
-	busy     atomic.Int64
 	draining atomic.Bool
 
 	cluster *clusterState // nil when Peers is empty
 
-	adm    *admission     // concurrent cost budget
+	adm    *admission     // concurrent cost budget: the one load gate
 	quotas *quota.Limiter // nil when no quotas configured
 	logMu  sync.Mutex     // serializes AccessLog lines
 
-	vars                             *expvar.Map
-	reduceReqs, simReqs, romGets     expvar.Int
-	batchReqs, batchItems            expvar.Int
-	rejected, clientErrs, srvErrs    expvar.Int
-	quotaRejected, admissionRejected expvar.Int
+	// The registry owns every count; these are its cells.
+	prom                             *promtext.Registry
+	reduceReqs, simReqs, romGets     *promtext.Counter
+	batchReqs, batchItems            *promtext.Counter
+	rejected, clientErrs, srvErrs    *promtext.Counter
+	quotaRejected, admissionRejected *promtext.Counter
 
-	prom           *promtext.Registry
 	queueWait      *promtext.Histogram
 	reduceLatency  *promtext.Histogram
 	simLatency     *promtext.Histogram
@@ -156,18 +140,9 @@ type Server struct {
 	pushLatency    *promtext.Histogram // nil when not clustered
 }
 
-// New opens the store (when configured), builds the Reducer tier, and
-// starts the worker pool.
+// New opens the store (when configured), builds the Reducer tier and
+// the cluster tier, and starts the anti-entropy sweeper.
 func New(cfg Config) (*Server, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	switch {
-	case cfg.QueueDepth < 0:
-		cfg.QueueDepth = 0
-	case cfg.QueueDepth == 0:
-		cfg.QueueDepth = 64
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 64 << 20
 	}
@@ -195,21 +170,14 @@ func New(cfg Config) (*Server, error) {
 		reducer: avtmor.NewReducer(ropts...),
 		st:      st,
 		mem:     map[string]*avtmor.ROM{},
-		queue:   make(chan func(), cfg.QueueDepth),
-		closed:  make(chan struct{}),
 		cluster: cs,
 		adm:     newAdmission(cfg.CostBudget),
 	}
 	if len(cfg.Quotas) > 0 {
 		s.quotas = quota.New(cfg.Quotas)
 	}
-	s.initVars()
 	s.initProm()
 	s.startSweeper()
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s, nil
 }
 
@@ -225,7 +193,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/roms/{key}/simulate", s.handleSimulate)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handlePromMetrics)
-	mux.HandleFunc("GET /metrics.json", s.handleMetrics)
 	var h http.Handler = mux
 	if s.cluster != nil {
 		mux.HandleFunc("GET /v1/cluster/keys", s.handleClusterKeys)
@@ -255,79 +222,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// Close marks the server draining (/healthz → 503) and drains the
-// worker pool: waiting requests are answered 503, and Close returns
-// once in-flight work finishes (work holds a request context, so an
-// upstream http.Server shutdown that cancels request contexts bounds
-// the wait).
+// Close marks the server draining (/healthz → 503) and closes
+// admission: requests waiting for it, and any that ask later, are
+// answered 503, and Close returns once admitted work finishes (work
+// holds a request context, so an upstream http.Server shutdown that
+// cancels request contexts bounds the wait). Close is idempotent.
 func (s *Server) Close() error {
 	s.Drain()
 	if cs := s.cluster; cs != nil && cs.sweeper != nil {
 		cs.sweeper.Stop()
 	}
-	s.closeOne.Do(func() { close(s.closed) })
-	s.wg.Wait()
+	s.adm.close()
 	s.repWG.Wait()
 	return nil
-}
-
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case fn := <-s.queue:
-			s.busy.Add(1)
-			fn()
-			s.busy.Add(-1)
-		}
-	}
-}
-
-// Pool submission outcomes that map to HTTP statuses.
-var (
-	errBusy   = errors.New("serve: worker pool and queue are full")
-	errClosed = errors.New("serve: server is shutting down")
-)
-
-// run executes fn on the worker pool, waiting for completion, the
-// caller's context, or shutdown. A full queue fails fast with errBusy
-// (backpressure, not buffering). When run returns nil, fn has
-// completed and its captured results are safe to read.
-func (s *Server) run(ctx context.Context, fn func()) error {
-	select {
-	case <-s.closed:
-		return errClosed
-	default:
-	}
-	done := make(chan struct{})
-	enqueued := time.Now()
-	job := func() {
-		defer close(done)
-		s.queueWait.Observe(time.Since(enqueued).Seconds())
-		if ctx.Err() == nil {
-			fn()
-		}
-	}
-	select {
-	case s.queue <- job:
-	default:
-		return errBusy
-	}
-	select {
-	case <-done:
-		if err := ctx.Err(); err != nil {
-			// The job was popped after the caller's deadline and
-			// skipped the work; report the context, not success.
-			return err
-		}
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-s.closed:
-		return errClosed
-	}
 }
 
 // lookup resolves a content address to a servable ROM, or (nil, nil)
@@ -363,91 +270,6 @@ func (s *Server) remember(digest string, rom *avtmor.ROM) {
 	}
 }
 
-func (s *Server) initVars() {
-	m := new(expvar.Map).Init()
-	m.Set("reduce_requests", &s.reduceReqs)
-	m.Set("simulate_requests", &s.simReqs)
-	m.Set("rom_gets", &s.romGets)
-	m.Set("batch_requests", &s.batchReqs)
-	m.Set("batch_items", &s.batchItems)
-	m.Set("rejected", &s.rejected)
-	m.Set("client_errors", &s.clientErrs)
-	m.Set("server_errors", &s.srvErrs)
-	m.Set("quota_rejected", &s.quotaRejected)
-	m.Set("admission_rejected", &s.admissionRejected)
-	m.Set("workers", intVar(int64(s.cfg.Workers)))
-	m.Set("queue_capacity", intVar(int64(s.cfg.QueueDepth)))
-	gauge := func(name string, f func() any) { m.Set(name, expvar.Func(f)) }
-	gauge("queue_depth", func() any { return len(s.queue) })
-	gauge("workers_busy", func() any { return s.busy.Load() })
-	gauge("admission_budget", func() any { return s.adm.budget })
-	gauge("admission_in_use", func() any { return s.adm.used() })
-	rstat := func(f func(avtmor.ReducerStats) any) func() any {
-		return func() any { return f(s.reducer.Stats()) }
-	}
-	gauge("reductions", rstat(func(st avtmor.ReducerStats) any { return st.Reductions }))
-	gauge("cache_hits", rstat(func(st avtmor.ReducerStats) any { return st.CacheHits }))
-	gauge("store_hits", rstat(func(st avtmor.ReducerStats) any { return st.StoreHits }))
-	gauge("store_errors", rstat(func(st avtmor.ReducerStats) any { return st.StoreErrors }))
-	gauge("coalesced", rstat(func(st avtmor.ReducerStats) any { return st.Coalesced }))
-	gauge("solver_factorizations", rstat(func(st avtmor.ReducerStats) any { return st.Factorizations }))
-	gauge("solver_batch_solves", rstat(func(st avtmor.ReducerStats) any { return st.BatchSolves }))
-	gauge("solver_batch_columns", rstat(func(st avtmor.ReducerStats) any { return st.BatchColumns }))
-	gauge("solver_symbolic_analyses", rstat(func(st avtmor.ReducerStats) any { return st.SymbolicAnalyses }))
-	gauge("solver_numeric_refactors", rstat(func(st avtmor.ReducerStats) any { return st.NumericRefactors }))
-	gauge("evictions", rstat(func(st avtmor.ReducerStats) any { return st.Evictions }))
-	gauge("cached_roms", rstat(func(st avtmor.ReducerStats) any { return st.CachedROMs }))
-	gauge("inflight_reductions", rstat(func(st avtmor.ReducerStats) any { return st.InFlight }))
-	gauge("store_roms", func() any {
-		if s.st == nil {
-			return 0
-		}
-		return s.st.Len()
-	})
-	gauge("store_quarantined", func() any {
-		if s.st == nil {
-			return 0
-		}
-		return s.st.Stats().Quarantined
-	})
-	gauge("store_loads", func() any {
-		if s.st == nil {
-			return 0
-		}
-		return s.st.Stats().Loads
-	})
-	gauge("store_raw_opens", func() any {
-		if s.st == nil {
-			return 0
-		}
-		return s.st.Stats().RawOpens
-	})
-	gauge("draining", func() any {
-		if s.draining.Load() {
-			return 1
-		}
-		return 0
-	})
-	if s.cluster != nil {
-		m.Set("cluster", s.cluster.vars())
-	}
-	s.vars = m
-}
-
-// intVar is a constant expvar value.
-type intVar int64
-
-func (v intVar) String() string { return fmt.Sprintf("%d", int64(v)) }
-
-// handleMetrics renders every counter and gauge as one JSON object —
-// expvar's wire shape, served from per-Server vars instead of the
-// process-global expvar page so multiple Servers (and tests) never
-// collide on names.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintln(w, s.vars.String())
-}
-
 // countError buckets a non-200 status into the error counters.
 func (s *Server) countError(code int) {
 	if code >= 500 {
@@ -463,30 +285,4 @@ func (s *Server) countError(code int) {
 func (s *Server) httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	s.countError(code)
 	http.Error(w, fmt.Sprintf(format, args...), code)
-}
-
-// poolStatus maps pool/context failures to statuses: backpressure →
-// 429, shutdown → 503, deadline → 504, client gone → 499 (nginx's
-// convention; the client never sees it). It is the one taxonomy both
-// the single-request and the per-item batch paths speak.
-func poolStatus(err error) (int, string) {
-	switch {
-	case errors.Is(err, errBusy):
-		return http.StatusTooManyRequests, "worker pool saturated, retry later"
-	case errors.Is(err, errClosed):
-		return http.StatusServiceUnavailable, "shutting down"
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "deadline exceeded"
-	default:
-		return 499, "client canceled"
-	}
-}
-
-// runError answers a pool/context failure over HTTP.
-func (s *Server) runError(w http.ResponseWriter, err error) {
-	code, msg := poolStatus(err)
-	if code == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-	s.httpError(w, code, "%s", msg)
 }

@@ -6,11 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"avtmor"
+	"avtmor/internal/promtext"
 	"avtmor/serve"
 )
 
@@ -64,18 +66,54 @@ func postReduce(t testing.TB, base, path, body string) ([]byte, string) {
 	return data, key
 }
 
-func metrics(t testing.TB, base string) map[string]float64 {
+// metrics scrapes base's GET /metrics through the strict exposition
+// parser. The returned lookup takes a sample name, summed across its
+// label sets, or one labeled series spelled as series() renders it; it
+// fails the test when the scrape carries no such sample, so a
+// misspelled name can never read as a zero.
+func metrics(t testing.TB, base string) func(sample string) float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics.json")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m map[string]float64
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
+	scrape, err := promtext.Parse(resp.Body)
+	if err != nil {
+		t.Fatalf("invalid exposition from %s: %v", base, err)
 	}
-	return m
+	vals := map[string]float64{}
+	for _, name := range scrape.Families() {
+		for _, smp := range scrape.Family(name).Samples {
+			vals[smp.Name] += smp.Value
+			if len(smp.Labels) > 0 {
+				vals[series(smp.Name, smp.Labels...)] = smp.Value
+			}
+		}
+	}
+	return func(sample string) float64 {
+		t.Helper()
+		v, ok := vals[sample]
+		if !ok {
+			t.Fatalf("%s/metrics has no sample %s", base, sample)
+		}
+		return v
+	}
+}
+
+// series spells one labeled sample the way metrics' lookup keys it:
+// name{label="value",...}, labels in exposition order.
+func series(name string, labels ...promtext.Label) string {
+	parts := make([]string, len(labels))
+	for i, l := range labels {
+		parts[i] = l.Name + "=" + strconv.Quote(l.Value)
+	}
+	return name + "{" + strings.Join(parts, ",") + "}"
+}
+
+// peerSeries is the per-peer forward counter series for one peer.
+func peerSeries(name, peer string) string {
+	return series(name, promtext.Label{Name: "peer", Value: peer})
 }
 
 // TestServeDurabilityAcrossRestart is the subsystem acceptance check:
@@ -86,7 +124,7 @@ func metrics(t testing.TB, base string) map[string]float64 {
 func TestServeDurabilityAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 
-	s1, err := serve.New(serve.Config{StoreDir: dir, Workers: 2})
+	s1, err := serve.New(serve.Config{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,15 +136,15 @@ func TestServeDurabilityAcrossRestart(t *testing.T) {
 		t.Fatal("same-process re-request returned different bytes")
 	}
 	m := metrics(t, ts1.URL)
-	if m["reductions"] != 1 || m["cache_hits"] != 1 || m["store_roms"] != 1 {
-		t.Fatalf("first-process metrics: %v", m)
+	if r, c, n := m("avtmor_reductions_total"), m("avtmor_cache_hits_total"), m("avtmor_store_roms"); r != 1 || c != 1 || n != 1 {
+		t.Fatalf("first-process metrics: reductions %v, cache hits %v, store ROMs %v", r, c, n)
 	}
 	ts1.Close()
 	s1.Close()
 
 	// "Restart": a fresh Server over the same directory, its in-memory
 	// tiers empty.
-	s2, ts2 := newTestServer(t, serve.Config{StoreDir: dir, Workers: 2})
+	s2, ts2 := newTestServer(t, serve.Config{StoreDir: dir})
 	_ = s2
 	body2, key2 := postReduce(t, ts2.URL, reducePath, clipper)
 	if key2 != key1 {
@@ -116,11 +154,11 @@ func TestServeDurabilityAcrossRestart(t *testing.T) {
 		t.Fatal("restarted daemon served different bytes for the same key")
 	}
 	m = metrics(t, ts2.URL)
-	if m["reductions"] != 0 {
-		t.Fatalf("restarted daemon re-reduced instead of loading from store: %v", m)
+	if r := m("avtmor_reductions_total"); r != 0 {
+		t.Fatalf("restarted daemon re-reduced instead of loading from store: %v reductions", r)
 	}
-	if m["store_hits"] != 1 {
-		t.Fatalf("store hit not visible in /metrics: %v", m)
+	if h := m("avtmor_store_hits_total"); h != 1 {
+		t.Fatalf("store hit not visible in /metrics: %v store hits", h)
 	}
 
 	// The artifact is also addressable directly.
@@ -149,7 +187,7 @@ func TestServeDurabilityAcrossRestart(t *testing.T) {
 // across HTTP), all answered with identical bytes. Run under -race in
 // CI.
 func TestServeConcurrentColdRequests(t *testing.T) {
-	_, ts := newTestServer(t, serve.Config{StoreDir: t.TempDir(), Workers: 8})
+	_, ts := newTestServer(t, serve.Config{StoreDir: t.TempDir()})
 	const callers = 8
 	bodies := make([][]byte, callers)
 	var wg sync.WaitGroup
@@ -178,11 +216,11 @@ func TestServeConcurrentColdRequests(t *testing.T) {
 		}
 	}
 	m := metrics(t, ts.URL)
-	if m["reductions"] != 1 {
-		t.Fatalf("%v underlying reductions for %d identical requests, want exactly 1", m["reductions"], callers)
+	if r := m("avtmor_reductions_total"); r != 1 {
+		t.Fatalf("%v underlying reductions for %d identical requests, want exactly 1", r, callers)
 	}
-	if m["coalesced"]+m["cache_hits"] != callers-1 {
-		t.Fatalf("coalesced %v + cache hits %v, want %d", m["coalesced"], m["cache_hits"], callers-1)
+	if co, ch := m("avtmor_coalesced_total"), m("avtmor_cache_hits_total"); co+ch != callers-1 {
+		t.Fatalf("coalesced %v + cache hits %v, want %d", co, ch, callers-1)
 	}
 }
 
@@ -199,7 +237,7 @@ func TestServeSerializedSystemBody(t *testing.T) {
 	if _, err := sys.WriteTo(&bin); err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, serve.Config{StoreDir: t.TempDir(), Workers: 2})
+	_, ts := newTestServer(t, serve.Config{StoreDir: t.TempDir()})
 
 	fromNetlist, keyN := postReduce(t, ts.URL, reducePath, clipper)
 	fromBinary, keyB := postReduce(t, ts.URL, reducePath, bin.String())
@@ -209,9 +247,8 @@ func TestServeSerializedSystemBody(t *testing.T) {
 	if !bytes.Equal(fromBinary, fromNetlist) {
 		t.Fatal("binary body produced different artifact bytes")
 	}
-	m := metrics(t, ts.URL)
-	if m["reductions"] != 1 {
-		t.Fatalf("binary twin re-reduced: %v", m)
+	if r := metrics(t, ts.URL)("avtmor_reductions_total"); r != 1 {
+		t.Fatalf("binary twin re-reduced: %v reductions", r)
 	}
 }
 
@@ -219,7 +256,7 @@ func TestServeSerializedSystemBody(t *testing.T) {
 // trajectory matches a client-side simulation of the same artifact
 // exactly (same integrator, same bytes, same arithmetic).
 func TestServeSimulate(t *testing.T) {
-	_, ts := newTestServer(t, serve.Config{StoreDir: t.TempDir(), Workers: 2})
+	_, ts := newTestServer(t, serve.Config{StoreDir: t.TempDir()})
 	body, key := postReduce(t, ts.URL, reducePath, clipper)
 
 	workload := `{"tEnd": 5, "steps": 200, "input": {"kind": "const", "values": [1]}}`
@@ -273,7 +310,7 @@ func TestServeSimulate(t *testing.T) {
 // TestServeErrors: malformed requests map to the right statuses and
 // never crash the daemon.
 func TestServeErrors(t *testing.T) {
-	_, ts := newTestServer(t, serve.Config{Workers: 2})
+	_, ts := newTestServer(t, serve.Config{})
 	post := func(path, body string) (int, string) {
 		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(body))
 		if err != nil {
@@ -337,6 +374,10 @@ func TestServeErrors(t *testing.T) {
 	}
 	if code := get("/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz: %d", code)
+	}
+	// /metrics is the only metric surface; the legacy JSON route is gone.
+	if code := get("/metrics.json"); code != http.StatusNotFound {
+		t.Fatalf("legacy /metrics.json: %d, want 404", code)
 	}
 	if code, _ := post("/v1/roms/deadbeef/simulate", "{}"); code != http.StatusNotFound {
 		t.Fatal("simulate on unknown ROM must 404")

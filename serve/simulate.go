@@ -61,8 +61,8 @@ type simResponse struct {
 
 // handleSimulate integrates a stored ROM under a JSON-described
 // workload and returns the trajectory as JSON (default) or CSV
-// (?format=csv or Accept: text/csv). Simulations share the reduce
-// worker pool: a saturated daemon sheds them with 429 too.
+// (?format=csv or Accept: text/csv). Simulations pass the same cost
+// admission as reductions: a saturated daemon sheds them with 429 too.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.simReqs.Add(1)
 	start := time.Now()
@@ -118,23 +118,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	cost := simulateCost(rom.Order(), req.Steps)
 	setCost(w, cost)
-	release, admitted := s.admitted(w, r, cost)
+	release, admitted := s.admitted(ctx, w, cost)
 	if !admitted {
 		return
 	}
 	defer release()
-	var (
-		res  *avtmor.Result
-		serr error
-	)
-	if err := s.run(ctx, func() {
-		res, serr = rom.Simulate(ctx, u, req.TEnd, opts...)
-	}); err != nil {
-		s.runError(w, err)
-		return
-	}
-	if serr != nil {
-		s.opError(w, "simulation", serr)
+	res, err := rom.Simulate(ctx, u, req.TEnd, opts...)
+	if err != nil {
+		s.opError(w, "simulation", err)
 		return
 	}
 	s.simLatency.Observe(time.Since(start).Seconds())

@@ -53,7 +53,7 @@ func getROM(t testing.TB, base, digest, inm string) (*http.Response, []byte) {
 // (the store's Loads counter must not move); a file corrupted behind
 // the store's back is quarantined and reported 404, never served.
 func TestServeGetROMConditional(t *testing.T) {
-	_, ts := newTestServer(t, serve.Config{StoreDir: t.TempDir(), Workers: 2})
+	_, ts := newTestServer(t, serve.Config{StoreDir: t.TempDir()})
 	ref, key := postReduce(t, ts.URL, reducePath, clipper)
 
 	// Unconditional GET: raw store bytes with full headers.
@@ -75,14 +75,14 @@ func TestServeGetROMConditional(t *testing.T) {
 		t.Fatalf("ETag = %q, want %q", et, wantETag)
 	}
 	m := metrics(t, ts.URL)
-	if m["store_raw_opens"] < 1 {
-		t.Fatalf("store_raw_opens = %v, want >= 1 (zero-copy path not taken)", m["store_raw_opens"])
+	if raw := m("avtmor_store_raw_opens_total"); raw < 1 {
+		t.Fatalf("store raw opens = %v, want >= 1 (zero-copy path not taken)", raw)
 	}
 
 	// Revalidation: 304, empty body, and — the acceptance criterion —
 	// zero store Loads on the conditional path.
-	loadsBefore := m["store_loads"]
-	rawBefore := m["store_raw_opens"]
+	loadsBefore := m("avtmor_store_loads_total")
+	rawBefore := m("avtmor_store_raw_opens_total")
 	resp, body = getROM(t, ts.URL, key, wantETag)
 	if resp.StatusCode != http.StatusNotModified {
 		t.Fatalf("conditional GET: %d, want 304", resp.StatusCode)
@@ -94,11 +94,11 @@ func TestServeGetROMConditional(t *testing.T) {
 		t.Fatalf("304 ETag = %q, want %q", et, wantETag)
 	}
 	m = metrics(t, ts.URL)
-	if m["store_loads"] != loadsBefore {
-		t.Fatalf("304 path parsed the artifact: store_loads %v -> %v", loadsBefore, m["store_loads"])
+	if loads := m("avtmor_store_loads_total"); loads != loadsBefore {
+		t.Fatalf("304 path parsed the artifact: store loads %v -> %v", loadsBefore, loads)
 	}
-	if m["store_raw_opens"] != rawBefore {
-		t.Fatalf("304 path opened the file: store_raw_opens %v -> %v", rawBefore, m["store_raw_opens"])
+	if raw := m("avtmor_store_raw_opens_total"); raw != rawBefore {
+		t.Fatalf("304 path opened the file: store raw opens %v -> %v", rawBefore, raw)
 	}
 
 	// The weak form and an etag list revalidate too.
@@ -127,7 +127,7 @@ func TestServeGetROMConditional(t *testing.T) {
 // client re-reduces instead of parsing garbage.
 func TestServeGetROMCorruptFile(t *testing.T) {
 	dir := t.TempDir()
-	_, ts := newTestServer(t, serve.Config{StoreDir: dir, Workers: 2})
+	_, ts := newTestServer(t, serve.Config{StoreDir: dir})
 	_, key := postReduce(t, ts.URL, reducePath, clipper)
 
 	path := dir + "/" + key + ".rom"
@@ -138,8 +138,8 @@ func TestServeGetROMCorruptFile(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("corrupted artifact: %d: %s, want 404", resp.StatusCode, body)
 	}
-	if m := metrics(t, ts.URL); m["store_quarantined"] != 1 {
-		t.Fatalf("store_quarantined = %v, want 1", m["store_quarantined"])
+	if q := metrics(t, ts.URL)("avtmor_store_quarantined"); q != 1 {
+		t.Fatalf("store quarantined = %v, want 1", q)
 	}
 }
 
@@ -161,7 +161,7 @@ func writeFileHead(path string, head []byte) error {
 // is byte-identical — same content addresses, same ROM bytes — to
 // sequential submission of the same inputs.
 func TestServeBatchReduce(t *testing.T) {
-	_, ts := newTestServer(t, serve.Config{StoreDir: t.TempDir(), Workers: 2})
+	_, ts := newTestServer(t, serve.Config{StoreDir: t.TempDir()})
 
 	good1 := fmt.Sprintf(clipperVar, 2.0)
 	good2 := fmt.Sprintf(clipperVar, 3.0)
@@ -203,11 +203,11 @@ func TestServeBatchReduce(t *testing.T) {
 	}
 
 	m := metrics(t, ts.URL)
-	if m["reductions"] != 2 {
-		t.Fatalf("reductions = %v, want 2 (one per good item)", m["reductions"])
+	if r := m("avtmor_reductions_total"); r != 2 {
+		t.Fatalf("reductions = %v, want 2 (one per good item)", r)
 	}
-	if m["batch_requests"] != 1 || m["batch_items"] != 3 {
-		t.Fatalf("batch counters: requests=%v items=%v", m["batch_requests"], m["batch_items"])
+	if br, bi := m("avtmor_batch_total"), m("avtmor_batch_items_total"); br != 1 || bi != 3 {
+		t.Fatalf("batch counters: requests=%v items=%v", br, bi)
 	}
 
 	// Sequential submission of the same inputs: identical addresses,
@@ -221,8 +221,8 @@ func TestServeBatchReduce(t *testing.T) {
 	if !bytes.Equal(seq1, results[0].Body) || !bytes.Equal(seq2, results[2].Body) {
 		t.Fatal("sequential ROM bytes differ from batch ROM bytes")
 	}
-	if m := metrics(t, ts.URL); m["reductions"] != 2 {
-		t.Fatalf("sequential follow-up re-reduced: %v", m["reductions"])
+	if r := metrics(t, ts.URL)("avtmor_reductions_total"); r != 2 {
+		t.Fatalf("sequential follow-up re-reduced: %v reductions", r)
 	}
 
 	// Malformed frames are a whole-request 400, not a hang.
@@ -266,7 +266,6 @@ func TestClusterStallingPeer(t *testing.T) {
 	addr := ln.Addr().String()
 	s, err := serve.New(serve.Config{
 		StoreDir:          t.TempDir(),
-		Workers:           2,
 		Node:              addr,
 		Peers:             []string{addr, stallAddr},
 		PeerHeaderTimeout: 200 * time.Millisecond,
@@ -304,11 +303,11 @@ func TestClusterStallingPeer(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Fatalf("fallback took %v; the stalled owner pinned the relay", elapsed)
 	}
-	cl := sub(t, metricsAny(t, "http://"+addr), "cluster")
-	if num(t, sub(t, sub(t, cl, "peers"), cluster.Normalize(stallAddr)), "forward_errors") < 1 {
-		t.Fatalf("stalled owner produced no forward_errors: %v", cl)
+	m := metrics(t, "http://"+addr)
+	if fe := m(peerSeries("avtmor_cluster_peer_forward_errors_total", cluster.Normalize(stallAddr))); fe < 1 {
+		t.Fatalf("stalled owner produced %v forward errors, want >= 1", fe)
 	}
-	if num(t, cl, "fallback_local") < 1 {
-		t.Fatalf("fallback_local = %v, want >= 1", cl["fallback_local"])
+	if fl := m("avtmor_cluster_fallback_local_total"); fl < 1 {
+		t.Fatalf("local fallbacks = %v, want >= 1", fl)
 	}
 }
