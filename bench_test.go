@@ -185,6 +185,22 @@ func BenchmarkTable1Sect33ODESolveNORM(b *testing.B) {
 	benchODESolve(b, w, rom.Sys)
 }
 
+// BenchmarkFig2NTLVoltageODESolveOriginal is the full-order §3.1
+// transient of Fig. 2: the voltage-driven line NTLVoltage(50) under
+// RK4, whose every stage evaluates its D1 block.
+func BenchmarkFig2NTLVoltageODESolveOriginal(b *testing.B) {
+	w := circuits.NTLVoltage(50)
+	benchODESolve(b, w, w.Sys)
+}
+
+// BenchmarkFig5VaristorODESolveOriginal is the full-order §3.4
+// transient of Fig. 5: the cubic varistor under the trapezoidal rule,
+// whose dense Newton LU is replayed at every step.
+func BenchmarkFig5VaristorODESolveOriginal(b *testing.B) {
+	w := circuits.Varistor()
+	benchODESolve(b, w, w.Sys)
+}
+
 // BenchmarkTrapezoidalRLCLine is the full-order stiff transient of the
 // 1999-state RLC line (RLCLine(1000)) over its workload's 4000
 // trapezoidal steps: a linear system on the sparse Newton route, whose

@@ -14,6 +14,7 @@ package exper
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -51,6 +52,36 @@ func simulate(w *avtmor.Workload, m avtmor.Model) (*avtmor.Result, time.Duration
 	return res, time.Since(start), err
 }
 
+// timingRounds is how many times simulateAll runs each transient.
+const timingRounds = 3
+
+// simulateAll runs the transient of every model timingRounds times, in
+// alternation (all models once, then all again), and reports each
+// model's result and fastest time. Every run of a model computes the
+// same bits. Alternating puts the full model and its ROMs through the
+// same stretches of host load, so their ratio, which is what Table 1
+// compares, does not depend on which of them a slow stretch hit.
+// Garbage is collected before each round, as testing.B does before a
+// benchmark, so that no transient pays for the reductions' garbage.
+func simulateAll(w *avtmor.Workload, models ...avtmor.Model) ([]*avtmor.Result, []time.Duration, error) {
+	res := make([]*avtmor.Result, len(models))
+	best := make([]time.Duration, len(models))
+	for round := 0; round < timingRounds; round++ {
+		runtime.GC()
+		for i, m := range models {
+			r, d, err := simulate(w, m)
+			if err != nil {
+				return nil, nil, err
+			}
+			if round == 0 || d < best[i] {
+				best[i] = d
+			}
+			res[i] = r
+		}
+	}
+	return res, best, nil
+}
+
 // solverMetrics records the observability counters of a reduction
 // under a metric prefix and returns the human-readable fragment.
 func (r *Report) solverMetrics(prefix string, st avtmor.Stats) string {
@@ -74,21 +105,27 @@ func (r *Report) solverMetrics(prefix string, st avtmor.Stats) string {
 // results map holds "full", "prop", and optionally "norm" trajectories.
 func transientCompare(rep *Report, w *avtmor.Workload, opts []avtmor.Option, withNORM bool) (map[string]*avtmor.Result, error) {
 	ctx := context.Background()
-	full, tFull, err := simulate(w, w.System)
-	if err != nil {
-		return nil, fmt.Errorf("%s: full simulation: %w", rep.ID, err)
-	}
-	rep.metric("full_order", float64(w.System.States()))
-	rep.metric("full_ode_ms", float64(tFull.Milliseconds()))
-
 	prop, err := avtmor.Reduce(ctx, w.System, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("%s: Reduce: %w", rep.ID, err)
 	}
-	propRes, tProp, err := simulate(w, prop)
-	if err != nil {
-		return nil, fmt.Errorf("%s: proposed ROM simulation: %w", rep.ID, err)
+	models := []avtmor.Model{w.System, prop}
+	var nm *avtmor.ROM
+	if withNORM {
+		if nm, err = avtmor.ReduceNORM(ctx, w.System, opts...); err != nil {
+			return nil, fmt.Errorf("%s: ReduceNORM: %w", rep.ID, err)
+		}
+		models = append(models, nm)
 	}
+	results, times, err := simulateAll(w, models...)
+	if err != nil {
+		return nil, fmt.Errorf("%s: simulation: %w", rep.ID, err)
+	}
+	full, propRes := results[0], results[1]
+	tFull, tProp := times[0], times[1]
+	rep.metric("full_order", float64(w.System.States()))
+	rep.metric("full_ode_ms", float64(tFull.Milliseconds()))
+
 	propStats := prop.Stats()
 	rep.metric("prop_order", float64(prop.Order()))
 	rep.metric("prop_arnoldi_ms", float64(propStats.Build.Milliseconds()))
@@ -98,17 +135,10 @@ func transientCompare(rep *Report, w *avtmor.Workload, opts []avtmor.Option, wit
 	out := map[string]*avtmor.Result{"full": full, "prop": propRes}
 	var normSolverLine string
 	if withNORM {
-		nm, err := avtmor.ReduceNORM(ctx, w.System, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("%s: ReduceNORM: %w", rep.ID, err)
-		}
-		nmRes, tNorm, err := simulate(w, nm)
-		if err != nil {
-			return nil, fmt.Errorf("%s: NORM ROM simulation: %w", rep.ID, err)
-		}
+		nmRes := results[2]
 		rep.metric("norm_order", float64(nm.Order()))
 		rep.metric("norm_arnoldi_ms", float64(nm.Stats().Build.Milliseconds()))
-		rep.metric("norm_ode_ms", float64(tNorm.Milliseconds()))
+		rep.metric("norm_ode_ms", float64(times[2].Milliseconds()))
 		rep.metric("norm_maxrelerr", avtmor.MaxRelErr(full, nmRes, 0))
 		normSolverLine = rep.solverMetrics("norm", nm.Stats())
 		out["norm"] = nmRes

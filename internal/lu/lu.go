@@ -36,8 +36,15 @@ func Factor(a *mat.Dense) (*LU, error) {
 // and must not read or write it while the factorization is in use. On
 // error a holds a partial elimination.
 func FactorInPlace(a *mat.Dense) (*LU, error) {
+	f, _, err := factorInPlace(a)
+	return f, err
+}
+
+// factorInPlace is FactorInPlace reporting, on ErrSingular, the
+// elimination step whose pivot column held no nonzero candidate.
+func factorInPlace(a *mat.Dense) (*LU, int, error) {
 	if a.R != a.C {
-		return nil, errors.New("lu: matrix must be square")
+		return nil, 0, errors.New("lu: matrix must be square")
 	}
 	n := a.R
 	f := &LU{lu: a, piv: make([]int, n), sign: 1}
@@ -53,7 +60,7 @@ func FactorInPlace(a *mat.Dense) (*LU, error) {
 			}
 		}
 		if best == 0 {
-			return nil, ErrSingular
+			return nil, k, ErrSingular
 		}
 		if p != k {
 			swapRows(w, p, k)
@@ -73,7 +80,7 @@ func FactorInPlace(a *mat.Dense) (*LU, error) {
 			}
 		}
 	}
-	return f, nil
+	return f, n, nil
 }
 
 // N returns the matrix dimension.

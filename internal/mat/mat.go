@@ -165,12 +165,27 @@ func (m *Dense) Mul(b *Dense) *Dense {
 }
 
 // MulVec computes dst = m*x. dst must have length m.R and must not alias x.
+// Four rows advance together so that their sum chains overlap; each row
+// still sums its products in ascending column order.
 func (m *Dense) MulVec(dst, x []float64) {
 	if len(x) != m.C || len(dst) != m.R {
 		panic("mat: MulVec length mismatch")
 	}
-	for i := 0; i < m.R; i++ {
-		row := m.A[i*m.C : (i+1)*m.C]
+	c := m.C
+	i := 0
+	for ; i+4 <= m.R; i += 4 {
+		r0, r1, r2, r3 := m.A[i*c:(i+1)*c], m.A[(i+1)*c:(i+2)*c], m.A[(i+2)*c:(i+3)*c], m.A[(i+3)*c:(i+4)*c]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.R; i++ {
+		row := m.A[i*c : (i+1)*c]
 		s := 0.0
 		for j, v := range row {
 			s += v * x[j]

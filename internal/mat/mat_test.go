@@ -312,3 +312,25 @@ func TestPanicsOnShapeMismatch(t *testing.T) {
 	}()
 	NewDense(2, 2).Mul(NewDense(3, 3))
 }
+
+// TestMulVecRowGroupsMatchRowSums pins MulVec's grouped rows to the
+// plain row sums bit for bit, for every row count up to nine.
+func TestMulVecRowGroupsMatchRowSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for r := 1; r <= 9; r++ {
+		m := RandDense(rng, r, 1+rng.Intn(12))
+		x := RandVec(rng, m.C)
+		x[0] = math.Copysign(0, -1)
+		got := make([]float64, r)
+		m.MulVec(got, x)
+		for i := 0; i < r; i++ {
+			s := 0.0
+			for j, v := range m.Row(i) {
+				s += v * x[j]
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(s) {
+				t.Fatalf("%d rows: row %d = %v, want %v", r, i, got[i], s)
+			}
+		}
+	}
+}

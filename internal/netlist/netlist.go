@@ -14,7 +14,8 @@
 //	G<name> a b g gamma        polynomial conductance i = g·w + gamma·w²
 //	D<name> a b is vt          diode i = is·(e^{w/vt} − 1) (adds one
 //	                           auxiliary state; linearized exactly)
-//	I<name> a b IN<k> scale    current source driven by input channel k
+//	I<name> a b IN<k> scale    current source driven by input channel k;
+//	                           the channels in use must be IN0…IN(m−1)
 //	.out node                  output = voltage of node (repeatable)
 //
 // Node "0" (or "gnd") is ground. Ideal voltage sources are not supported:
@@ -71,6 +72,20 @@ type source struct {
 	a, b  int // current flows from a to b through the source (into b)
 	input int
 	scale float64
+}
+
+// UndrivenChannelError reports an input channel that no I card drives
+// while a higher channel is driven. The system has one input per
+// channel up to the highest, so the channels in use must be
+// IN0…IN(m−1): a gap would be an input that changes nothing, and a lone
+// IN50000000 would size B for fifty million inputs.
+type UndrivenChannelError struct {
+	Channel int // the lowest undriven channel
+	Highest int // the highest driven channel
+}
+
+func (e *UndrivenChannelError) Error() string {
+	return fmt.Sprintf("netlist: input channel IN%d is driven by no I card, but IN%d is (use channels IN0…IN(m−1))", e.Channel, e.Highest)
 }
 
 // Parse reads a netlist.
@@ -166,7 +181,30 @@ func Parse(r io.Reader) (*Circuit, error) {
 	if len(c.Nodes) == 0 {
 		return nil, fmt.Errorf("netlist: no nodes")
 	}
+	if err := c.checkChannels(); err != nil {
+		return nil, err
+	}
 	return c, nil
+}
+
+// checkChannels enforces that the driven channels are exactly
+// IN0…IN(m−1), in time and memory linear in the number of I cards.
+func (c *Circuit) checkChannels() error {
+	chans := make([]int, 0, len(c.Sources))
+	for _, s := range c.Sources {
+		chans = append(chans, s.input)
+	}
+	sort.Ints(chans)
+	next := 0
+	for _, k := range chans {
+		if k > next {
+			return &UndrivenChannelError{Channel: next, Highest: chans[len(chans)-1]}
+		}
+		if k == next {
+			next++
+		}
+	}
+	return nil
 }
 
 // node interns a node name; ground returns -1.

@@ -1,7 +1,9 @@
 package netlist
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -59,6 +61,43 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("input %q: expected an error", bad)
 			}
 		}
+	}
+}
+
+// TestParseRejectsUndrivenChannel: input channels must be IN0…IN(m−1).
+// A lone high channel (53 bytes that once sized B for fifty million
+// inputs) and a gap both fail in Parse with the typed error naming the
+// first undriven channel, without allocating for the channels named.
+func TestParseRejectsUndrivenChannel(t *testing.T) {
+	for _, tc := range []struct {
+		netlist          string
+		channel, highest int
+	}{
+		{"* t\nI0 0 n1 IN50000000 1\nC1 n1 0 1\nR1 n1 0 2\n.out n1\n", 0, 50000000},
+		{"I1 0 n1 IN0 1\nI2 0 n1 IN2 1\nC1 n1 0 1\nR1 n1 0 1\n", 1, 2},
+		{"I1 0 n1 IN2000000000 1\nI2 0 n1 IN0 1\nC1 n1 0 1\nR1 n1 0 1\n", 1, 2000000000},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(strings.NewReader(tc.netlist))
+		runtime.ReadMemStats(&after)
+		var uc *UndrivenChannelError
+		if !errors.As(err, &uc) || uc.Channel != tc.channel || uc.Highest != tc.highest {
+			t.Fatalf("%q: got %v, want IN%d undriven below IN%d", tc.netlist, err, tc.channel, tc.highest)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%q: parsing allocated %d bytes", tc.netlist, grew)
+		}
+	}
+	// Duplicate and unordered channels are fine as long as none is
+	// missing.
+	c, err := Parse(strings.NewReader("I1 0 n1 IN1 1\nI2 0 n2 IN0 1\nI3 n2 0 IN1 2\nC1 n1 0 1\nC2 n2 0 1\nR1 n1 n2 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := c.Build()
+	if err != nil || sys.Inputs() != 2 {
+		t.Fatalf("two channels: %v, %d inputs", err, sys.Inputs())
 	}
 }
 

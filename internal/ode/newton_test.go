@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"avtmor/internal/lu"
 	"avtmor/internal/mat"
 	"avtmor/internal/qldae"
 	"avtmor/internal/solver"
@@ -142,12 +143,84 @@ func newtonCases() []newtonCase {
 	bilinear := &qldae.System{N: 6, G1: mat.RandStable(rng, 6, 0.5), D1: []*mat.Dense{mat.RandDense(rng, 6, 6).Scale(0.2)},
 		B: mat.RandDense(rng, 6, 1), L: mat.RandDense(rng, 1, 6)}
 
-	return []newtonCase{
+	return append([]newtonCase{
 		{"dense-linear", dense, wave, true},
 		{"csr-linear", ladder, wave, true},
 		{"quadratic", quad, wave, false},
 		{"cubic", cubic, wave, false},
 		{"bilinear-D1", bilinear, func(t float64) []float64 { return []float64{0.4 * math.Cos(3*t)} }, false},
+	}, replayCases(rng)...)
+}
+
+// replayCases are the Newton systems that exercise the record/replay of
+// the dense LU: a sparse quadratic chain whose factors are a small
+// fraction of n², a sparse D1 block whose input is exactly zero for
+// part of the run, and a D1 coupling that moves the first pivot back
+// and forth as its input swings.
+func replayCases(rng *rand.Rand) []newtonCase {
+	chain := func(n int) *mat.Dense {
+		g := mat.NewDense(n, n)
+		for i := 0; i < n; i++ {
+			g.Set(i, i, -2.5-rng.Float64())
+			if i > 0 {
+				g.Set(i, i-1, 0.5+rng.Float64())
+			}
+			if i < n-1 {
+				g.Set(i, i+1, 0.5+rng.Float64())
+			}
+		}
+		return g
+	}
+	const nq = 120
+	g1q := chain(nq)
+	g2q := sparse.NewBuilder(nq, nq*nq)
+	for i := 0; i < nq; i += 3 {
+		g2q.Add(i, i*nq+i, -0.3)
+		if i+1 < nq {
+			g2q.Add(i+1, i*nq+i+1, 0.2)
+		}
+	}
+	bq := mat.NewDense(nq, 1)
+	bq.Set(0, 0, 1)
+	bq.Set(nq/2, 0, 0.5)
+	lq := mat.NewDense(1, nq)
+	lq.Set(0, nq-1, 1)
+	sparseQuad := &qldae.System{N: nq, G1: g1q, G1S: sparse.FromDense(g1q), G2: g2q.Build(), B: bq, L: lq}
+
+	const nd = 40
+	g1d := chain(nd)
+	d1 := mat.NewDense(nd, nd)
+	for i := 0; i < nd; i += 4 {
+		d1.Set(i, i, -0.8)
+		if i+1 < nd {
+			d1.Set(i+1, i, 0.6)
+		}
+	}
+	bd := mat.NewDense(nd, 2)
+	bd.Set(0, 0, 1)
+	bd.Set(nd-1, 1, 0.3)
+	ld := mat.NewDense(1, nd)
+	ld.Set(0, nd/2, 1)
+	gated := &qldae.System{N: nd, G1: g1d, G1S: sparse.FromDense(g1d), D1: []*mat.Dense{nil, d1}, B: bd, L: ld}
+	gatedInput := func(t float64) []float64 {
+		u1 := 0.0
+		if t < 0.5 || t >= 1.3 {
+			u1 = 0.5 * math.Cos(3*t)
+		}
+		return []float64{0.6 * math.Sin(2*t), u1}
+	}
+
+	// Column 0 of the Newton matrix is (1 + h/2, 150·h·u, h/10): row 1
+	// takes the first pivot whenever |u| > (1 + h/2)/(150·h).
+	flip := &qldae.System{N: 3,
+		G1: mat.FromRows([][]float64{{-1, 0, 0}, {0, -1, 0}, {0.2, 0.1, -1.5}}),
+		D1: []*mat.Dense{mat.FromRows([][]float64{{0, 0, 0}, {-300, 0, 0}, {0, 0, 0}})},
+		B:  mat.FromRows([][]float64{{1}, {0}, {0}}), L: mat.FromRows([][]float64{{0, 0, 1}})}
+
+	return []newtonCase{
+		{"sparse-quadratic", sparseQuad, func(t float64) []float64 { return []float64{0.8 * math.Sin(2*t)} }, false},
+		{"sparse-D1-gated", gated, gatedInput, false},
+		{"pivot-flip", flip, func(t float64) []float64 { return []float64{1.2 * math.Sin(3*t)} }, false},
 	}
 }
 
@@ -210,6 +283,75 @@ func TestTrapezoidalMatchesOracleLoop(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTrapezoidalReplayCounts pins how the dense route splits a
+// nonlinear run's factorizations: one recording and a replay for every
+// other factorization, plus a rejection (and a fresh recording) each
+// time the pivot order moves. Linear runs and custom backends never
+// record.
+func TestTrapezoidalReplayCounts(t *testing.T) {
+	const tEnd, steps = 2.0, 200
+	// recorded, replayed, rejected
+	want := map[string][3]int{
+		"dense-linear":     {0, 0, 0},
+		"csr-linear":       {0, 0, 0},
+		"quadratic":        {1, 199, 0},
+		"cubic":            {1, 199, 0},
+		"bilinear-D1":      {1, 199, 0},
+		"sparse-quadratic": {1, 199, 0},
+		"sparse-D1-gated":  {1, 199, 0},
+		"pivot-flip":       {5, 195, 4},
+	}
+	for _, tc := range newtonCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			x0 := make([]float64, tc.sys.N)
+			res, err := TrapezoidalSolverCtx(context.Background(), tc.sys, x0, tc.u, tEnd, steps, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := [3]int{res.Recorded, res.Replayed, res.ReplayRejected}
+			if w, ok := want[tc.name]; !ok || got != w {
+				t.Fatalf("recorded, replayed, rejected = %v, want %v", got, w)
+			}
+			if !tc.linear && res.Recorded+res.Replayed != res.Factorizations {
+				t.Fatalf("%d recorded + %d replayed != %d factorizations", res.Recorded, res.Replayed, res.Factorizations)
+			}
+			custom, err := TrapezoidalSolverCtx(context.Background(), tc.sys, x0, tc.u, tEnd, steps, &wrapSolver{inner: solver.Auto{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if custom.Recorded+custom.Replayed+custom.ReplayRejected != 0 {
+				t.Fatalf("a custom LinearSolver recorded %d and replayed %d", custom.Recorded, custom.Replayed)
+			}
+		})
+	}
+}
+
+// TestReplaySkipsWork checks that the sparse quadratic case is one the
+// record actually thins out: P is a few nonzeros per row, and the
+// recorded factors hold a small fraction of n² entries.
+func TestReplaySkipsWork(t *testing.T) {
+	for _, tc := range newtonCases() {
+		if tc.name != "sparse-quadratic" {
+			continue
+		}
+		n := tc.sys.N
+		prep := tc.sys.Prepare()
+		pat := prep.NewtonPattern()
+		jd := mat.NewDense(n, n)
+		prep.NewtonInto(jd, pat, make([]float64, n), tc.u(0.3), 0.01)
+		f, err := lu.FactorInPlace(jd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := lu.NewRecord(f, pat.RowPtr, pat.ColIdx)
+		if len(pat.ColIdx) > 5*n || rec == nil || 10*rec.NNZ() > n*n {
+			t.Fatalf("P has %d entries and the factors %d of n² = %d; the case is not sparse", len(pat.ColIdx), rec.NNZ(), n*n)
+		}
+		return
+	}
+	t.Fatal("no sparse-quadratic case")
 }
 
 // TestRelErrSeriesMatchesScan pins the forward cursor of RelErrSeries to

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"avtmor/internal/lu"
 	"avtmor/internal/mat"
 	"avtmor/internal/qldae"
 	"avtmor/internal/solver"
@@ -60,6 +61,12 @@ type Result struct {
 	// Factorizations the Newton matrices factored (implicit methods
 	// only).
 	Steps, Rejected, NewtonIters, Factorizations int
+	// Recorded and Replayed split the Factorizations of a nonlinear
+	// trapezoidal run on the dense LU: Recorded ran the fresh kernel and
+	// recorded its pivot sequence and fill, Replayed refactored through
+	// that record. ReplayRejected counts replays abandoned at a pivot
+	// the record did not predict; each is followed by a Recorded one.
+	Recorded, Replayed, ReplayRejected int
 }
 
 // OutputAt linearly interpolates output channel ch at time t.
@@ -106,6 +113,7 @@ func RK4Ctx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tEnd 
 	res := &Result{}
 	res.T = append(res.T, 0)
 	res.Y = append(res.Y, sys.Output(x))
+	f := sys.Prepare()
 	ws := &workspace{}
 	defer ws.release()
 	k1 := ws.vec(n)
@@ -118,19 +126,19 @@ func RK4Ctx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tEnd 
 			return nil, err
 		}
 		t := float64(s) * h
-		sys.Eval(k1, x, u(t))
+		f.Eval(k1, x, u(t))
 		for i := range xs {
 			xs[i] = x[i] + 0.5*h*k1[i]
 		}
-		sys.Eval(k2, xs, u(t+0.5*h))
+		f.Eval(k2, xs, u(t+0.5*h))
 		for i := range xs {
 			xs[i] = x[i] + 0.5*h*k2[i]
 		}
-		sys.Eval(k3, xs, u(t+0.5*h))
+		f.Eval(k3, xs, u(t+0.5*h))
 		for i := range xs {
 			xs[i] = x[i] + h*k3[i]
 		}
-		sys.Eval(k4, xs, u(t+h))
+		f.Eval(k4, xs, u(t+h))
 		for i := range x {
 			x[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
 		}
@@ -174,6 +182,7 @@ func Dopri5Ctx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tE
 	res := &Result{}
 	res.T = append(res.T, 0)
 	res.Y = append(res.Y, sys.Output(x))
+	f := sys.Prepare()
 	ws := &workspace{}
 	defer ws.release()
 	k := make([][]float64, 7)
@@ -195,7 +204,7 @@ func Dopri5Ctx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tE
 		if t+h > tEnd {
 			h = tEnd - t
 		}
-		sys.Eval(k[0], x, u(t))
+		f.Eval(k[0], x, u(t))
 		for stage := 1; stage < 7; stage++ {
 			copy(xs, x)
 			for j := 0; j < stage; j++ {
@@ -205,7 +214,7 @@ func Dopri5Ctx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tE
 				}
 				mat.Axpy(h*a, k[j], xs)
 			}
-			sys.Eval(k[stage], xs, u(t+dpC[stage]*h))
+			f.Eval(k[stage], xs, u(t+dpC[stage]*h))
 		}
 		// 5th-order solution is the last stage state (FSAL structure).
 		// Error estimate.
@@ -264,7 +273,10 @@ const newtonRefresh = 6
 // per step, or once per run when the Jacobian is G1 alone
 // (qldae.System.Linear), since the fixed step then makes every Newton
 // matrix identical. Large circuits thus pay O(nnz·fill) per factor, not
-// O(n³) per Newton iteration, and a linear one pays it once.
+// O(n³) per Newton iteration, and a linear one pays it once. A
+// nonlinear run on the dense LU records its first factorization's
+// pivot sequence and fill, and replays that record on the nonzeros
+// alone at every later step.
 func TrapezoidalSolver(sys *qldae.System, x0 []float64, u Input, tEnd float64, nSteps int, ls solver.LinearSolver) (*Result, error) {
 	return TrapezoidalSolverCtx(context.Background(), sys, x0, u, tEnd, nSteps, ls)
 }
@@ -290,6 +302,7 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 	default:
 		sparseAssembly = sparseAssembly || (sys.G1S != nil && n >= solver.AutoDenseCutoff)
 	}
+	prep := sys.Prepare()
 	var eye *sparse.CSR
 	var jb *sparse.Builder
 	var jd *mat.Dense
@@ -300,18 +313,21 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 		jd = mat.NewDense(n, n)
 	}
 	// The dense Newton matrix is assembled into jd, one buffer per run,
-	// and handed over as a Scratch operand: the dense backend factors it
-	// in place. Refilling jd only ever happens right before the next
-	// factorization replaces the one that owned it.
-	newtonMatrix := func(xn []float64, u1 []float64, h float64) *solver.Matrix {
-		if sparseAssembly {
-			return solver.FromCSR(sparse.Add(1, eye, -0.5*h, sys.JacobianCSRInto(jb, xn, u1)))
-		}
-		sys.JacobianInto(jd, xn, u1)
+	// and factored in place (a Scratch operand). Refilling jd only ever
+	// happens right before the next factorization replaces the one that
+	// owned it.
+	assembleDense := func(xn, u1 []float64, h float64) {
+		prep.JacobianInto(jd, xn, u1)
 		jd.Scale(-0.5 * h)
 		for i := 0; i < n; i++ {
 			jd.Add(i, i, 1)
 		}
+	}
+	newtonMatrix := func(xn []float64, u1 []float64, h float64) *solver.Matrix {
+		if sparseAssembly {
+			return solver.FromCSR(sparse.Add(1, eye, -0.5*h, prep.JacobianCSRInto(jb, xn, u1)))
+		}
+		assembleDense(xn, u1, h)
 		return solver.Scratch(jd)
 	}
 	// One symbolic analysis serves the whole transient: Newton matrices
@@ -327,10 +343,51 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 	// iterate of every step, so its one factorization serves the whole
 	// run: the same bits a per-step refactor would produce.
 	linear := sys.Linear()
+	res := &Result{}
+	// A nonlinear run that the dense LU factors records its first
+	// factorization over the run's assembly pattern P and replays the
+	// record from then on (DESIGN.md §15): the Newton matrix is
+	// re-assembled on P alone and eliminated on the recorded fill alone,
+	// with the bits of a fresh factorization. A pivot the record did not
+	// predict sends that factorization down the fresh path, which
+	// records again. A custom LinearSolver, and Auto wherever it routes
+	// by density, keep the fresh path.
+	var pat *qldae.NewtonPattern
+	var rec *lu.Record
+	if !sparseAssembly && !linear && routesDense(ls, n) {
+		pat = prep.NewtonPattern()
+	}
+	factor := func(xn, u1 []float64, h float64) (solver.Factorization, error) {
+		if pat == nil {
+			return sym.FactorCtx(ctx, ls, newtonMatrix(xn, u1, h))
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if rec != nil {
+			prep.NewtonInto(jd, pat, xn, u1, h)
+			f, ok, err := rec.Refactor(jd)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				res.Replayed++
+				return f, nil
+			}
+			res.ReplayRejected++
+		}
+		assembleDense(xn, u1, h)
+		f, err := lu.FactorInPlace(jd)
+		if err != nil {
+			return nil, err
+		}
+		rec = lu.NewRecord(f, pat.RowPtr, pat.ColIdx)
+		res.Recorded++
+		return f, nil
+	}
 	var fac solver.Factorization
 	h := tEnd / float64(nSteps)
 	x := mat.CopyVec(x0)
-	res := &Result{}
 	res.T = append(res.T, 0)
 	res.Y = append(res.Y, sys.Output(x))
 	ws := &workspace{}
@@ -352,7 +409,7 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 		t := float64(s) * h
 		u0 := u(t)
 		u1 := u(t + h)
-		sys.Eval(f0, x, u0)
+		prep.Eval(f0, x, u0)
 		// Predictor: forward Euler.
 		copy(xn, x)
 		mat.Axpy(h, f0, xn)
@@ -362,7 +419,7 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 		}
 		for it := 0; it < maxNewton; it++ {
 			res.NewtonIters++
-			sys.Eval(f1, xn, u1)
+			prep.Eval(f1, xn, u1)
 			// g = xn − x − h/2 (f0 + f1).
 			for i := 0; i < n; i++ {
 				g[i] = xn[i] - x[i] - 0.5*h*(f0[i]+f1[i])
@@ -375,7 +432,7 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 			}
 			if fac == nil || (!linear && it > 0 && it%newtonRefresh == 0) {
 				var err error
-				fac, err = sym.FactorCtx(ctx, ls, newtonMatrix(xn, u1, h))
+				fac, err = factor(xn, u1, h)
 				if err != nil {
 					if ctx.Err() != nil {
 						return nil, ctx.Err()
@@ -405,6 +462,18 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 		res.Y = append(res.Y, sys.Output(x))
 	}
 	return res, nil
+}
+
+// routesDense reports whether ls factors every n×n dense Newton matrix
+// with the dense LU, whatever its values.
+func routesDense(ls solver.LinearSolver, n int) bool {
+	switch ls.(type) {
+	case solver.Dense:
+		return true
+	case solver.Auto:
+		return n < solver.AutoDenseCutoff
+	}
+	return false
 }
 
 // RelErrSeries returns the pointwise relative error |yref − y|/max|yref|

@@ -205,10 +205,47 @@ func (s *System) Linear() bool {
 	return true
 }
 
+// Prepared is a System readied for the many evaluations of one
+// integration run: it carries the CSR form of every D1 block, derived
+// once here rather than per evaluation. The derived form lives only as
+// long as the run; the System stays a plain value that copies freely,
+// and the codecs never see it.
+type Prepared struct {
+	*System
+	d1 []*sparse.CSR // CSR form of D1[i]; nil where D1[i] is nil
+}
+
+// Prepare derives s's integration-time forms.
+func (s *System) Prepare() *Prepared {
+	return &Prepared{System: s, d1: csrBlocks(s.D1)}
+}
+
+// csrBlocks returns the CSR form of each block (nil for nil blocks, and
+// for no blocks at all).
+func csrBlocks(blocks []*mat.Dense) []*sparse.CSR {
+	if blocks == nil {
+		return nil
+	}
+	out := make([]*sparse.CSR, len(blocks))
+	for i, d := range blocks {
+		if d != nil {
+			out[i] = sparse.FromDense(d)
+		}
+	}
+	return out
+}
+
+// Eval computes dst = RHS(x, u). It derives the D1 CSR forms on every
+// call; repeated evaluations go through Prepare.
+func (s *System) Eval(dst, x, u []float64) { s.Prepare().Eval(dst, x, u) }
+
 // Eval computes dst = RHS(x, u). Scratch comes from the shared
 // workspace pool, so the per-stage integrator loops (four Evals per RK4
-// step, one per Newton iteration) evaluate allocation-free.
-func (s *System) Eval(dst, x, u []float64) {
+// step, one per Newton iteration) evaluate allocation-free. Each D1
+// product runs through the block's CSR form: by MulG1's argument it
+// has the bits of the dense product for finite x.
+func (p *Prepared) Eval(dst, x, u []float64) {
+	s := p.System
 	if len(x) != s.N || len(dst) != s.N || len(u) != s.Inputs() {
 		panic("qldae: Eval length mismatch")
 	}
@@ -223,14 +260,14 @@ func (s *System) Eval(dst, x, u []float64) {
 		mat.PutVec(cube)
 	}
 	var tmp []float64
-	for i, d := range s.D1 {
+	for i, d := range p.d1 {
 		if d == nil || u[i] == 0 {
 			continue
 		}
 		if tmp == nil {
 			tmp = mat.GetVec(s.N)
 		}
-		d.MulVec(tmp, x)
+		d.MulVecTo(tmp, x)
 		mat.Axpy(u[i], tmp, dst)
 	}
 	if tmp != nil {
@@ -254,10 +291,18 @@ func (s *System) Jacobian(x, u []float64) *mat.Dense {
 	return j
 }
 
+// JacobianInto writes ∂RHS/∂x at (x, u) into the n×n matrix j; see
+// Prepared.JacobianInto.
+func (s *System) JacobianInto(j *mat.Dense, x, u []float64) { s.Prepare().JacobianInto(j, x, u) }
+
 // JacobianInto writes ∂RHS/∂x at (x, u) into the n×n matrix j,
 // overwriting all of it: the Newton loop of ode.Trapezoidal assembles
-// every dense Newton matrix of a transient into one buffer.
-func (s *System) JacobianInto(j *mat.Dense, x, u []float64) {
+// every dense Newton matrix of a transient into one buffer. The D1
+// terms add only the blocks' nonzeros, which leaves every entry as the
+// dense j += u·D1 would, except that a −0 entry stays −0 where the
+// dense sum adds +0.
+func (p *Prepared) JacobianInto(j *mat.Dense, x, u []float64) {
+	s := p.System
 	if j.R != s.N || j.C != s.N {
 		panic("qldae: JacobianInto shape mismatch")
 	}
@@ -266,17 +311,109 @@ func (s *System) JacobianInto(j *mat.Dense, x, u []float64) {
 	} else {
 		s.G1S.DenseTo(j)
 	}
-	if s.G2 != nil {
-		s.G2.QuadJacobian(j.A, 1, x)
+	p.addNonlinearJacobian(j, x, u)
+}
+
+// addNonlinearJacobian adds the G2, G3 and D1 terms of ∂RHS/∂x at
+// (x, u) to the dense j, in the order JacobianInto has always added
+// them.
+func (p *Prepared) addNonlinearJacobian(j *mat.Dense, x, u []float64) {
+	if p.G2 != nil {
+		p.G2.QuadJacobian(j.A, 1, x)
 	}
-	if s.G3 != nil {
-		s.G3.CubeJacobian(j.A, 1, x)
+	if p.G3 != nil {
+		p.G3.CubeJacobian(j.A, 1, x)
 	}
-	for i, d := range s.D1 {
+	for i, d := range p.d1 {
 		if d == nil || u[i] == 0 {
 			continue
 		}
-		j.AddScaled(u[i], d)
+		for r := 0; r < d.Rows; r++ {
+			row := j.Row(r)
+			for k := d.RowPtr[r]; k < d.RowPtr[r+1]; k++ {
+				row[d.ColIdx[k]] += u[i] * d.Val[k]
+			}
+		}
+	}
+}
+
+// NewtonPattern is P, the fixed sparsity pattern of every dense Newton
+// matrix I − h/2·J(x, u) of one transient: the nonzeros of G1, the
+// diagonal, every position the G2 and G3 Jacobians write, and the
+// nonzeros of every D1 block whether or not its input is on. No
+// state, input or step size puts a nonzero anywhere else.
+type NewtonPattern struct {
+	// RowPtr and ColIdx hold P in compressed-row form, columns
+	// ascending.
+	RowPtr, ColIdx []int
+	cells          []int // r·n + c of every cell of P, row-major
+}
+
+// NewtonPattern derives P for a system with a dense G1.
+func (p *Prepared) NewtonPattern() *NewtonPattern {
+	n := p.N
+	in := make([]bool, n*n)
+	for c, v := range p.G1.A {
+		if v != 0 {
+			in[c] = true
+		}
+	}
+	for i := 0; i < n; i++ {
+		in[i*n+i] = true
+	}
+	if p.G2 != nil {
+		p.G2.QuadJacobianVisit(1, make([]float64, n), func(r, c int, _ float64) { in[r*n+c] = true })
+	}
+	if p.G3 != nil {
+		p.G3.CubeJacobianVisit(1, make([]float64, n), func(r, c int, _ float64) { in[r*n+c] = true })
+	}
+	for _, d := range p.d1 {
+		if d == nil {
+			continue
+		}
+		for r := 0; r < d.Rows; r++ {
+			for k := d.RowPtr[r]; k < d.RowPtr[r+1]; k++ {
+				in[r*n+d.ColIdx[k]] = true
+			}
+		}
+	}
+	pat := &NewtonPattern{RowPtr: make([]int, n+1)}
+	for r := 0; r < n; r++ {
+		for c := 0; c < n; c++ {
+			if in[r*n+c] {
+				pat.ColIdx = append(pat.ColIdx, c)
+				pat.cells = append(pat.cells, r*n+c)
+			}
+		}
+		pat.RowPtr[r+1] = len(pat.ColIdx)
+	}
+	return pat
+}
+
+// NewtonInto writes the Newton matrix I − h/2·J(x, u) into the cells
+// of pat, leaving every other cell of j untouched. Each cell gets the
+// operations the full assembly (JacobianInto, scaling by −h/2, adding
+// the identity) gives it, in the same order, so it carries the same
+// bits up to the sign of a zero.
+func (p *Prepared) NewtonInto(j *mat.Dense, pat *NewtonPattern, x, u []float64, h float64) {
+	if len(pat.cells) == len(j.A) {
+		// P is every cell: the full assembly is the same work, minus the
+		// cell indirection.
+		p.JacobianInto(j, x, u)
+		j.Scale(-0.5 * h)
+	} else {
+		a, g1 := j.A, p.G1.A
+		for _, c := range pat.cells {
+			a[c] = g1[c]
+		}
+		p.addNonlinearJacobian(j, x, u)
+		s := -0.5 * h
+		for _, c := range pat.cells {
+			a[c] *= s
+		}
+	}
+	for i := 0; i < p.N; i++ {
+		j.Add(i, i, 1)
 	}
 }
 
@@ -289,12 +426,19 @@ func (s *System) JacobianCSR(x, u []float64) *sparse.CSR {
 	return s.JacobianCSRInto(sparse.NewBuilder(s.N, s.N), x, u)
 }
 
+// JacobianCSRInto is JacobianCSR through a caller-owned builder; see
+// Prepared.JacobianCSRInto.
+func (s *System) JacobianCSRInto(b *sparse.Builder, x, u []float64) *sparse.CSR {
+	return s.Prepare().JacobianCSRInto(b, x, u)
+}
+
 // JacobianCSRInto is JacobianCSR assembling through a caller-owned
 // builder (Reset here before use): the Newton loop of ode.Trapezoidal
 // assembles a same-structure Jacobian thousands of times per transient,
 // and reusing one triplet slab keeps that path from regrowing COO
 // storage on every iteration. The built CSR is fresh either way.
-func (s *System) JacobianCSRInto(b *sparse.Builder, x, u []float64) *sparse.CSR {
+func (p *Prepared) JacobianCSRInto(b *sparse.Builder, x, u []float64) *sparse.CSR {
+	s := p.System
 	b.Reset()
 	if s.G1S != nil {
 		g := s.G1S
@@ -318,15 +462,13 @@ func (s *System) JacobianCSRInto(b *sparse.Builder, x, u []float64) *sparse.CSR 
 	if s.G3 != nil {
 		s.G3.CubeJacobianVisit(1, x, b.Add)
 	}
-	for i, d := range s.D1 {
+	for i, d := range p.d1 {
 		if d == nil || u[i] == 0 {
 			continue
 		}
-		for r := 0; r < d.R; r++ {
-			for c, v := range d.Row(r) {
-				if v != 0 {
-					b.Add(r, c, u[i]*v)
-				}
+		for r := 0; r < d.Rows; r++ {
+			for k := d.RowPtr[r]; k < d.RowPtr[r+1]; k++ {
+				b.Add(r, d.ColIdx[k], u[i]*d.Val[k])
 			}
 		}
 	}

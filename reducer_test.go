@@ -118,8 +118,21 @@ func TestReducerDistinctRequests(t *testing.T) {
 
 // TestReducerWaiterCancellation: one waiter abandoning does not kill
 // the reduction another still wants; abandoning them all does, and the
-// aborted result is not cached.
+// aborted result is not cached. Each step waits on the Reducer's own
+// counters, not on the scheduler: the impatient caller starts once the
+// patient flight is in flight and is canceled once it has joined it,
+// and the solo caller is canceled once its flight is in flight.
 func TestReducerWaiterCancellation(t *testing.T) {
+	waitFor := func(rd *avtmor.Reducer, what string, cond func(avtmor.ReducerStats) bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond(rd.Stats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, rd.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	rd := avtmor.NewReducer()
 	w := avtmor.RLCLine(2000)
 	opts := []avtmor.Option{avtmor.WithOrders(200, 0, 0), avtmor.WithSolver(avtmor.SolverSparse)}
@@ -131,12 +144,12 @@ func TestReducerWaiterCancellation(t *testing.T) {
 		_, err := rd.Reduce(context.Background(), w.System, opts...)
 		patientDone <- err
 	}()
-	time.Sleep(5 * time.Millisecond)
+	waitFor(rd, "the patient flight", func(st avtmor.ReducerStats) bool { return st.InFlight == 1 })
 	go func() {
 		_, err := rd.Reduce(impatient, w.System, opts...)
 		impatientDone <- err
 	}()
-	time.Sleep(5 * time.Millisecond)
+	waitFor(rd, "the impatient caller to join", func(st avtmor.ReducerStats) bool { return st.Coalesced == 1 })
 	cancelImpatient()
 	if err := <-impatientDone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("impatient waiter: %v", err)
@@ -159,20 +172,14 @@ func TestReducerWaiterCancellation(t *testing.T) {
 		_, err := rd2.Reduce(solo, w.System, longOpts...)
 		soloDone <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitFor(rd2, "the solo flight", func(st avtmor.ReducerStats) bool { return st.InFlight == 1 })
 	cancelSolo()
 	if err := <-soloDone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("solo waiter: %v", err)
 	}
 	// Wait for the abandoned flight to unwind, then verify nothing was
 	// cached under its key.
-	deadline := time.Now().Add(10 * time.Second)
-	for rd2.Stats().InFlight != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned flight never unwound")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(rd2, "the abandoned flight to unwind", func(st avtmor.ReducerStats) bool { return st.InFlight == 0 })
 	if st := rd2.Stats(); st.CachedROMs != 0 {
 		t.Fatalf("abandoned reduction was cached: %+v", st)
 	}

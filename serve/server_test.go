@@ -326,6 +326,11 @@ func TestServeErrors(t *testing.T) {
 	if code, msg := post("/v1/reduce", ""); code != http.StatusBadRequest {
 		t.Fatalf("empty body: %d %s", code, msg)
 	}
+	// A lone high input channel is refused while parsing, before it can
+	// size anything by the channel number.
+	if code, msg := post("/v1/reduce", "* t\nI0 0 n1 IN50000000 1\nC1 n1 0 1\nR1 n1 0 2\n.out n1\n"); code != http.StatusBadRequest || !strings.Contains(msg, "IN0") {
+		t.Fatalf("undriven channel: %d %s", code, msg)
+	}
 	if code, msg := post("/v1/reduce?k1=notanumber", clipper); code != http.StatusBadRequest {
 		t.Fatalf("bad option: %d %s", code, msg)
 	}
