@@ -381,18 +381,16 @@ func BenchmarkSolveBatchSparse(b *testing.B) { benchSolveBatch(b, solver.Sparse{
 
 // --- End-to-end blocked reduction at n ≥ 1023 ---
 //
-// BenchmarkReduceBlocked is the acceptance benchmark of the block solve
-// path: a multipoint reduction of the 1023-state RLC line with batching
-// on (BlockSize auto). BenchmarkReduceSingleRHS is the identical
-// request forced down the vector-granular path (BlockSize 1); the ROMs
-// are bit-identical (TestReduceBlockedBitExact), only cost moves.
+// BenchmarkReduceBlocked is a multipoint K1 = 6 reduction of the
+// 1023-state RLC line about 0, 0.4 and 0.9: three sparse factorizations
+// and their H1 chains, every step one SolveBatch. The line has one
+// input, so each batch carries a single column; the benchmark measures
+// the sparse reduction spine end to end, not batch width.
 // Pre-refactor this workload measured 15.77 ms/op and 35076 allocs/op
 // (BENCH_solver.json).
-
-func benchReduceBlocked(b *testing.B, blockSize int) {
-	b.Helper()
+func BenchmarkReduceBlocked(b *testing.B) {
 	w := rlcSized(1024) // 1023 states
-	opt := core.Options{K1: 6, ExtraPoints: []float64{0.4, 0.9}, BlockSize: blockSize}
+	opt := core.Options{K1: 6, ExtraPoints: []float64{0.4, 0.9}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -401,9 +399,6 @@ func benchReduceBlocked(b *testing.B, blockSize int) {
 		}
 	}
 }
-
-func BenchmarkReduceBlocked(b *testing.B)   { benchReduceBlocked(b, 0) }
-func BenchmarkReduceSingleRHS(b *testing.B) { benchReduceBlocked(b, 1) }
 
 func BenchmarkSolverKronSum3N102(b *testing.B) {
 	w := circuits.Varistor()

@@ -49,11 +49,10 @@ type BatchOp interface {
 // SolveOp adapts a solver.Factorization to Op: every Apply is one
 // back-solve, so Krylov over SolveOp spans the shift-inverted moment
 // space of the factored pencil. (The moment generators of
-// internal/assoc now drive their factorizations through their own
-// block-size-aware batching; SolveOp remains the generic adapter for
-// any Factorization-backed subspace iteration.) It implements BatchOp
-// through the factorization's block substitution — note ApplyBatch
-// pushes the whole frontier as one block, uncapped.
+// internal/assoc drive their factorizations directly; SolveOp remains
+// the generic adapter for any Factorization-backed subspace
+// iteration.) It implements BatchOp through the factorization's block
+// substitution: ApplyBatch pushes the whole frontier as one block.
 type SolveOp struct{ F solver.Factorization }
 
 // Dim returns the factorization dimension.

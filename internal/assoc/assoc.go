@@ -42,11 +42,10 @@ import (
 // core.Reduce's parallel fan-out: the shifted caches are mutexed, and
 // distinct shifts factor concurrently.
 type Realization struct {
-	Sys   *qldae.System
-	gt2   *Gt2
-	sc    *solver.ShiftedCache // cache: (G1 − τI) factorizations
-	ctx   context.Context      // cancels the Krylov chains and factor steps
-	block int                  // SolveBatch width cap; 0 = batch everything
+	Sys *qldae.System
+	gt2 *Gt2
+	sc  *solver.ShiftedCache // cache: (G1 − τI) factorizations
+	ctx context.Context      // cancels the Krylov chains and factor steps
 
 	mu     sync.Mutex
 	s2     *kron.SumSolver2       // guarded by mu; (⊕²G1 − σI)⁻¹ via Schur(G1), lazy
@@ -88,40 +87,10 @@ func NewWithSolverCtx(ctx context.Context, sys *qldae.System, ls solver.LinearSo
 	return r, nil
 }
 
-// SetBlockSize caps how many right-hand sides the moment generators
-// group into one SolveBatch call: 0 (the default) batches every column
-// that shares a shift, 1 reproduces the vector-granular legacy path,
-// and k > 1 caps blocks at k columns. Per-column results are
-// bit-identical for every setting — SolveBatch is arithmetic-equivalent
-// to looped Solve — so the ROM does not depend on the choice; only the
-// locality/scratch-memory trade-off moves. Call before moment
-// generation starts: the value is read concurrently afterwards.
-func (r *Realization) SetBlockSize(k int) {
-	if k < 0 {
-		k = 0
-	}
-	r.block = k
-}
-
-// solveBatch pushes cols through f in blocks of the configured width.
-// Each column is overwritten in place with its solution.
-func (r *Realization) solveBatch(f solver.Factorization, cols [][]float64) {
-	n := len(cols)
-	if n == 0 {
-		return
-	}
-	bs := r.block
-	if bs <= 0 || bs > n {
-		bs = n
-	}
-	for i := 0; i < n; i += bs {
-		j := i + bs
-		if j > n {
-			j = n
-		}
-		f.SolveBatch(cols[i:j])
-	}
-}
+// SetBlockSize does nothing: the moment generators push every column
+// that shares a shift through one SolveBatch call. It remains only for
+// callers that still set a width.
+func (r *Realization) SetBlockSize(int) {}
 
 // SolverStats reports the shifted-factorization cache counters (factor
 // steps actually paid, cache hits, batch-solve traffic) for the
@@ -327,7 +296,7 @@ func (g *Gt2) SolveShiftedBatch(tau float64, rhss [][]float64) ([][]float64, err
 			mat.PutVec(g2w[i])
 		}
 	}
-	g.r.solveBatch(f, tops)
+	f.SolveBatch(tops)
 	return outs, nil
 }
 

@@ -154,7 +154,7 @@ func (r *Realization) H2CandidatesDecoupled(k2 int, s0 float64) ([][]float64, er
 		for p := 0; p < npairs; p++ {
 			batch[p] = mat.CopyVec(cur[p])
 		}
-		r.solveBatch(f, batch)
+		f.SolveBatch(batch)
 		for p := 0; p < npairs; p++ {
 			next := batch[p]
 			if nn := mat.Norm2(next); nn > 0 {

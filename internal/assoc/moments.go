@@ -18,9 +18,8 @@ import (
 // lockstep, the H3 moment table sweeps all its diagonals at once, and
 // the block-Arnoldi frontier of H2 applies the shifted operator to its
 // whole frontier per step. Batching is a pure traversal amortization —
-// per-column arithmetic is identical to the vector-granular path, so
-// the generated candidates (and therefore the ROM) are bit-exact
-// regardless of the configured block size.
+// per-column arithmetic is identical to looped single solves
+// (solver.Factorization.SolveBatch's contract).
 
 // H1Moments returns the k1 shift-inverted Krylov vectors
 // {M⁻¹b, …, M^{−k1}b} per input, M = G1 − s0·I (iterates are normalized;
@@ -53,7 +52,7 @@ func (r *Realization) H1Moments(k1 int, s0 float64) ([][]float64, error) {
 		for in := 0; in < m; in++ {
 			batch[in] = mat.CopyVec(cur[in])
 		}
-		r.solveBatch(f, batch)
+		f.SolveBatch(batch)
 		for in := 0; in < m; in++ {
 			next := batch[in]
 			if n2 := mat.Norm2(next); n2 > 0 {
@@ -191,7 +190,7 @@ func (r *Realization) solveMomentTable(f solver.Factorization, ws [][]float64, d
 		if len(cols) == 0 {
 			break
 		}
-		r.solveBatch(f, cols)
+		f.SolveBatch(cols)
 	}
 	return table, dpow, nil
 }

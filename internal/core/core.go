@@ -67,13 +67,9 @@ type Options struct {
 	// oversubscribes the host. Candidate ordering — and therefore the
 	// ROM — is identical to the serial path; only wall-clock changes.
 	Parallel bool
-	// BlockSize caps how many right-hand sides the moment generators
-	// group into one SolveBatch call: 0 (the default) batches every
-	// column that shares a shifted factorization, 1 forces the
-	// vector-granular legacy path, k > 1 caps blocks at k columns.
-	// SolveBatch is arithmetic-identical per column to looped Solve, so
-	// the ROM is bit-exact for every setting — only memory locality and
-	// allocation behavior move (see Stats.BatchSolves/Allocs).
+	// BlockSize is ignored: the moment generators batch every column
+	// that shares a shifted factorization. It remains only for callers
+	// that still set it.
 	BlockSize int
 	// Progress, when non-nil, receives coarse build events: one per
 	// completed moment-generator task plus the orthonormalize/project
@@ -111,7 +107,8 @@ type ROM struct {
 	cache *evalPair // lazily built verification realizations
 }
 
-// Stats records reduction bookkeeping for the experiment tables.
+// Stats records reduction bookkeeping for the experiment tables. It is
+// the in-memory build report; artifacts never serialize it.
 type Stats struct {
 	// Candidates is the number of moment/Krylov vectors generated before
 	// deflation; Order is the final ROM dimension q.
@@ -180,7 +177,7 @@ func Reduce(sys *qldae.System, opt Options) (*ROM, error) {
 // factorization (including the sparse-LU column loop), so a canceled
 // reduction returns within one Krylov step's worth of work.
 func ReduceContext(ctx context.Context, sys *qldae.System, opt Options) (*ROM, error) {
-	start := time.Now() //avtmorlint:ignore detrom wall-clock feeds Stats.Build only; the numerics and the cache key never read it
+	start := time.Now() //avtmorlint:ignore detrom wall-clock feeds Stats.Build only, a build-report field that is never serialized; the numerics and the cache key never read it
 
 	allocs0 := heapAllocs()
 	if err := sys.Validate(); err != nil {
@@ -193,7 +190,6 @@ func ReduceContext(ctx context.Context, sys *qldae.System, opt Options) (*ROM, e
 	if err != nil {
 		return nil, err
 	}
-	r.SetBlockSize(opt.BlockSize)
 	points := append([]float64{opt.S0}, opt.ExtraPoints...)
 	// Independent generator tasks, gathered in deterministic order.
 	type genOut struct {

@@ -37,7 +37,7 @@ func ReduceNORM(sys *qldae.System, opt Options) (*ROM, error) {
 // multivariate generator loops poll ctx per moment chain, which is what
 // bounds NORM's O(k2³)/O(k3⁴) blow-up when the caller gives up.
 func ReduceNORMContext(ctx context.Context, sys *qldae.System, opt Options) (*ROM, error) {
-	start := time.Now() //avtmorlint:ignore detrom wall-clock feeds Stats.Build only; the numerics and the cache key never read it
+	start := time.Now() //avtmorlint:ignore detrom wall-clock feeds Stats.Build only, a build-report field that is never serialized; the numerics and the cache key never read it
 
 	allocs0 := heapAllocs()
 	if err := sys.Validate(); err != nil {

@@ -10,6 +10,7 @@ package qldae
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"avtmor/internal/lu"
@@ -492,7 +493,8 @@ const projectSparseCutoff = solver.AutoDenseCutoff
 
 // Project performs the Galerkin reduction x ≈ V·x̂ with column-orthonormal
 // V ∈ R^{n×q}: Ĝ1 = VᵀG1V, Ĝ2 = VᵀG2(V⊗V), Ĝ3 = VᵀG3(V⊗V⊗V),
-// D̂1 = VᵀD1V, B̂ = VᵀB, L̂ = LV.
+// D̂1 = VᵀD1V, B̂ = VᵀB, L̂ = LV. Every entry of a product that underflows
+// to a subnormal is flushed to exact zero (see flushSubnormals).
 func (s *System) Project(v *mat.Dense) *System {
 	if v.R != s.N {
 		panic("qldae: Project basis row mismatch")
@@ -501,35 +503,51 @@ func (s *System) Project(v *mat.Dense) *System {
 	vt := v.T()
 	out := &System{N: q}
 	if s.G1 != nil && (s.G1S == nil || s.N < projectSparseCutoff) {
-		out.G1 = vt.Mul(s.G1).Mul(v)
+		out.G1 = flushSubnormals(vt.Mul(s.G1).Mul(v))
 	} else {
 		// Vᵀ·(G1S·V): O(nnz·q) instead of O(n²·q). Large mirrored
 		// systems take this route too — the dense Vᵀ·G1 pass is the
 		// single biggest flop block of a big-circuit reduction, and the
 		// CSR mirror holds the same entries.
-		out.G1 = vt.Mul(s.G1S.MulDense(v))
+		out.G1 = flushSubnormals(vt.Mul(s.G1S.MulDense(v)))
 	}
-	out.B = vt.Mul(s.B)
-	out.L = s.L.Mul(v)
+	out.B = flushSubnormals(vt.Mul(s.B))
+	out.L = flushSubnormals(s.L.Mul(v))
 	if s.D1 != nil {
 		out.D1 = make([]*mat.Dense, len(s.D1))
 		for i, d := range s.D1 {
 			if d != nil {
-				out.D1[i] = vt.Mul(d).Mul(v)
+				out.D1[i] = flushSubnormals(vt.Mul(d).Mul(v))
 			}
 		}
 	}
 	if s.G2 != nil {
-		out.G2 = projectQuad(s.G2, v)
+		out.G2 = sparse.FromDense(flushSubnormals(projectQuad(s.G2, v)))
 	}
 	if s.G3 != nil {
-		out.G3 = projectCube(s.G3, v)
+		out.G3 = sparse.FromDense(flushSubnormals(projectCube(s.G3, v)))
 	}
 	return out
 }
 
-// projectQuad computes Vᵀ·G2·(V⊗V) as a CSR of the dense q×q² result.
-func projectQuad(g2 *sparse.CSR, v *mat.Dense) *sparse.CSR {
+// flushSubnormals zeroes, in place, every entry of d whose magnitude is
+// below the smallest normal float64 (0x1p-1022), and returns d. Such
+// entries carry no information at a ROM's scale, but many CPUs take a
+// slow microcode assist on arithmetic that reads one, and a ROM pays
+// that in every Eval of every transient step (the 72-state ROM of a
+// long multi-port RLC line had 668 in its Ĝ1). ±0, normal numbers,
+// infinities and NaNs are left untouched.
+func flushSubnormals(d *mat.Dense) *mat.Dense {
+	for i, x := range d.A {
+		if x != 0 && math.Abs(x) < 0x1p-1022 {
+			d.A[i] = 0
+		}
+	}
+	return d
+}
+
+// projectQuad computes the dense q×q² product Vᵀ·G2·(V⊗V).
+func projectQuad(g2 *sparse.CSR, v *mat.Dense) *mat.Dense {
 	n, q := v.R, v.C
 	// t = G2·(V⊗V) ∈ R^{n×q²}: row i gets Σ val·V[p,a]·V[r,b] at (a·q+b).
 	t := mat.NewDense(n, q*q)
@@ -553,11 +571,11 @@ func projectQuad(g2 *sparse.CSR, v *mat.Dense) *sparse.CSR {
 			}
 		}
 	}
-	return sparse.FromDense(v.T().Mul(t))
+	return v.T().Mul(t)
 }
 
-// projectCube computes Vᵀ·G3·(V⊗V⊗V) as a CSR of the dense q×q³ result.
-func projectCube(g3 *sparse.CSR, v *mat.Dense) *sparse.CSR {
+// projectCube computes the dense q×q³ product Vᵀ·G3·(V⊗V⊗V).
+func projectCube(g3 *sparse.CSR, v *mat.Dense) *mat.Dense {
 	n, q := v.R, v.C
 	t := mat.NewDense(n, q*q*q)
 	for i := 0; i < g3.Rows; i++ {
@@ -585,7 +603,7 @@ func projectCube(g3 *sparse.CSR, v *mat.Dense) *sparse.CSR {
 			}
 		}
 	}
-	return sparse.FromDense(v.T().Mul(t))
+	return v.T().Mul(t)
 }
 
 // LiftState maps a reduced state back to full coordinates: x = V·x̂.

@@ -284,6 +284,61 @@ func TestProjectIdentityBasis(t *testing.T) {
 	}
 }
 
+// TestProjectFlushesSubnormals: a projection whose products underflow
+// returns exact zeros there and, everywhere else, the bits of the
+// unflushed products.
+func TestProjectFlushesSubnormals(t *testing.T) {
+	g1 := mat.FromRows([][]float64{{-1, 1e-150, 0}, {0.5, -2, 0}, {0, 0.3, -1}})
+	g2 := sparse.NewBuilder(3, 9)
+	g2.Add(0, 0, 0.7)
+	g2.Add(0, 1*3+2, 1e-150)
+	g3 := sparse.NewBuilder(3, 27)
+	g3.Add(0, 0, 0.2)
+	g3.Add(0, 1*9+2*3+2, 1e-150)
+	s := &System{
+		N: 3, G1: g1, G2: g2.Build(), G3: g3.Build(), D1: []*mat.Dense{g1.Clone()},
+		B: mat.FromRows([][]float64{{1}, {1e-150}, {0}}),
+		L: mat.FromRows([][]float64{{1, -1e-150, 0}}),
+	}
+	// The second basis vector's 1e-160 component carries every product
+	// of a 1e-150 entry down to about 1e-310, below 0x1p-1022.
+	v := mat.FromRows([][]float64{{1, 0}, {0, 1e-160}, {0, 1}})
+	vt := v.T()
+	rom := s.Project(v)
+	for _, c := range []struct {
+		name     string
+		raw, got *mat.Dense
+		csr      bool // got is a CSR's dense image: no zero keeps its sign
+	}{
+		{"G1", vt.Mul(g1).Mul(v), rom.G1, false},
+		{"D1", vt.Mul(s.D1[0]).Mul(v), rom.D1[0], false},
+		{"B", vt.Mul(s.B), rom.B, false},
+		{"L", s.L.Mul(v), rom.L, false},
+		{"G2", projectQuad(s.G2, v), rom.G2.Dense(), true},
+		{"G3", projectCube(s.G3, v), rom.G3.Dense(), true},
+	} {
+		flushed, kept := 0, 0
+		for i, x := range c.raw.A {
+			want := x
+			if x != 0 && math.Abs(x) < 0x1p-1022 {
+				want = 0
+				flushed++
+			} else if x != 0 {
+				kept++
+			}
+			if c.csr && want == 0 {
+				want = 0
+			}
+			if math.Float64bits(c.got.A[i]) != math.Float64bits(want) {
+				t.Errorf("%s entry %d: got %v, want %v (unflushed %v)", c.name, i, c.got.A[i], want, x)
+			}
+		}
+		if flushed == 0 || kept == 0 {
+			t.Errorf("%s: %d subnormal and %d normal products; the case must have both", c.name, flushed, kept)
+		}
+	}
+}
+
 func TestOutputShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	s := randSystem(rng, 5, 1)

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"net/url"
 	"strconv"
 	"strings"
@@ -82,6 +83,9 @@ func System(body []byte) (*avtmor.System, error) {
 //	parallel     1/true fans moment generation out over goroutines
 //	method       assoc (default) | norm
 //	timeout      per-request deadline (Go duration, e.g. 30s)
+//
+// Every float parameter (auto, s0, each xp entry, droptol) must be
+// finite.
 func Parse(q url.Values) (*Request, error) {
 	req := &Request{}
 	getInt := func(name string) (int, bool, error) {
@@ -100,11 +104,8 @@ func Parse(q url.Values) (*Request, error) {
 		if v == "" {
 			return 0, false, nil
 		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, false, errf("parameter %s: %v", name, err)
-		}
-		return f, true, nil
+		f, err := parseFinite(name, v)
+		return f, err == nil, err
 	}
 	getBool := func(name string) (bool, error) {
 		switch v := q.Get(name); v {
@@ -162,9 +163,9 @@ func Parse(q url.Values) (*Request, error) {
 	var extra []float64
 	if xp := q.Get("xp"); xp != "" {
 		for _, part := range strings.Split(xp, ",") {
-			f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+			f, err := parseFinite("xp", strings.TrimSpace(part))
 			if err != nil {
-				return nil, errf("parameter xp: %v", err)
+				return nil, err
 			}
 			extra = append(extra, f)
 		}
@@ -213,6 +214,19 @@ func Parse(q url.Values) (*Request, error) {
 		req.Timeout = d
 	}
 	return req, nil
+}
+
+// parseFinite parses a float parameter and refuses NaN and ±Inf, which
+// strconv.ParseFloat accepts and no reduction option gives a meaning.
+func parseFinite(name, v string) (float64, error) {
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		return 0, errf("parameter %s: %v", name, err)
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, errf("parameter %s: want a finite number, got %q", name, v)
+	}
+	return f, nil
 }
 
 func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }

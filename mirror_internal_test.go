@@ -24,21 +24,7 @@ func mirrorSystems(t *testing.T) map[string]*qldae.System {
 		"rlc-line-1000":   RLCLine(1000).System.sys,
 	}
 
-	var nl strings.Builder
-	nl.WriteString("I1 0 n1 IN0 1\n")
-	const stages = 12
-	for k := 1; k <= stages; k++ {
-		fmt.Fprintf(&nl, "C%d n%d 0 %g\nR%d n%d 0 %g\nD%d n%d 0 0.05 0.5\n", k, k, 1+0.1*float64(k), k, k, 2-0.05*float64(k), k, k)
-		if k < stages {
-			fmt.Fprintf(&nl, "RS%d n%d m%d 0.7\nCM%d m%d 0 0.1\nL%d m%d n%d 0.3\n", k, k, k, k, k, k, k, k+1)
-		}
-	}
-	nl.WriteString(".out n1\n")
-	net, err := ParseNetlist(strings.NewReader(nl.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["netlist-ladder"] = net.sys
+	out["netlist-ladder"] = diodeLadder(t).sys
 
 	rng := rand.New(rand.NewSource(5))
 	const n = 9
@@ -67,6 +53,27 @@ func mirrorSystems(t *testing.T) map[string]*qldae.System {
 	}
 	out["codec-round-trip"] = back.sys
 	return out
+}
+
+// diodeLadder parses a 12-stage netlist ladder: grounded C, R and diode
+// at every node, series R–L branches with a capacitive midpoint.
+func diodeLadder(t testing.TB) *System {
+	t.Helper()
+	var nl strings.Builder
+	nl.WriteString("I1 0 n1 IN0 1\n")
+	const stages = 12
+	for k := 1; k <= stages; k++ {
+		fmt.Fprintf(&nl, "C%d n%d 0 %g\nR%d n%d 0 %g\nD%d n%d 0 0.05 0.5\n", k, k, 1+0.1*float64(k), k, k, 2-0.05*float64(k), k, k)
+		if k < stages {
+			fmt.Fprintf(&nl, "RS%d n%d m%d 0.7\nCM%d m%d 0 0.1\nL%d m%d n%d 0.3\n", k, k, k, k, k, k, k, k+1)
+		}
+	}
+	nl.WriteString(".out n1\n")
+	net, err := ParseNetlist(strings.NewReader(nl.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
 }
 
 // TestG1SMirrorsG1Exactly pins the invariant qldae.System.MulG1 relies

@@ -94,25 +94,6 @@ func WithSolver(k SolverKind) Option {
 	return func(c *config) { c.opt.Solver = k.kind() }
 }
 
-// WithBlockSize caps how many right-hand sides the moment generators
-// group into one block back-solve (SolveBatch) against a shared shifted
-// factorization: 0 — the default — batches every column that shares a
-// shift, 1 forces the vector-granular single-RHS path, and k > 1 caps
-// blocks at k columns. The block substitution is arithmetic-identical
-// per column to looped single solves, so the resulting ROM is bit-exact
-// for every setting; only throughput, memory locality, and allocation
-// behavior move (observable via Stats.BatchSolves, Stats.BatchColumns,
-// and Stats.Allocs). Like WithParallel, it therefore does not
-// participate in Reducer cache keys.
-func WithBlockSize(k int) Option {
-	return func(c *config) {
-		if k < 0 {
-			k = 0
-		}
-		c.opt.BlockSize = k
-	}
-}
-
 // WithParallel fans the independent moment generators out over
 // goroutines — one per expansion point plus one per Volterra-3 branch.
 // The candidate ordering, and therefore the ROM, is identical to the
@@ -158,15 +139,24 @@ func buildConfig(opts []Option) *config {
 	return c
 }
 
+// artifactEpoch names the numerics that produce artifact bytes. Bump it
+// with any change that alters the serialized ROM of an unchanged
+// request — a format change, a different rounding, a different
+// candidate order — and then re-record the golden digest table
+// (TestArtifactEpochGolden). Because the epoch is part of every cache
+// key, a store, a fleet or a client that holds bytes from an older
+// epoch never serves them under a new key.
+const artifactEpoch = 1
+
 // cacheKey canonicalizes a reduction request for the Reducer: the
-// system fingerprint plus every option that can change the resulting
-// ROM. Parallel and Progress are deliberately excluded — they change
-// wall-clock and observability, never the artifact. Float options are
-// keyed by their exact bit patterns.
+// artifact epoch, the system fingerprint and every option that can
+// change the resulting ROM. Parallel and Progress are deliberately
+// excluded — they change wall-clock and observability, never the
+// artifact. Float options are keyed by their exact bit patterns.
 func (c *config) cacheKey(sys *System, method string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fp=%016x|m=%s|k=%d,%d,%d|auto=%016x|s0=%016x|drop=%016x|dec=%v|solver=%s|xp=",
-		sys.Fingerprint(), method, c.opt.K1, c.opt.K2, c.opt.K3,
+	fmt.Fprintf(&b, "e=%d|fp=%016x|m=%s|k=%d,%d,%d|auto=%016x|s0=%016x|drop=%016x|dec=%v|solver=%s|xp=",
+		artifactEpoch, sys.Fingerprint(), method, c.opt.K1, c.opt.K2, c.opt.K3,
 		math.Float64bits(c.autoTol), math.Float64bits(c.opt.S0),
 		math.Float64bits(c.opt.DropTol), c.opt.DecoupledH2, c.opt.Solver)
 	for _, p := range c.opt.ExtraPoints {

@@ -30,7 +30,9 @@ type ROM struct {
 	red *assoc.Realization // lazy: reduced-system realization for TransferH1
 }
 
-// Stats records reduction bookkeeping.
+// Stats is the build report of a reduction. None of it is serialized:
+// the artifact carries only what its cache key determines, so a ROM
+// loaded by ReadROM or ReadFrom reports Order and zero elsewhere.
 type Stats struct {
 	// Candidates is the number of moment/Krylov vectors generated
 	// before deflation; Order the final ROM dimension q.
@@ -50,10 +52,9 @@ type Stats struct {
 	// BatchSolves counts the block back-solve (SolveBatch) calls the
 	// moment generators issued against the cached factorizations and
 	// BatchColumns the right-hand-side columns those blocks carried —
-	// BatchColumns/BatchSolves is the realized multi-RHS width (see
-	// WithBlockSize). Allocs is the approximate heap-allocation count
-	// of the build (process-wide delta; concurrent activity inflates
-	// it).
+	// BatchColumns/BatchSolves is the realized multi-RHS width. Allocs
+	// is the approximate heap-allocation count of the build
+	// (process-wide delta; concurrent activity inflates it).
 	BatchSolves  int64
 	BatchColumns int64
 	Allocs       uint64
@@ -63,7 +64,7 @@ type Stats struct {
 	// cached symbolic object: all expansion shifts of a reduction share
 	// one sparsity pattern, so after the first factorization the rest
 	// refill values into a precomputed structure. Dense-backend builds
-	// report zero for both. Not serialized into ROM artifacts.
+	// report zero for both.
 	SymbolicAnalyses int64
 	NumericRefactors int64
 }
@@ -93,7 +94,8 @@ func (r *ROM) FullStates() int {
 	return 0
 }
 
-// Stats returns the reduction bookkeeping.
+// Stats returns the build report; a deserialized ROM reports only its
+// Order.
 func (r *ROM) Stats() Stats {
 	s := r.rom.Stats
 	return Stats{

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"avtmor/internal/core"
 	"avtmor/internal/mat"
@@ -16,15 +15,18 @@ import (
 // ROM wire format (versioned, little-endian; documented in DESIGN.md):
 //
 //	magic   [8]byte  "AVTMROM\x00"
-//	version uint32   currently 2
+//	version uint32   currently 3
 //	method  string   (uint32 length + bytes)
-//	stats   candidates, order int64; build ns int64;
-//	        backend string; factorizations, cacheHits int64;
-//	        v2+: batchSolves, batchColumns int64, allocs uint64
 //	flags   uint64   bit 0: projection basis V present
 //	system  reduced QLDAE: n uint64, presence byte per matrix
 //	        (G1, G1S, G2, G3, D1, then B and L unconditionally)
 //	[V]     dense matrix
+//
+// v1 and v2 streams carry a build-stats block between method and flags
+// (v1: candidates, order, build ns int64; backend string;
+// factorizations, cacheHits int64. v2 adds batchSolves, batchColumns
+// int64 and allocs uint64). ReadFrom skips it: v3 serializes only what
+// the cache key determines, so one key names one byte string.
 //
 // Dense matrices serialize as rows, cols uint64 + row-major float64
 // bit patterns; CSR as rows, cols, nnz uint64 + rowPtr + colIdx +
@@ -35,10 +37,9 @@ import (
 var romMagic = [8]byte{'A', 'V', 'T', 'M', 'R', 'O', 'M', 0}
 
 // romFormatVersion is bumped on any wire-format change; readers reject
-// versions they do not understand. Version 2 added the batch-solve and
-// allocation counters to the stats block; v1 streams still load (the
-// added counters read as zero).
-const romFormatVersion = 2
+// versions they do not understand. Version 3 dropped the build-stats
+// block of v1/v2, which still load (the block is read and discarded).
+const romFormatVersion = 3
 
 // romMinReadVersion is the oldest stream version this build accepts.
 const romMinReadVersion = 1
@@ -129,24 +130,15 @@ func (cw *countingWriter) csr(c *sparse.CSR) {
 	cw.f64s(c.Val)
 }
 
-// WriteTo serializes the ROM (reduced system, projection basis when
-// present, method, stats) in the versioned binary format. It
-// implements io.WriterTo.
+// WriteTo serializes the ROM (method, reduced system, projection basis
+// when present) in the versioned binary format. It implements
+// io.WriterTo. The build report (Stats) is not written: the bytes are a
+// function of the cache key alone.
 func (r *ROM) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	cw.write(romMagic[:])
 	cw.u32(romFormatVersion)
 	cw.str(r.rom.Method)
-	s := r.rom.Stats
-	cw.u64(uint64(s.Candidates))
-	cw.u64(uint64(s.Order))
-	cw.u64(uint64(s.Build.Nanoseconds()))
-	cw.str(s.Backend)
-	cw.u64(uint64(s.Factorizations))
-	cw.u64(uint64(s.SolveCacheHits))
-	cw.u64(uint64(s.BatchSolves))
-	cw.u64(uint64(s.BatchColumns))
-	cw.u64(s.Allocs)
 	var flags uint64
 	if r.rom.V != nil {
 		flags |= 1
@@ -352,7 +344,8 @@ func ReadROM(r io.Reader) (*ROM, error) {
 // seeks past the one just read. The loaded ROM simulates and evaluates
 // TransferH1 identically to the one written; the full-model error
 // probes (H1Error, …) report an error since the artifact does not
-// embed the full system. ROMs handed out by a Reducer are refused —
+// embed the full system, and Stats reports only Order, since the build
+// report is never serialized. ROMs handed out by a Reducer are refused —
 // they are shared cache entries; deserialize into a fresh ROM with
 // ReadROM instead.
 func (r *ROM) ReadFrom(src io.Reader) (int64, error) {
@@ -374,16 +367,15 @@ func (r *ROM) ReadFrom(src io.Reader) (int64, error) {
 	}
 	out := &core.ROM{}
 	out.Method = cr.str()
-	out.Stats.Candidates = int(cr.u64())
-	out.Stats.Order = int(cr.u64())
-	out.Stats.Build = time.Duration(cr.u64())
-	out.Stats.Backend = cr.str()
-	out.Stats.Factorizations = int64(cr.u64())
-	out.Stats.SolveCacheHits = int64(cr.u64())
-	if version >= 2 {
-		out.Stats.BatchSolves = int64(cr.u64())
-		out.Stats.BatchColumns = int64(cr.u64())
-		out.Stats.Allocs = cr.u64()
+	if version < 3 {
+		// Skip the v1/v2 stats block.
+		var skip [3 * 8]byte
+		cr.read(skip[:])    // candidates, order, build ns
+		cr.str()            // backend
+		cr.read(skip[:2*8]) // factorizations, cache hits
+		if version == 2 {
+			cr.read(skip[:]) // batch solves, batch columns, allocs
+		}
 	}
 	flags := cr.u64()
 	sys := cr.systemBody()
@@ -397,6 +389,7 @@ func (r *ROM) ReadFrom(src io.Reader) (int64, error) {
 		return cr.n, fmt.Errorf("avtmor: deserialized ROM is inconsistent: %w", err)
 	}
 	out.Sys = sys
+	out.Stats.Order = sys.N
 	r.mu.Lock()
 	r.rom = out
 	r.red = nil

@@ -52,8 +52,10 @@ func TestROMSerializationDenseSystem(t *testing.T) {
 		t.Fatalf("metadata changed: q %d→%d method %q→%q",
 			rom.Order(), loaded.Order(), rom.Method(), loaded.Method())
 	}
-	if loaded.Stats() != rom.Stats() {
-		t.Fatalf("stats changed: %+v vs %+v", rom.Stats(), loaded.Stats())
+	// The build report is never serialized: a loaded ROM knows its
+	// order and nothing else.
+	if want := (avtmor.Stats{Order: rom.Order()}); loaded.Stats() != want {
+		t.Fatalf("loaded stats %+v, want %+v", loaded.Stats(), want)
 	}
 	// Reloaded ROMs simulate identically: exact float equality, not a
 	// tolerance.
@@ -124,6 +126,68 @@ func TestROMSerializationCSRMirroredSystem(t *testing.T) {
 	for k := range full.Y {
 		if full.Y[k][0] != again.Y[k][0] {
 			t.Fatalf("step %d differs", k)
+		}
+	}
+}
+
+// TestROMReadsV1V2 loads the stats block of the v1 and v2 formats: a
+// real ROM's v3 stream with either block spliced in after the method
+// loads, re-encodes to exactly the v3 bytes, and simulates identically.
+func TestROMReadsV1V2(t *testing.T) {
+	ctx := context.Background()
+	w := avtmor.NTLCurrent(16)
+	rom, err := avtmor.Reduce(ctx, w.System, avtmor.WithOrders(3, 2, 1), avtmor.WithExpansion(w.S0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := rom.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v3 := buf.Bytes()
+	want, err := rom.Simulate(ctx, w.U, 2, avtmor.WithRK4(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rom.Stats()
+	afterMethod := 12 + 4 + len(rom.Method())
+	for _, version := range []uint32{1, 2} {
+		s := newROMStream(version)
+		s.Write(v3[12:afterMethod])
+		s.u64(uint64(st.Candidates))
+		s.u64(uint64(st.Order))
+		s.u64(uint64(st.Build))
+		s.str(st.Backend)
+		s.u64(uint64(st.Factorizations))
+		s.u64(uint64(st.SolveCacheHits))
+		if version == 2 {
+			s.u64(uint64(st.BatchSolves))
+			s.u64(uint64(st.BatchColumns))
+			s.u64(st.Allocs)
+		}
+		s.Write(v3[afterMethod:])
+		loaded, err := avtmor.ReadROM(bytes.NewReader(s.Bytes()))
+		if err != nil {
+			t.Fatalf("v%d: %v", version, err)
+		}
+		var again bytes.Buffer
+		if _, err := loaded.WriteTo(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), v3) {
+			t.Fatalf("v%d stream re-encodes to different bytes than the v3 original", version)
+		}
+		if got := loaded.Stats(); got != (avtmor.Stats{Order: rom.Order()}) {
+			t.Fatalf("v%d: loaded stats %+v carry more than the order", version, got)
+		}
+		got, err := loaded.Simulate(ctx, w.U, 2, avtmor.WithRK4(200))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range want.Y {
+			if got.Y[k][0] != want.Y[k][0] {
+				t.Fatalf("v%d step %d: %v != %v", version, k, got.Y[k][0], want.Y[k][0])
+			}
 		}
 	}
 }

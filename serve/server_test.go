@@ -348,6 +348,11 @@ func TestServeErrors(t *testing.T) {
 	if code, msg := post("/v1/reduce?method=magic", clipper); code != http.StatusBadRequest {
 		t.Fatalf("bad method: %d %s", code, msg)
 	}
+	// A non-finite expansion point is refused before admission, not run
+	// into a 422.
+	if code, msg := post("/v1/reduce?k1=2&s0=NaN", clipper); code != http.StatusBadRequest || !strings.Contains(msg, "finite") {
+		t.Fatalf("non-finite s0: %d %s", code, msg)
+	}
 	// A corrupted serialized-System body is reported as such, not
 	// parsed as a netlist.
 	var bin bytes.Buffer
