@@ -3,7 +3,6 @@ package avtmor_test
 import (
 	"context"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"avtmor"
@@ -45,11 +44,9 @@ func TestPublicReduceAndSimulate(t *testing.T) {
 	if !sys.HasQuadratic() || sys.HasCubic() || sys.HasBilinear() {
 		t.Fatal("term flags wrong")
 	}
-	var events atomic.Int64 // WithParallel delivers progress concurrently
 	rom, err := avtmor.Reduce(ctx, sys,
 		avtmor.WithOrders(4, 2, 1),
-		avtmor.WithParallel(),
-		avtmor.WithProgress(func(avtmor.Progress) { events.Add(1) }))
+		avtmor.WithParallel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +55,6 @@ func TestPublicReduceAndSimulate(t *testing.T) {
 	}
 	if rom.Method() != "assoc" {
 		t.Fatalf("method %q", rom.Method())
-	}
-	if events.Load() == 0 {
-		t.Fatal("no progress events delivered")
 	}
 	// Backend reports the backend that actually ran: a 20-state dense
 	// system under the default auto policy routes to the dense LU.

@@ -27,8 +27,7 @@ func TestReduceCancelPrompt(t *testing.T) {
 	go func() {
 		_, err := avtmor.Reduce(ctx, w.System,
 			avtmor.WithOrders(400, 0, 0), // a long H1 chain: hundreds of back-solves
-			avtmor.WithSolver(avtmor.SolverSparse),
-			avtmor.WithProgress(func(avtmor.Progress) {}))
+			avtmor.WithSolver(avtmor.SolverSparse))
 		at := <-canceledAt
 		done <- outcome{err: err, elapsed: time.Since(at)}
 	}()
@@ -74,8 +73,7 @@ func TestTrapezoidalCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := w.System.Simulate(ctx, w.U, w.TEnd, avtmor.WithTrapezoidal(100000),
-		avtmor.WithSimSolver(avtmor.SolverSparse))
+	_, err := w.System.Simulate(ctx, w.U, w.TEnd, avtmor.WithTrapezoidal(100000))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want deadline exceeded", err)
 	}

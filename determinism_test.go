@@ -118,7 +118,7 @@ func golden(t *testing.T) map[string][]byte {
 // TestROMBytesDeterministicAcrossGOMAXPROCS pins one key ↔ one byte
 // string with nothing masked: two independent store-less Reducers, one
 // serial at GOMAXPROCS 1 and one at GOMAXPROCS 4 with WithParallel
-// (parallel shifts, the level-parallel numeric refactor), serialize
+// (moment generators and shifts in parallel), serialize
 // every golden artifact to the same bytes. Each artifact also survives
 // a load and re-encode byte for byte.
 func TestROMBytesDeterministicAcrossGOMAXPROCS(t *testing.T) {

@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"runtime/metrics"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"avtmor/internal/assoc"
@@ -71,21 +70,6 @@ type Options struct {
 	// that shares a shifted factorization. It remains only for callers
 	// that still set it.
 	BlockSize int
-	// Progress, when non-nil, receives coarse build events: one per
-	// completed moment-generator task plus the orthonormalize/project
-	// tail. With Parallel it may be called from multiple goroutines
-	// concurrently, and events may be observed out of order (each Done
-	// value is delivered exactly once, but a consumer should take the
-	// max, not assume monotone arrival).
-	Progress func(Progress)
-}
-
-// Progress is one build event for Options.Progress.
-type Progress struct {
-	// Stage is "moments", "orthonormalize", or "project".
-	Stage string
-	// Done/Total count completed vs scheduled units within the stage.
-	Done, Total int
 }
 
 func (o Options) dropTol() float64 {
@@ -200,23 +184,6 @@ func ReduceContext(ctx context.Context, sys *qldae.System, opt Options) (*ROM, e
 	wantH3 := wantH2 && opt.K3 > 0 && sys.Inputs() == 1
 	wantH3Cubic := sys.G3 != nil && opt.K3 > 0 && sys.Inputs() == 1
 	slots := make([]genOut, 2*len(points)+2)
-	scheduled := len(points)
-	if wantH2 {
-		scheduled += len(points)
-	}
-	if wantH3 {
-		scheduled++
-	}
-	if wantH3Cubic {
-		scheduled++
-	}
-	var completed atomic.Int64
-	taskDone := func() {
-		done := completed.Add(1)
-		if opt.Progress != nil {
-			opt.Progress(Progress{Stage: "moments", Done: int(done), Total: scheduled})
-		}
-	}
 	var wg sync.WaitGroup
 	failed := false // serial mode short-circuits after the first error
 	// Parallel fan-out is clamped to the scheduler's actual parallelism:
@@ -234,7 +201,6 @@ func ReduceContext(ctx context.Context, sys *qldae.System, opt Options) (*ROM, e
 			}
 			slots[slot].cols, slots[slot].err = f()
 			failed = slots[slot].err != nil
-			taskDone()
 			return
 		}
 		wg.Add(1)
@@ -243,7 +209,6 @@ func ReduceContext(ctx context.Context, sys *qldae.System, opt Options) (*ROM, e
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			slots[slot].cols, slots[slot].err = f()
-			taskDone()
 		}()
 	}
 	for i, s0 := range points {
@@ -338,9 +303,6 @@ func finish(ctx context.Context, sys *qldae.System, cols [][]float64, opt Option
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if opt.Progress != nil {
-		opt.Progress(Progress{Stage: "orthonormalize", Done: 0, Total: 1})
-	}
 	v := qr.Orthonormalize(cols, opt.dropTol())
 	if v == nil {
 		return nil, errors.New("core: all candidate vectors deflated; nothing to project onto")
@@ -358,9 +320,6 @@ func finish(ctx context.Context, sys *qldae.System, cols [][]float64, opt Option
 		Candidates: len(cols),
 		Order:      v.C,
 		Build:      time.Since(start),
-	}
-	if opt.Progress != nil {
-		opt.Progress(Progress{Stage: "project", Done: 1, Total: 1})
 	}
 	return rom, nil
 }

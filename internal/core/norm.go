@@ -68,23 +68,6 @@ func ReduceNORMContext(ctx context.Context, sys *qldae.System, opt Options) (*RO
 	if err != nil {
 		return nil, err
 	}
-	// Coarse per-stage progress: NORM's generator loops are monolithic
-	// (no per-point fan-out like the associated path), so one event per
-	// Volterra stage is the honest granularity.
-	momentStages := 1
-	if opt.K2 > 0 && (sys.G2 != nil || sys.D1 != nil) {
-		momentStages++
-	}
-	if opt.K3 > 0 && m == 1 {
-		momentStages++
-	}
-	stagesDone := 0
-	stageDone := func() {
-		stagesDone++
-		if opt.Progress != nil {
-			opt.Progress(Progress{Stage: "moments", Done: stagesDone, Total: momentStages})
-		}
-	}
 	var cols [][]float64
 
 	// H1 chains h^i_a (kept unnormalized within a chain so the products
@@ -109,7 +92,6 @@ func ReduceNORMContext(ctx context.Context, sys *qldae.System, opt Options) (*RO
 			cols = append(cols, mat.CopyVec(h[i][a]))
 		}
 	}
-	stageDone()
 
 	// H2 multivariate moments. w-pool entries remember their total degree
 	// for reuse by the H3 stage.
@@ -191,7 +173,6 @@ func ReduceNORMContext(ctx context.Context, sys *qldae.System, opt Options) (*RO
 				}
 			}
 		}
-		stageDone()
 	}
 
 	// H3 multivariate moments (SISO).
@@ -251,7 +232,6 @@ func ReduceNORMContext(ctx context.Context, sys *qldae.System, opt Options) (*RO
 				}
 			}
 		}
-		stageDone()
 	}
 	// NORM as published performs no rank-revealing deflation — its ROM
 	// order equals the generator count (the "ad hoc order choice" of §4).

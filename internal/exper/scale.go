@@ -47,8 +47,7 @@ func Scale() (*Report, error) {
 		steps = 400
 	)
 	start = time.Now()
-	full, err := big.System.Simulate(ctx, big.U, tEnd,
-		avtmor.WithTrapezoidal(steps), avtmor.WithSimSolver(avtmor.SolverSparse))
+	full, err := big.System.Simulate(ctx, big.U, tEnd, avtmor.WithTrapezoidal(steps))
 	if err != nil {
 		return nil, fmt.Errorf("scale: CSR-only transient: %w", err)
 	}

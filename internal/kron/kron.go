@@ -85,21 +85,6 @@ func VecKron(x, y []float64) []float64 {
 	return out
 }
 
-// VecKronC returns x⊗y for complex vectors.
-func VecKronC(x, y []complex128) []complex128 {
-	out := make([]complex128, len(x)*len(y))
-	for p, xp := range x {
-		if xp == 0 {
-			continue
-		}
-		base := p * len(y)
-		for q, yq := range y {
-			out[base+q] = xp * yq
-		}
-	}
-	return out
-}
-
 // Dense returns A⊗B explicitly (test/diagnostic use; O((mn)²) storage).
 func Dense(a, b *mat.Dense) *mat.Dense {
 	out := mat.NewDense(a.R*b.R, a.C*b.C)

@@ -3,17 +3,17 @@
 //	C·x' = G1·x + G2·(x⊗x) + G3·(x⊗x⊗x) + Σ_i D1_i·x·u_i + B·u,   y = L·x
 //
 // — Eq. (1)/(2) of the paper, extended with the cubic term of §3.4 and
-// multi-input structure (§3.3). An invertible C is absorbed by
-// Regularize, matching the paper's trimmed form (2).
+// multi-input structure (§3.3). Every builder emits the paper's trimmed
+// form (2), with an invertible diagonal C already absorbed: the netlist
+// scales each node row by 1/C, and the §3 workloads and SystemBuilder
+// are written in trimmed form.
 package qldae
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
-	"avtmor/internal/lu"
 	"avtmor/internal/mat"
 	"avtmor/internal/solver"
 	"avtmor/internal/sparse"
@@ -81,100 +81,6 @@ func (s *System) Validate() error {
 		return errors.New("qldae: L must have n columns and at least one row")
 	}
 	return nil
-}
-
-// Regularize absorbs an invertible descriptor matrix C, returning the
-// trimmed system with every coefficient pre-multiplied by C⁻¹ (the
-// paper's reduction from (1) to (2) for regular systems).
-func Regularize(c *mat.Dense, s *System) (*System, error) {
-	f, err := lu.Factor(c)
-	if err != nil {
-		return nil, fmt.Errorf("qldae: descriptor matrix not invertible: %w", err)
-	}
-	out := &System{N: s.N, L: s.L.Clone()}
-	out.G1 = f.SolveMat(s.G1)
-	out.B = f.SolveMat(s.B)
-	if s.G2 != nil {
-		out.G2 = solveCSR(f, s.G2)
-	}
-	if s.G3 != nil {
-		out.G3 = solveCSR(f, s.G3)
-	}
-	if s.D1 != nil {
-		out.D1 = make([]*mat.Dense, len(s.D1))
-		for i, d := range s.D1 {
-			if d != nil {
-				out.D1[i] = f.SolveMat(d)
-			}
-		}
-	}
-	return out, nil
-}
-
-// solveCSRBatch caps how many nonzero columns one batched substitution
-// carries during Regularize: wide enough to amortize the factor
-// traversal, narrow enough that the k·n scratch of a G3 regularization
-// (n³ columns in the worst case) stays modest.
-const solveCSRBatch = 32
-
-// solveCSR computes C⁻¹·M for a sparse M, returning a sparse result.
-// Only the nonzero columns are solved, grouped solveCSRBatch at a time
-// through the dense LU's block substitution — each per-column solution
-// is bit-identical to a scalar solve, so the grouping is invisible in
-// the output.
-func solveCSR(f *lu.LU, m *sparse.CSR) *sparse.CSR {
-	n := f.N()
-	// Group nonzeros by column.
-	colEntries := map[int][]sparse.Coord{}
-	for r := 0; r < m.Rows; r++ {
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			c := m.ColIdx[k]
-			colEntries[c] = append(colEntries[c], sparse.Coord{Row: r, Col: c, Val: m.Val[k]})
-		}
-	}
-	b := sparse.NewBuilder(m.Rows, m.Cols)
-	batch := make([][]float64, 0, solveCSRBatch)
-	colIDs := make([]int, 0, solveCSRBatch)
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		f.SolveBatch(batch)
-		for bi, col := range batch {
-			for i, v := range col {
-				if v != 0 {
-					b.Add(i, colIDs[bi], v)
-				}
-			}
-			mat.PutVec(col)
-		}
-		batch = batch[:0]
-		colIDs = colIDs[:0]
-	}
-	// Iterate columns in sorted order: map iteration order would vary
-	// run to run, and while the builder re-sorts its entries, the batch
-	// grouping (and thus the floating-point accumulation pattern of any
-	// future batched kernel) must not depend on the scheduler.
-	cols := make([]int, 0, len(colEntries))
-	for c := range colEntries {
-		cols = append(cols, c)
-	}
-	sort.Ints(cols)
-	for _, c := range cols {
-		col := mat.GetVec(n)
-		mat.Zero(col)
-		for _, e := range colEntries[c] {
-			col[e.Row] += e.Val
-		}
-		batch = append(batch, col)
-		colIDs = append(colIDs, c)
-		if len(batch) == solveCSRBatch {
-			flush()
-		}
-	}
-	flush()
-	//avtmorlint:ignore wspool every col is released by flush above: ownership moves into the batch at append time
-	return b.Build()
 }
 
 // MulG1 computes dst = G1·x, through the CSR mirror whenever one

@@ -185,41 +185,6 @@ func TestJacobianFiniteDifference(t *testing.T) {
 	}
 }
 
-func TestRegularize(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 5
-	s := randSystem(rng, n, 1)
-	// Well-conditioned C.
-	c := mat.RandStable(rng, n, 1)
-	reg, err := Regularize(c, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// C·RHS_reg(x,u) must equal RHS_orig(x,u).
-	x := mat.RandVec(rng, n)
-	u := []float64{0.7}
-	rr := make([]float64, n)
-	reg.Eval(rr, x, u)
-	crr := make([]float64, n)
-	c.MulVec(crr, rr)
-	want := make([]float64, n)
-	s.Eval(want, x, u)
-	for i := range want {
-		if math.Abs(crr[i]-want[i]) > 1e-9 {
-			t.Fatalf("Regularize mismatch at %d: %v vs %v", i, crr[i], want[i])
-		}
-	}
-}
-
-func TestRegularizeSingularC(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s := randSystem(rng, 3, 1)
-	c := mat.NewDense(3, 3) // singular
-	if _, err := Regularize(c, s); err == nil {
-		t.Fatal("expected error for singular C")
-	}
-}
-
 func TestProjectGalerkinConsistency(t *testing.T) {
 	// For x = V·x̂ the reduced RHS must equal Vᵀ·RHS(V·x̂): exactness of
 	// Galerkin projection on the reduced manifold.

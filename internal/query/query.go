@@ -13,8 +13,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -85,8 +87,15 @@ func System(body []byte) (*avtmor.System, error) {
 //	timeout      per-request deadline (Go duration, e.g. 30s)
 //
 // Every float parameter (auto, s0, each xp entry, droptol) must be
-// finite.
+// finite, and any other parameter name is an error: a misspelt or
+// undocumented option must not quietly select the default reduction
+// under a different content address than the one the caller meant.
 func Parse(q url.Values) (*Request, error) {
+	for _, name := range slices.Sorted(maps.Keys(q)) {
+		if !slices.Contains(paramNames, name) {
+			return nil, errf("unknown parameter %q (want %s)", name, strings.Join(paramNames, ", "))
+		}
+	}
 	req := &Request{}
 	getInt := func(name string) (int, bool, error) {
 		v := q.Get(name)
@@ -215,6 +224,9 @@ func Parse(q url.Values) (*Request, error) {
 	}
 	return req, nil
 }
+
+// paramNames are the parameters Parse reads.
+var paramNames = []string{"k1", "k2", "k3", "auto", "s0", "xp", "droptol", "decoupledh2", "solver", "parallel", "method", "timeout"}
 
 // parseFinite parses a float parameter and refuses NaN and ±Inf, which
 // strconv.ParseFloat accepts and no reduction option gives a meaning.

@@ -100,6 +100,9 @@ func TestParseErrors(t *testing.T) {
 		{"k1=2&timeout=abc", "parameter timeout"},
 		{"k1=2&timeout=0s", "parameter timeout"},
 		{"k1=2&timeout=-1s", "parameter timeout"},
+		{"k1=2&k2=1&norm=1", `unknown parameter "norm"`},
+		{"k1=2&k2=1&s0=0.4&s1=0.4", `unknown parameter "s1"`},
+		{"k1=2&k2=1&s0=0.4&blocksize=4", `unknown parameter "blocksize"`},
 	} {
 		t.Run(tc.query, func(t *testing.T) {
 			_, err := parse(t, tc.query)

@@ -169,52 +169,3 @@ func pseudoPeripheral(flat []int32, ptr, end, deg []int, placed []bool, start in
 	}
 	return best
 }
-
-// Level schedule over the column-dependency DAG of a recorded
-// factorization: step k depends on exactly the steps in its U column
-// (uidx[uptr[k]:uptr[k+1]] — those are the partial columns its
-// left-looking update reads), so level(k) = 1 + max level of its
-// dependencies, and all steps of one level touch disjoint factor slabs
-// and only completed lower-level columns. That makes a level the unit
-// of safe parallelism for the numeric refactor phase: columns within
-// it can fill in any order, on any number of workers, without changing
-// a single bit of the result.
-//
-// Steps are emitted level-major, ascending within each level —
-// levelSteps[levelPtr[l]:levelPtr[l+1]] — and maxWidth (the widest
-// level) is the schedule's available parallelism: a banded RCM-ordered
-// ladder degenerates to a chain (width 1, no parallel win), while
-// block-structured or multi-component circuits fan wide.
-func levelSchedule(uptr, uidx []int32, n int) (levelPtr, levelSteps []int32, maxWidth int) {
-	lvl := make([]int32, n)
-	nLevels := int32(0)
-	for k := 0; k < n; k++ {
-		l := int32(0)
-		for p := uptr[k]; p < uptr[k+1]; p++ {
-			if d := lvl[uidx[p]] + 1; d > l {
-				l = d
-			}
-		}
-		lvl[k] = l
-		if l+1 > nLevels {
-			nLevels = l + 1
-		}
-	}
-	levelPtr = make([]int32, nLevels+1)
-	for _, l := range lvl {
-		levelPtr[l+1]++
-	}
-	for l := int32(0); l < nLevels; l++ {
-		if w := int(levelPtr[l+1]); w > maxWidth {
-			maxWidth = w
-		}
-		levelPtr[l+1] += levelPtr[l]
-	}
-	levelSteps = make([]int32, n)
-	next := append([]int32(nil), levelPtr[:nLevels]...)
-	for k := 0; k < n; k++ {
-		levelSteps[next[lvl[k]]] = int32(k)
-		next[lvl[k]]++
-	}
-	return levelPtr, levelSteps, maxWidth
-}

@@ -113,13 +113,6 @@ func (m *Matrix) HasDense() bool {
 	return m.dense != nil
 }
 
-// HasCSR reports whether a sparse representation is present.
-func (m *Matrix) HasCSR() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.csr != nil
-}
-
 // NNZ returns the stored-nonzero count (falls back to a dense scan).
 func (m *Matrix) NNZ() int {
 	m.mu.Lock()
@@ -218,25 +211,19 @@ func (Dense) FactorCtx(ctx context.Context, a *Matrix) (Factorization, error) {
 
 // Sparse is the sparse-LU backend (RCM preorder, threshold pivoting with
 // a Markowitz-style sparsity tie-break).
-type Sparse struct {
-	// PivotTol is the threshold-pivoting relaxation in (0, 1]: a row is
-	// pivot-eligible when |candidate| ≥ PivotTol·|column max|, and the
-	// sparsest eligible row wins. 1 forces pure partial pivoting;
-	// 0 selects the default 0.1.
-	PivotTol float64
-}
+type Sparse struct{}
 
 // Name returns "sparse".
 func (Sparse) Name() string { return "sparse" }
 
 // Factor runs the sparse LU of splu.go.
-func (s Sparse) Factor(a *Matrix) (Factorization, error) {
-	return factorCSR(context.Background(), a.AsCSR(), s.PivotTol)
+func (Sparse) Factor(a *Matrix) (Factorization, error) {
+	return factorCSR(context.Background(), a.AsCSR())
 }
 
 // FactorCtx runs the sparse LU, polling ctx along the column loop.
-func (s Sparse) FactorCtx(ctx context.Context, a *Matrix) (Factorization, error) {
-	return factorCSR(ctx, a.AsCSR(), s.PivotTol)
+func (Sparse) FactorCtx(ctx context.Context, a *Matrix) (Factorization, error) {
+	return factorCSR(ctx, a.AsCSR())
 }
 
 // Auto routing thresholds: below AutoDenseCutoff states the dense LU's
@@ -250,23 +237,20 @@ const (
 )
 
 // Auto selects dense vs sparse per operand by dimension and density.
-type Auto struct {
-	// Sparse configures the sparse backend when selected.
-	Sparse Sparse
-}
+type Auto struct{}
 
 // Name returns "auto".
 func (Auto) Name() string { return "auto" }
 
 // Pick returns the backend Auto would route a to.
-func (a Auto) Pick(m *Matrix) LinearSolver {
+func (Auto) Pick(m *Matrix) LinearSolver {
 	n := m.N()
 	if n < AutoDenseCutoff && m.HasDense() {
 		return Dense{}
 	}
 	nnz := m.NNZ()
 	if float64(nnz) <= autoMaxDensity*float64(n)*float64(n) || !m.HasDense() {
-		return a.Sparse
+		return Sparse{}
 	}
 	return Dense{}
 }

@@ -158,7 +158,7 @@ func TestBandedFillStaysLinear(t *testing.T) {
 			b.Add(i, i+1, 1)
 		}
 	}
-	f, err := factorCSR(context.Background(), b.Build(), 0)
+	f, err := factorCSR(context.Background(), b.Build())
 	if err != nil {
 		t.Fatal(err)
 	}

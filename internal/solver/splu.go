@@ -12,12 +12,15 @@ import (
 // Sparse LU: a left-looking Gilbert–Peierls factorization P·A·Q = L·U
 // over CSR input. Q is the fill-reducing RCM column preorder (order.go);
 // P is chosen per column by threshold pivoting — any row within
-// PivotTol of the column maximum is eligible, and the eligible row with
-// the fewest original nonzeros wins (the Markowitz bias toward sparse
-// pivot rows). Each column costs one symbolic reachability DFS over the
-// partial L plus a numeric scatter/gather, so the total work is
-// proportional to the flops of the fill-in actually produced, not n³.
+// defaultPivotTol of the column maximum is eligible, and the eligible
+// row with the fewest original nonzeros wins (the Markowitz bias toward
+// sparse pivot rows). Each column costs one symbolic reachability DFS
+// over the partial L plus a numeric scatter/gather, so the total work
+// is proportional to the flops of the fill-in actually produced, not
+// n³.
 
+// defaultPivotTol is the threshold-pivoting relaxation: a row is
+// pivot-eligible when |candidate| ≥ defaultPivotTol·|column max|.
 const defaultPivotTol = 0.1
 
 // spLU is the sparse Factorization. The triangular factors are stored
@@ -49,8 +52,8 @@ const ctxCheckStride = 256
 
 // factorCSR computes the factorization; a is not modified. ctx is
 // polled every ctxCheckStride columns.
-func factorCSR(ctx context.Context, a *sparse.CSR, pivotTol float64) (*spLU, error) {
-	f, _, err := factorCSRRecord(ctx, a, pivotTol, false)
+func factorCSR(ctx context.Context, a *sparse.CSR) (*spLU, error) {
+	f, _, err := factorCSRRecord(ctx, a, false)
 	return f, err
 }
 
@@ -64,12 +67,9 @@ func factorCSR(ctx context.Context, a *sparse.CSR, pivotTol float64) (*spLU, err
 // recorded pattern would not describe what a fresh factorization of
 // slightly different values does, and the replay's bit-exactness
 // argument needs the recorded L structure to be drop-free.
-func factorCSRRecord(ctx context.Context, a *sparse.CSR, pivotTol float64, record bool) (*spLU, *symbolicLU, error) {
+func factorCSRRecord(ctx context.Context, a *sparse.CSR, record bool) (*spLU, *symbolicLU, error) {
 	if a.Rows != a.Cols {
 		return nil, nil, fmt.Errorf("solver: sparse LU needs a square matrix, got %d×%d", a.Rows, a.Cols)
-	}
-	if pivotTol <= 0 || pivotTol > 1 {
-		pivotTol = defaultPivotTol
 	}
 	n := a.Rows
 	f := &spLU{
@@ -197,7 +197,7 @@ func factorCSRRecord(ctx context.Context, a *sparse.CSR, pivotTol float64, recor
 			f.uval = append(f.uval, uv)
 		}
 		// Pivot: max-magnitude row, relaxed to the sparsest row within
-		// pivotTol of the maximum.
+		// defaultPivotTol of the maximum.
 		best, vmax := -1, 0.0
 		for _, r := range pattern {
 			if rowStep[r] >= 0 {
@@ -216,7 +216,7 @@ func factorCSRRecord(ctx context.Context, a *sparse.CSR, pivotTol float64, recor
 			if rowStep[r] >= 0 || r == pivot {
 				continue
 			}
-			if av := math.Abs(x[r]); av >= pivotTol*vmax && rowCount[r] < bestCount {
+			if av := math.Abs(x[r]); av >= defaultPivotTol*vmax && rowCount[r] < bestCount {
 				pivot, bestCount = r, rowCount[r]
 			}
 		}
@@ -245,7 +245,6 @@ func factorCSRRecord(ctx context.Context, a *sparse.CSR, pivotTol float64, recor
 		rec.uptr, rec.uidx = f.uptr, f.uidx
 		rec.rowStepAll = rowStep
 		rec.rowCount = rowCount
-		rec.levelPtr, rec.levelSteps, rec.maxWidth = levelSchedule(f.uptr, f.uidx, n)
 		return f, rec, nil
 	}
 	return f, nil, nil

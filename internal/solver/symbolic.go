@@ -3,7 +3,6 @@ package solver
 import (
 	"context"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -21,9 +20,7 @@ import (
 // analysis is pure per-pattern overhead that the pre-split code paid
 // per factorization. A symbolicLU records the analysis once; Refactor
 // then fills fresh values into the recorded structure with no DFS, no
-// toCSC, no RCM — and a level schedule over the column-dependency DAG
-// lets the numeric phase use multiple cores without perturbing a bit
-// of the result.
+// toCSC, no RCM.
 //
 // Bit-exactness contract: a completed Refactor is bit-identical to
 // factorCSR on the same operand. The replay does not trust the
@@ -36,8 +33,7 @@ import (
 // structure no longer describes what a fresh factorization would do.
 // Rejection is not an error — the caller falls back to one fresh full
 // factorization (which may also re-record). ROMs therefore stay
-// byte-identical whether or not a symbolic cache is interposed, at any
-// GOMAXPROCS.
+// byte-identical whether or not a symbolic cache is interposed.
 
 // symbolicLU is the per-pattern symbolic object: everything a
 // factorization of one sparsity pattern computes that its values cannot
@@ -79,11 +75,6 @@ type symbolicLU struct {
 	// earliest-scanned row, exactly as in the fresh scan.
 	pptr  []int32
 	prows []int32
-	// Level schedule over the column-dependency DAG (order.go);
-	// maxWidth is the widest level, the schedule's usable parallelism.
-	levelPtr   []int32
-	levelSteps []int32
-	maxWidth   int
 }
 
 // matches reports whether a carries exactly the analyzed sparsity
@@ -109,16 +100,6 @@ func (s *symbolicLU) matches(a *sparse.CSR) bool {
 	return true
 }
 
-// Level-parallel engagement thresholds: below parallelRefactorMinN
-// states the whole numeric phase is microseconds and the fan-out is
-// pure overhead; a level narrower than parallelRefactorMinWidth runs
-// inline in the coordinator (banded circuits degenerate to width-1
-// chains — see levelSchedule).
-const (
-	parallelRefactorMinN     = 256
-	parallelRefactorMinWidth = 4
-)
-
 // Refactor fills fresh numeric values into the recorded structure — no
 // DFS, no CSC rebuild, no RCM — and reports ok=false when threshold
 // pivoting rejects the recorded pivot sequence for these values (or a
@@ -126,13 +107,8 @@ const (
 // pattern). The caller answers a rejection with one fresh full
 // factorization; a completed refactor is bit-identical to what that
 // fresh factorization would have produced. a must match the recorded
-// pattern (the caller checks matches). workers > 1 engages the
-// level-parallel numeric phase, 0 means GOMAXPROCS; the worker count
-// never changes the result, only the wall clock.
-func (s *symbolicLU) Refactor(ctx context.Context, a *sparse.CSR, pivotTol float64, workers int) (f *spLU, ok bool, err error) {
-	if pivotTol <= 0 || pivotTol > 1 {
-		pivotTol = defaultPivotTol
-	}
+// pattern (the caller checks matches).
+func (s *symbolicLU) Refactor(ctx context.Context, a *sparse.CSR) (f *spLU, ok bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
@@ -155,16 +131,6 @@ func (s *symbolicLU) Refactor(ctx context.Context, a *sparse.CSR, pivotTol float
 			scale = av
 		}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 1 && n >= parallelRefactorMinN && s.maxWidth >= parallelRefactorMinWidth {
-		ok, err := s.refactorLevels(ctx, f, a.Val, pivotTol, scale, workers)
-		if !ok || err != nil {
-			return nil, false, err
-		}
-		return f, true, nil
-	}
 	x := mat.GetVec(n)
 	defer mat.PutVec(x)
 	for k := 0; k < n; k++ {
@@ -173,7 +139,7 @@ func (s *symbolicLU) Refactor(ctx context.Context, a *sparse.CSR, pivotTol float
 				return nil, false, err
 			}
 		}
-		if !s.refactorStep(f, a.Val, pivotTol, scale, k, x) {
+		if !s.refactorStep(f, a.Val, scale, k, x) {
 			return nil, false, nil
 		}
 	}
@@ -183,11 +149,8 @@ func (s *symbolicLU) Refactor(ctx context.Context, a *sparse.CSR, pivotTol float
 // refactorStep computes step k's numeric column into f using scratch x
 // (length n, arbitrary prior contents — every read slot is written by
 // the scatter first). It returns false when the recorded pivot sequence
-// is rejected for these values. Writes touch only step k's disjoint
-// slab ranges (f.lval/f.uval slices fixed by lptr/uptr, f.d[k]) and
-// reads touch only A's values and lower-level columns' completed slabs,
-// which is what makes the level-parallel caller race-free.
-func (s *symbolicLU) refactorStep(f *spLU, vals []float64, pivotTol, scale float64, k int, x []float64) bool {
+// is rejected for these values.
+func (s *symbolicLU) refactorStep(f *spLU, vals []float64, scale float64, k int, x []float64) bool {
 	j := s.colperm[k]
 	rows := s.prows[s.pptr[k]:s.pptr[k+1]]
 	c0 := s.cscPtr[j]
@@ -235,7 +198,7 @@ func (s *symbolicLU) refactorStep(f *spLU, vals []float64, pivotTol, scale float
 		if s.rowStepAll[r] < k || r == pivot {
 			continue
 		}
-		if av := math.Abs(x[r]); av >= pivotTol*vmax && s.rowCount[r] < bestCount {
+		if av := math.Abs(x[r]); av >= defaultPivotTol*vmax && s.rowCount[r] < bestCount {
 			pivot, bestCount = r, s.rowCount[r]
 		}
 	}
@@ -252,71 +215,6 @@ func (s *symbolicLU) refactorStep(f *spLU, vals []float64, pivotTol, scale float
 		f.lval[p] = v / piv
 	}
 	return true
-}
-
-// refactorLevels is the level-parallel numeric phase: levels run in
-// order, columns within a wide level are chunked across workers.
-// Determinism is by construction, not by reduction order: each column's
-// arithmetic reads only columns from completed earlier levels (the
-// per-level WaitGroup is the happens-before edge) and writes only its
-// own slab ranges, so there is no cross-column accumulation whose order
-// a scheduler could perturb — any GOMAXPROCS yields identical bits.
-func (s *symbolicLU) refactorLevels(ctx context.Context, f *spLU, vals []float64, pivotTol, scale float64, workers int) (bool, error) {
-	n := s.n
-	x0 := mat.GetVec(n)
-	defer mat.PutVec(x0)
-	// rejected only ever flips false→true; workers set it, the
-	// coordinator reads it after each level's barrier. A rejected level
-	// may leave later slab entries unwritten — the whole factorization is
-	// discarded, so partially-filled values are never observed.
-	var rejected atomic.Bool
-	sinceCheck := 0
-	for l := 0; l+1 < len(s.levelPtr); l++ {
-		if sinceCheck >= ctxCheckStride { // amortized poll at the serial path's cadence
-			sinceCheck = 0
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
-		}
-		steps := s.levelSteps[s.levelPtr[l]:s.levelPtr[l+1]]
-		sinceCheck += len(steps)
-		if len(steps) < parallelRefactorMinWidth {
-			for _, k := range steps {
-				if !s.refactorStep(f, vals, pivotTol, scale, int(k), x0) {
-					return false, nil
-				}
-			}
-			continue
-		}
-		w := workers
-		if w > len(steps) {
-			w = len(steps)
-		}
-		var wg sync.WaitGroup
-		for wi := 0; wi < w; wi++ {
-			chunk := steps[wi*len(steps)/w : (wi+1)*len(steps)/w]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				x := mat.GetVec(n)
-				defer mat.PutVec(x)
-				for _, k := range chunk {
-					if rejected.Load() {
-						return
-					}
-					if !s.refactorStep(f, vals, pivotTol, scale, int(k), x) {
-						rejected.Store(true)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if rejected.Load() {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // SymbolicCache holds one symbolic analysis and serves numeric-only
@@ -354,8 +252,7 @@ func (c *SymbolicCache) FactorCtx(ctx context.Context, ls LinearSolver, m *Matri
 	if a, ok := ls.(Auto); ok {
 		ls = a.Pick(m)
 	}
-	sp, ok := ls.(Sparse)
-	if !ok || c == nil {
+	if _, ok := ls.(Sparse); !ok || c == nil {
 		return ls.FactorCtx(ctx, m)
 	}
 	a := m.AsCSR()
@@ -363,7 +260,7 @@ func (c *SymbolicCache) FactorCtx(ctx context.Context, ls LinearSolver, m *Matri
 	sym := c.sym
 	c.mu.Unlock()
 	if sym != nil && sym.matches(a) {
-		f, ok, err := sym.Refactor(ctx, a, sp.PivotTol, 0)
+		f, ok, err := sym.Refactor(ctx, a)
 		if err != nil {
 			return nil, err
 		}
@@ -372,7 +269,7 @@ func (c *SymbolicCache) FactorCtx(ctx context.Context, ls LinearSolver, m *Matri
 			return f, nil
 		}
 	}
-	f, rec, err := factorCSRRecord(ctx, a, sp.PivotTol, true)
+	f, rec, err := factorCSRRecord(ctx, a, true)
 	if err != nil {
 		return nil, err
 	}

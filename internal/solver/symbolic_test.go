@@ -2,7 +2,6 @@ package solver
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -72,7 +71,7 @@ func TestRefactorBitExact(t *testing.T) {
 	for _, n := range []int{12, 47, 120} {
 		for trial := 0; trial < 4; trial++ {
 			a := randSparse(rng, n, 0.06)
-			_, rec, err := factorCSRRecord(ctx, a, 0, true)
+			_, rec, err := factorCSRRecord(ctx, a, true)
 			if err != nil {
 				t.Fatalf("n=%d trial=%d: record: %v", n, trial, err)
 			}
@@ -107,7 +106,7 @@ func TestRefactorBitExact(t *testing.T) {
 					}
 				}
 				av := withValues(a, vals)
-				f, ok, err := rec.Refactor(ctx, av, 0, 1)
+				f, ok, err := rec.Refactor(ctx, av)
 				if err != nil {
 					t.Fatalf("n=%d mode=%d: refactor: %v", n, mode, err)
 				}
@@ -119,7 +118,7 @@ func TestRefactorBitExact(t *testing.T) {
 				if mode < 3 {
 					nudgeAccepted++
 				}
-				fresh, err := factorCSR(ctx, av, 0)
+				fresh, err := factorCSR(ctx, av)
 				if err != nil {
 					t.Fatalf("n=%d mode=%d: accepted refactor but fresh factorization failed: %v", n, mode, err)
 				}
@@ -150,7 +149,7 @@ func TestRefactorShiftedPencil(t *testing.T) {
 	g := rlcLineCSR(128) // 255 states, the paper's RLC-line shape
 	eye := sparse.Eye(g.Rows)
 	base := sparse.Add(1, g, 1.0, eye)
-	_, rec, err := factorCSRRecord(ctx, base, 0, true)
+	_, rec, err := factorCSRRecord(ctx, base, true)
 	if err != nil || rec == nil {
 		t.Fatalf("record: %v (rec=%v)", err, rec != nil)
 	}
@@ -159,14 +158,14 @@ func TestRefactorShiftedPencil(t *testing.T) {
 		if !rec.matches(shifted) {
 			t.Fatalf("σ=%v: shifted pencil pattern does not match the recorded one", sigma)
 		}
-		f, ok, err := rec.Refactor(ctx, shifted, 0, 1)
+		f, ok, err := rec.Refactor(ctx, shifted)
 		if err != nil {
 			t.Fatalf("σ=%v: %v", sigma, err)
 		}
 		if !ok {
 			t.Fatalf("σ=%v: refactor rejected — the shifted-cache amortization premise is broken", sigma)
 		}
-		fresh, err := factorCSR(ctx, shifted, 0)
+		fresh, err := factorCSR(ctx, shifted)
 		if err != nil {
 			t.Fatalf("σ=%v: fresh: %v", sigma, err)
 		}
@@ -210,26 +209,26 @@ func TestRefactorPivotRejection(t *testing.T) {
 		return b.Build()
 	}
 	strong, weak := build(10), build(0.01)
-	const tol = 0.5
-	_, rec, err := factorCSRRecord(ctx, strong, tol, true)
+	_, rec, err := factorCSRRecord(ctx, strong, true)
 	if err != nil || rec == nil {
 		t.Fatalf("record: %v (rec=%v)", err, rec != nil)
 	}
-	if _, ok, err := rec.Refactor(ctx, weak, tol, 1); err != nil || ok {
-		// With tol 0.5 the dominant off-diagonal is the only eligible
-		// pivot for the weak values, disagreeing with the recorded
-		// diagonal choice.
+	if _, ok, err := rec.Refactor(ctx, weak); err != nil || ok {
+		// Both rows have two nonzeros, so the Markowitz relaxation never
+		// displaces the max-magnitude row: the diagonal pivots for the
+		// strong values, the off-diagonal for the weak ones, disagreeing
+		// with the recorded diagonal choice.
 		t.Fatalf("refactor of pivot-flipping values: ok=%v err=%v, want rejection", ok, err)
 	}
 	var cache SymbolicCache
-	if _, err := cache.FactorCtx(ctx, Sparse{PivotTol: tol}, FromCSR(strong)); err != nil {
+	if _, err := cache.FactorCtx(ctx, Sparse{}, FromCSR(strong)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cache.FactorCtx(ctx, Sparse{PivotTol: tol}, FromCSR(weak))
+	got, err := cache.FactorCtx(ctx, Sparse{}, FromCSR(weak))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := factorCSR(ctx, weak, tol)
+	fresh, err := factorCSR(ctx, weak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +244,7 @@ func TestSymbolicCachePatternMiss(t *testing.T) {
 	ctx := context.Background()
 	a1 := rlcLineCSR(16)
 	a2 := rlcLineCSR(17)
-	_, rec, err := factorCSRRecord(ctx, a1, 0, true)
+	_, rec, err := factorCSRRecord(ctx, a1, true)
 	if err != nil || rec == nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -260,92 +259,6 @@ func TestSymbolicCachePatternMiss(t *testing.T) {
 	}
 	if an, rf := cache.Stats(); an != 2 || rf != 0 {
 		t.Fatalf("analyses=%d refactors=%d, want 2 and 0", an, rf)
-	}
-}
-
-// blockLinesCSR builds a block-diagonal matrix of independent RLC
-// lines: blocks disconnected components whose elimination levels
-// overlap, so the level schedule is wide (width ≈ blocks) — the shape
-// the level-parallel numeric phase exists for, which a single banded
-// line (a width-1 chain of levels) never exercises.
-func blockLinesCSR(blocks, sections int) *sparse.CSR {
-	line := rlcLineCSR(sections)
-	bn := line.Rows
-	b := sparse.NewBuilder(blocks*bn, blocks*bn)
-	for blk := 0; blk < blocks; blk++ {
-		off := blk * bn
-		for r := 0; r < bn; r++ {
-			for k := line.RowPtr[r]; k < line.RowPtr[r+1]; k++ {
-				b.Add(off+r, off+line.ColIdx[k], line.Val[k])
-			}
-		}
-	}
-	return b.Build()
-}
-
-// TestRefactorLevelParallelDeterminism proves the level-parallel
-// numeric phase is schedule-independent: refactoring a wide workload
-// with 1, 2, 4, and 8 workers yields factors bit-identical to each
-// other and to a fresh factorization. Run under -race in CI, this is
-// also the data-race witness for the per-level barrier discipline.
-func TestRefactorLevelParallelDeterminism(t *testing.T) {
-	ctx := context.Background()
-	a := blockLinesCSR(32, 8) // 480 states, level width ~32
-	if a.Rows < parallelRefactorMinN {
-		t.Fatalf("workload has %d states, below the parallel gate %d", a.Rows, parallelRefactorMinN)
-	}
-	_, rec, err := factorCSRRecord(ctx, a, 0, true)
-	if err != nil || rec == nil {
-		t.Fatalf("record: %v (rec=%v)", err, rec != nil)
-	}
-	if rec.maxWidth < parallelRefactorMinWidth {
-		t.Fatalf("level schedule width %d never engages the parallel phase", rec.maxWidth)
-	}
-	fresh, err := factorCSR(ctx, a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		f, ok, err := rec.Refactor(ctx, a, 0, workers)
-		if err != nil || !ok {
-			t.Fatalf("workers=%d: ok=%v err=%v", workers, ok, err)
-		}
-		sameFactor(t, f, fresh)
-	}
-}
-
-// TestRefactorLevelParallelRejection: a pivot rejection inside a
-// parallel level must surface as a clean ok=false, not a panic or a
-// torn result, regardless of which worker hits it.
-func TestRefactorLevelParallelRejection(t *testing.T) {
-	ctx := context.Background()
-	a := blockLinesCSR(32, 8)
-	_, rec, err := factorCSRRecord(ctx, a, 0, true)
-	if err != nil || rec == nil {
-		t.Fatalf("record: %v", err)
-	}
-	// The line's couplings (±1) dominate its diagonals (−0.02, −0.1),
-	// so the recorded pivots are coupling rows; blowing one block's
-	// diagonal up by 1e9 flips that block's pivots to the diagonal
-	// while every other block still agrees — the rejection races the
-	// rest of the level's honest work.
-	vals := append([]float64(nil), a.Val...)
-	for r := 0; r < 15; r++ {
-		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-			if a.ColIdx[k] == r {
-				vals[k] *= 1e9
-			}
-		}
-	}
-	av := withValues(a, vals)
-	for _, workers := range []int{2, 8} {
-		f, ok, err := rec.Refactor(ctx, av, 0, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if ok || f != nil {
-			t.Fatalf("workers=%d: pivot-flipped block was not rejected", workers)
-		}
 	}
 }
 
@@ -364,7 +277,7 @@ func BenchmarkFactorFresh(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := factorCSR(ctx, a, 0); err != nil {
+		if _, err := factorCSR(ctx, a); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -378,41 +291,16 @@ func BenchmarkFactorFresh(b *testing.B) {
 func BenchmarkFactorNumericOnly(b *testing.B) {
 	a := shiftedLine()
 	ctx := context.Background()
-	_, rec, err := factorCSRRecord(ctx, a, 0, true)
+	_, rec, err := factorCSRRecord(ctx, a, true)
 	if err != nil || rec == nil {
 		b.Fatalf("record: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, ok, err := rec.Refactor(ctx, a, 0, 1)
+		_, ok, err := rec.Refactor(ctx, a)
 		if err != nil || !ok {
 			b.Fatalf("ok=%v err=%v", ok, err)
 		}
-	}
-}
-
-// BenchmarkFactorParallel measures the level-parallel numeric phase on
-// a wide workload (64 independent 31-state blocks, level width ~64) at
-// fixed worker counts. On the single-CPU bench host p=4 measures pure
-// scheduling overhead — its ns/op is recorded ungated — while the
-// allocs/op of both entries gate the fan-out's allocation discipline.
-func BenchmarkFactorParallel(b *testing.B) {
-	a := blockLinesCSR(64, 16) // 1984 states
-	ctx := context.Background()
-	_, rec, err := factorCSRRecord(ctx, a, 0, true)
-	if err != nil || rec == nil {
-		b.Fatalf("record: %v", err)
-	}
-	for _, p := range []int{1, 4} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, ok, err := rec.Refactor(ctx, a, 0, p)
-				if err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
-			}
-		})
 	}
 }

@@ -186,9 +186,6 @@ func (s *Store) quarantine(name string) {
 	s.mu.Unlock()
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Len returns the indexed artifact count.
 func (s *Store) Len() int {
 	s.mu.Lock()

@@ -38,14 +38,6 @@ func (k SolverKind) kind() solver.Kind {
 	}
 }
 
-// Progress is one reduction build event (see WithProgress).
-type Progress struct {
-	// Stage is "moments", "orthonormalize", or "project".
-	Stage string
-	// Done/Total count completed vs scheduled units within the stage.
-	Done, Total int
-}
-
 // config is the resolved option set of one Reduce call.
 type config struct {
 	opt     core.Options
@@ -116,21 +108,6 @@ func WithDecoupledH2() Option {
 	return func(c *config) { c.opt.DecoupledH2 = true }
 }
 
-// WithProgress registers a callback for coarse build events. With
-// WithParallel it may be invoked from multiple goroutines. The
-// callback does not participate in Reducer cache keys.
-func WithProgress(fn func(Progress)) Option {
-	return func(c *config) {
-		if fn == nil {
-			c.opt.Progress = nil
-			return
-		}
-		c.opt.Progress = func(p core.Progress) {
-			fn(Progress{Stage: p.Stage, Done: p.Done, Total: p.Total})
-		}
-	}
-}
-
 func buildConfig(opts []Option) *config {
 	c := &config{}
 	for _, o := range opts {
@@ -150,9 +127,8 @@ const artifactEpoch = 1
 
 // cacheKey canonicalizes a reduction request for the Reducer: the
 // artifact epoch, the system fingerprint and every option that can
-// change the resulting ROM. Parallel and Progress are deliberately
-// excluded — they change wall-clock and observability, never the
-// artifact. Float options are keyed by their exact bit patterns.
+// change the resulting ROM. Parallel is deliberately excluded — it
+// changes wall-clock, never the artifact. Float options are keyed by their exact bit patterns.
 func (c *config) cacheKey(sys *System, method string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "e=%d|fp=%016x|m=%s|k=%d,%d,%d|auto=%016x|s0=%016x|drop=%016x|dec=%v|solver=%s|xp=",

@@ -216,9 +216,8 @@ func (rd *Reducer) Lookup(key string) (*ROM, error) {
 // Reduce returns the cached ROM for (sys, opts), joining an in-flight
 // identical reduction or launching a new one. The options are
 // canonicalized for the cache key: everything that changes the ROM
-// participates; WithParallel and WithProgress do not (a coalesced
-// caller's progress callback is not invoked — only the launching
-// request's is). See Reduce for the reduction semantics.
+// participates; WithParallel does not. See Reduce for the reduction
+// semantics.
 func (rd *Reducer) Reduce(ctx context.Context, sys *System, opts ...Option) (*ROM, error) {
 	return rd.reduce(ctx, sys, methodAssoc, opts)
 }

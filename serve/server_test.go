@@ -348,6 +348,13 @@ func TestServeErrors(t *testing.T) {
 	if code, msg := post("/v1/reduce?method=magic", clipper); code != http.StatusBadRequest {
 		t.Fatalf("bad method: %d %s", code, msg)
 	}
+	// An unknown parameter is refused, not dropped: norm=1 would
+	// otherwise return an associated-transform ROM.
+	for _, path := range []string{"/v1/reduce", "/v1/reduce/batch"} {
+		if code, msg := post(path+"?k1=2&k2=1&norm=1", clipper); code != http.StatusBadRequest || !strings.Contains(msg, `unknown parameter "norm"`) {
+			t.Fatalf("%s with norm=1: %d %s", path, code, msg)
+		}
+	}
 	// A non-finite expansion point is refused before admission, not run
 	// into a 422.
 	if code, msg := post("/v1/reduce?k1=2&s0=NaN", clipper); code != http.StatusBadRequest || !strings.Contains(msg, "finite") {

@@ -6,7 +6,6 @@ import (
 
 	"avtmor/internal/ode"
 	"avtmor/internal/qldae"
-	"avtmor/internal/solver"
 )
 
 // Input is a vector-valued input signal u(t); it must return a slice
@@ -59,8 +58,6 @@ type simConfig struct {
 	method     simMethod
 	steps      int
 	rtol, atol float64
-	solver     SolverKind
-	forced     bool // a solver was explicitly selected
 	x0         []float64
 }
 
@@ -75,8 +72,8 @@ func WithRK4(steps int) SimOption {
 
 // WithTrapezoidal selects the implicit trapezoidal rule with Newton
 // iteration — the right choice for stiff systems. The Newton matrix is
-// factored through the solver layer (sparse assembly for large
-// CSR-mirrored systems) once per step, or once per run for a linear
+// factored through the auto-routed solver layer (sparse assembly for
+// large CSR-mirrored systems) once per step, or once per run for a linear
 // system, whose Newton matrix never changes; Result.Factorizations
 // counts them.
 func WithTrapezoidal(steps int) SimOption {
@@ -87,12 +84,6 @@ func WithTrapezoidal(steps int) SimOption {
 // given relative/absolute local error tolerances.
 func WithDopri5(rtol, atol float64) SimOption {
 	return func(c *simConfig) { c.method, c.rtol, c.atol = simDopri5, rtol, atol }
-}
-
-// WithSimSolver forces the linear-solver backend of the implicit
-// integrator's Newton steps (default: auto-routed).
-func WithSimSolver(k SolverKind) SimOption {
-	return func(c *simConfig) { c.solver, c.forced = k, true }
 }
 
 // WithInitialState sets the initial state (default: the origin).
@@ -122,11 +113,7 @@ func simulate(ctx context.Context, sys *qldae.System, u Input, tEnd float64, opt
 	)
 	switch c.method {
 	case simTrapezoidal:
-		var ls solver.LinearSolver
-		if c.forced {
-			ls = solver.ByKind(c.solver.kind())
-		}
-		res, err = ode.TrapezoidalSolverCtx(ctx, sys, x0, ode.Input(u), tEnd, c.steps, ls)
+		res, err = ode.TrapezoidalSolverCtx(ctx, sys, x0, ode.Input(u), tEnd, c.steps, nil)
 	case simDopri5:
 		res, err = ode.Dopri5Ctx(ctx, sys, x0, ode.Input(u), tEnd, c.rtol, c.atol)
 	default:
