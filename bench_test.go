@@ -415,3 +415,29 @@ func BenchmarkSolverKronSum3N102(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSolverKronSum3SymN102 is one symmetric ⊕³ power on the
+// varistor's G1 in Schur coordinates, from (Qᵀb)^{⊗3}: the inner step
+// of both H3 chains.
+func BenchmarkSolverKronSum3SymN102(b *testing.B) {
+	w := circuits.Varistor()
+	ss, err := kron.NewSumSolver3(w.Sys.G1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bt := ss.Sum2().ToSchur(w.Sys.B.Col(0), 1)
+	start := kron.VecKron(kron.VecKron(bt, bt), bt)
+	z := make([]float64, len(start))
+	sym := ss.Sym()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(z, start)
+		b.StartTimer()
+		if err := sym.SolveSchur(ctx, w.S0, z); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -107,7 +107,9 @@ func TestReduceNORMCancel(t *testing.T) {
 // TestReduceCancelCubicH3: the cubic H3 chain (⊕³G1 resolvent powers
 // on the 102-state varistor) polls the context once per Schur column
 // block, so a reduction canceled mid-chain returns within a few
-// column solves instead of finishing the power.
+// column solves instead of finishing the power. The chain runs eight
+// powers so that it outlasts the cancel delay: at the paper's (7,0,2)
+// the whole reduction can finish in under 100 ms, before the cancel.
 func TestReduceCancelCubicH3(t *testing.T) {
 	w := avtmor.Varistor()
 	// Cancel 100 ms in, or later when the Schur decomposition of G1,
@@ -126,7 +128,7 @@ func TestReduceCancelCubicH3(t *testing.T) {
 	done := make(chan outcome, 1)
 	canceledAt := make(chan time.Time, 1)
 	go func() {
-		_, err := avtmor.Reduce(ctx, w.System, avtmor.WithOrders(7, 0, 2), avtmor.WithExpansion(w.S0))
+		_, err := avtmor.Reduce(ctx, w.System, avtmor.WithOrders(7, 0, 8), avtmor.WithExpansion(w.S0))
 		at := <-canceledAt
 		done <- outcome{err: err, elapsed: time.Since(at)}
 	}()

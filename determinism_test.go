@@ -172,19 +172,19 @@ func TestROMBytesDeterministicAfterEviction(t *testing.T) {
 }
 
 // goldenEpoch is the artifactEpoch at which goldenDigests was recorded.
-const goldenEpoch = 1
+const goldenEpoch = 2
 
 // goldenDigests is the SHA-256 of each golden artifact, recorded on
 // linux/amd64.
 var goldenDigests = map[string]string{
-	"netlist-ladder":    "d6023948850c73d54f83f2fdeefc40cd3d5e70a97d55c49d005c10f5f4b5fbbd",
+	"netlist-ladder":    "4b7f923e72c1e05a8c846a4b4010534017a7b603e158b11f4659fbe610da9ba5",
 	"rlc-line-256":      "53256ba03c8c633bf87a16b36cd77a0eaa020cd5d07be1ca575b775ad2d6c9ca",
-	"s31":               "af7d99ed32422dfe592ea41c37cb7a88fa053e3448ed594b57269ac2e4c4363c",
-	"s32":               "886ff265d33370e1c4528611bff4e196c0c1fd9ad234eec4f9f0c25dbd025f4f",
+	"s31":               "6c5026dfd294575f79a0030bb13394f8e438209c6c64b64bb25f679b4059f64a",
+	"s32":               "4df96ed3860bbd0e4390d76ba6663c65b22f861a1c5823eaa013c5a4ee8e90d2",
 	"s32-norm":          "8d703dc777cfb2613b7a337af4c18c1774af4307c2689959bf82c912aaa1ec6b",
-	"s33":               "892d2fd65570d0223f9085696b14e965d0e20c5dbe605c90da32eff541e0073e",
+	"s33":               "7186597311fe97421331a4fc37698d57c2d461611c5d03c88ab2f3148ecd5438",
 	"s33-norm":          "c3fbaf71a1a775f51e62130ffc7a8f34f27a3a444ddddf0a13f41ba07009d1c2",
-	"s34":               "d400426cc30041048e06f993af67dcdc3809ab17cf647cc9be97cff17fe40949",
+	"s34":               "567daebe732038f09df2b7efb1b50a4f75a392ff5327477cd54fb69933c2afa9",
 	"two-port-line-800": "f5f673131d1dbbfaa97551c13bf49d04fe83a4ee2c2fa7a0b32c3dce70435ed9",
 }
 

@@ -8,9 +8,10 @@
 //
 // is never formed: every (G̃2 − τI)⁻¹ application is one Kronecker-sum
 // solve (a Sylvester equation over the cached Schur form of G1) plus one
-// shifted LU solve with G1 — O(n³) instead of O((n+n²)³). The H3
-// resolvent chains go further and run entirely in the Schur coordinates
-// of G1 (kronSchur), where they need no LU at all.
+// shifted LU solve with G1 — O(n³) instead of O((n+n²)³). The H2 chain
+// keeps its n² blocks in the Schur coordinates of G1 (h2Op), and the H3
+// resolvent chains run entirely in them (kronSchur), where they need no
+// LU at all; both exploit that their Kronecker blocks are symmetric.
 package assoc
 
 import (
@@ -173,6 +174,12 @@ func (r *Realization) shiftedCLU(tau complex128) (*lu.CLU, error) {
 // pair (i, j): [½(D1ᵢ·bⱼ + D1ⱼ·bᵢ); ½(bᵢ⊗bⱼ + bⱼ⊗bᵢ)]. For SISO (i=j=0)
 // this is exactly [D1·b; b⊗b].
 func (r *Realization) Btilde2(i, j int) []float64 {
+	return r.btilde2(i, j, r.Sys.B.Col(i), r.Sys.B.Col(j))
+}
+
+// btilde2 is Btilde2 with its n² block built from bi and bj, input
+// columns i and j in the coordinates the caller keeps that block in.
+func (r *Realization) btilde2(i, j int, bi, bj []float64) []float64 {
 	sys := r.Sys
 	n := sys.N
 	out := make([]float64, n+n*n)
@@ -187,7 +194,6 @@ func (r *Realization) Btilde2(i, j int) []float64 {
 			mat.Axpy(0.5, tmp, out[:n])
 		}
 	}
-	bi, bj := sys.B.Col(i), sys.B.Col(j)
 	kij := kron.VecKron(bi, bj)
 	kji := kron.VecKron(bj, bi)
 	for k := range kij {
@@ -196,108 +202,12 @@ func (r *Realization) Btilde2(i, j int) []float64 {
 	return out
 }
 
-// Gt2 solves (G̃2 − τI)·z = rhs by block back-substitution:
-// w = (⊕²G1 − τI)⁻¹·g, then x = (G1 − τI)⁻¹·(f − G2·w). It is the
-// operator of the H2 Arnoldi chain, which stays in original coordinates.
+// Gt2 solves (G̃2 − τI)·z = rhs for complex τ by block
+// back-substitution: w = (⊕²G1 − τI)⁻¹·g, then x = (G1 − τI)⁻¹·(f − G2·w).
+// It evaluates A2(H2) at complex frequencies; the H2 moment chain runs
+// the real-shift operator in Schur coordinates instead (h2Op).
 type Gt2 struct {
 	r *Realization
-}
-
-// Dim returns n + n².
-func (g *Gt2) Dim() int {
-	n := g.r.Sys.N
-	return n + n*n
-}
-
-// SolveShifted computes (G̃2 − τI)⁻¹·rhs for real τ. It is the inner
-// solve of every H2 Arnoldi step, so the ctx poll here is what makes
-// that chain cancelable.
-func (g *Gt2) SolveShifted(tau float64, rhs []float64) ([]float64, error) {
-	if err := g.r.ctx.Err(); err != nil {
-		return nil, err
-	}
-	n := g.r.Sys.N
-	if len(rhs) != n+n*n {
-		panic("assoc: Gt2 SolveShifted length mismatch")
-	}
-	s2, err := g.r.Sum2()
-	if err != nil {
-		return nil, err
-	}
-	w, err := s2.Solve(tau, rhs[n:])
-	if err != nil {
-		return nil, err
-	}
-	f, err := g.r.shiftedLU(tau)
-	if err != nil {
-		return nil, err
-	}
-	top := mat.CopyVec(rhs[:n])
-	if g.r.Sys.G2 != nil {
-		g.r.Sys.G2.AddMulVec(top, -1, w)
-	}
-	f.Solve(top, top)
-	out := make([]float64, n+n*n)
-	copy(out[:n], top)
-	copy(out[n:], w)
-	return out, nil
-}
-
-// SolveShiftedBatch computes (G̃2 − τI)⁻¹·rhs for a block of right-hand
-// sides sharing one shift: the Kronecker-sum solves stay per column
-// (the Schur recurrence is inherently vector-granular), but the top
-// blocks all go through one batched (G1 − τI) substitution — the chain
-// grouping of the block solve path. Per-column results are
-// bit-identical to looped SolveShifted calls.
-func (g *Gt2) SolveShiftedBatch(tau float64, rhss [][]float64) ([][]float64, error) {
-	if err := g.r.ctx.Err(); err != nil {
-		return nil, err
-	}
-	n := g.r.Sys.N
-	s2, err := g.r.Sum2()
-	if err != nil {
-		return nil, err
-	}
-	f, err := g.r.shiftedLU(tau)
-	if err != nil {
-		return nil, err
-	}
-	// The top blocks solve in place inside the output buffers: outs[i]
-	// is assembled as [rhs top | w] and its leading n entries are then
-	// corrected and substituted directly — no per-column staging copy.
-	outs := make([][]float64, len(rhss))
-	tops := make([][]float64, len(rhss))
-	ws := make([][]float64, len(rhss))
-	for i, rhs := range rhss {
-		if len(rhs) != n+n*n {
-			panic("assoc: Gt2 SolveShiftedBatch length mismatch")
-		}
-		w, err := s2.Solve(tau, rhs[n:])
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, n+n*n)
-		copy(out[:n], rhs[:n])
-		copy(out[n:], w)
-		outs[i] = out
-		tops[i] = out[:n]
-		ws[i] = out[n:]
-	}
-	if g.r.Sys.G2 != nil {
-		// One batched G2 pass for every column's coupling term (the row
-		// metadata of the n×n² block is traversed once for the block).
-		g2w := make([][]float64, len(ws))
-		for i := range g2w {
-			g2w[i] = mat.GetVec(n)
-		}
-		g.r.Sys.G2.MulBatchTo(g2w, ws)
-		for i := range tops {
-			mat.Axpy(-1, g2w[i], tops[i])
-			mat.PutVec(g2w[i])
-		}
-	}
-	f.SolveBatch(tops)
-	return outs, nil
 }
 
 // SolveShiftedC computes (G̃2 − τI)⁻¹·rhs for complex τ.
@@ -352,6 +262,9 @@ func (g *Gt2) SolveShiftedC(tau complex128, rhs []complex128) ([]complex128, err
 type kronSchur struct {
 	s3 *kron.SumSolver3
 	g2 *gather // nil when G2 = 0
+	// sym, when set, runs the bottom recurrence on fully symmetric
+	// iterates (kron.Sym3): H3Moments' powers of b⊗b̃2 are.
+	sym *kron.Sym3
 }
 
 func (r *Realization) kronSchur() (*kronSchur, error) {
@@ -371,7 +284,11 @@ func (r *Realization) kronSchur() (*kronSchur, error) {
 // X̃_topᵀ, which solves R·W + W·Rᵀ − σ·W = Ṽ_topᵀ − D·Q with
 // D[p][i] = (G2·(Q⊗Q)·x̃_bot,p)[i] (⊕²R commutes with transposition).
 func (k *kronSchur) step(ctx context.Context, sigma float64, top, bot []float64) error {
-	if err := k.s3.SolveSchur(ctx, sigma, bot); err != nil {
+	solve := k.s3.SolveSchur
+	if k.sym != nil {
+		solve = k.sym.SolveSchur
+	}
+	if err := solve(ctx, sigma, bot); err != nil {
 		return err
 	}
 	n := k.s3.N()
@@ -379,7 +296,11 @@ func (k *kronSchur) step(ctx context.Context, sigma float64, top, bot []float64)
 	w := &mat.Dense{R: n, C: n, A: top}
 	if k.g2 != nil {
 		d := mat.NewDense(n, n)
-		k.g2.apply(d.A, bot)
+		if k.sym != nil {
+			k.g2.applySym(d.A, bot)
+		} else {
+			k.g2.apply(d.A, bot)
+		}
 		w.AddScaled(-1, d.Mul(sch.Q))
 	}
 	x, err := sylv.TrSylvT(sch.T, sch.T, -sigma, w)

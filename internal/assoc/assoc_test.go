@@ -40,39 +40,6 @@ func cdiff(a, b []complex128) float64 {
 	return mat.CNorm2(d)
 }
 
-func TestGt2SolveAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 5; trial++ {
-		n := 2 + rng.Intn(4)
-		sys := testSystem(rng, n, true)
-		r, err := New(sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gd := BuildGt2Dense(sys)
-		nn := n + n*n
-		tau := 0.3 * rng.Float64()
-		rhs := mat.RandVec(rng, nn)
-		got, err := r.Gt2Solver().SolveShifted(tau, rhs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shifted := gd.Clone()
-		for i := 0; i < nn; i++ {
-			shifted.Add(i, i, -tau)
-		}
-		want, err := lu.Solve(shifted, rhs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diff := make([]float64, nn)
-		mat.SubVec(diff, got, want)
-		if mat.Norm2(diff) > 1e-8*(1+mat.Norm2(want)) {
-			t.Fatalf("trial %d: structured vs dense G̃2 solve differ by %g", trial, mat.Norm2(diff))
-		}
-	}
-}
-
 func TestGt2SolveComplexAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := 3

@@ -62,18 +62,40 @@ func newGather(g *sparse.CSR, q *mat.Dense, d int) *gather {
 // x̃_β = t[β·nᵈ : (β+1)·nᵈ] of t.
 func (g *gather) apply(dst, t []float64) {
 	clear(dst)
-	g.walk(dst, t, g.d, 0, len(g.ents))
+	g.walk(dst, t, g.d, 0, len(g.ents), false)
+}
+
+// applySym is apply for an n³-entry t that keeps every entry when its
+// two slowest indices swap: a batch of n blocks of a fully symmetric
+// n³ tensor, or one fully symmetric n³ tensor. The first contraction
+// is then symmetric in those indices, so only its upper triangle is
+// formed and the rest mirrored; every value is bit-identical to
+// apply's, since mirrored fibers hold the same entries.
+func (g *gather) applySym(dst, t []float64) {
+	if len(t) != g.n*g.n*g.n {
+		panic("assoc: symmetric gather of a tensor that is not n³")
+	}
+	clear(dst)
+	g.walk(dst, t, g.d, 0, len(g.ents), true)
 }
 
 // fiberBlock is the number of length-n fibers contracted against every
 // selected row of Q before moving on, so each block of the tensor is
-// read from memory once per level rather than once per row.
+// read from memory once per group of digits rather than once per row.
 const fiberBlock = 32
+
+// spanBuf bounds the partial contractions one level holds at once
+// (1 MiB). Unbounded, the first level of a batch-n, d = 2 gather (the
+// quadratic H3 chain) would hold one n² block per distinct digit
+// beside the n³ tensor, 8 MB at n = 100, and that pair would set the
+// heap's high-water mark.
+const spanBuf = 1 << 17
 
 // walk contracts the trailing mode of t (batch·n^m entries) against the
 // rows of Q named by that digit of the columns in [lo, hi), then
-// recurses once per distinct digit.
-func (g *gather) walk(dst, t []float64, m, lo, hi int) {
+// recurses once per distinct digit. sym marks an n³-entry t whose
+// fiber i·n+j equals fiber j·n+i (see applySym).
+func (g *gather) walk(dst, t []float64, m, lo, hi int, sym bool) {
 	if m == 0 {
 		// t[β] is this column's entry of (Q⊗…⊗Q)·x̃_β.
 		for _, e := range g.ents[lo:hi] {
@@ -100,15 +122,42 @@ func (g *gather) walk(dst, t []float64, m, lo, hi int) {
 	}
 	n := g.n
 	size := len(t) / n
-	next := make([]float64, len(spans)*size)
-	for f0 := 0; f0 < size; f0 += fiberBlock {
-		f1 := min(f0+fiberBlock, size)
-		for si, sp := range spans {
-			contractLast(next[si*size+f0:si*size+f1], t[f0*n:f1*n], g.q.Row(sp.digit))
-		}
+	// The fibers to contract: all of them, or for a symmetric t the
+	// fibers i·n+j with j ≥ i, row by row.
+	rows, width := 1, size
+	if sym {
+		rows, width = n, n
 	}
-	for si, sp := range spans {
-		g.walk(dst, next[si*size:(si+1)*size], m-1, sp.lo, sp.hi)
+	// The digits are contracted a group at a time into one buffer, so
+	// the partial contractions held at once stay near spanBuf entries
+	// however many distinct digits G uses.
+	group := min(len(spans), max(1, spanBuf/size))
+	next := make([]float64, group*size)
+	for g0 := 0; g0 < len(spans); g0 += group {
+		grp := spans[g0:min(g0+group, len(spans))]
+		for i := 0; i < rows; i++ {
+			start, end := i*width, (i+1)*width
+			if sym {
+				start += i
+			}
+			for f0 := start; f0 < end; f0 += fiberBlock {
+				f1 := min(f0+fiberBlock, end)
+				for si, sp := range grp {
+					contractLast(next[si*size+f0:si*size+f1], t[f0*n:f1*n], g.q.Row(sp.digit))
+				}
+			}
+		}
+		for si, sp := range grp {
+			out := next[si*size : (si+1)*size]
+			if sym {
+				for i := 1; i < n; i++ {
+					for j := 0; j < i; j++ {
+						out[i*n+j] = out[j*n+i]
+					}
+				}
+			}
+			g.walk(dst, out, m-1, sp.lo, sp.hi, false)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"avtmor/internal/kron"
 	"avtmor/internal/mat"
 	"avtmor/internal/solver"
+	"avtmor/internal/sylv"
 )
 
 // Moment-space generation for the proposed NMOR scheme (§2.3): one Krylov
@@ -65,39 +66,83 @@ func (r *Realization) H1Moments(k1 int, s0 float64) ([][]float64, error) {
 	return out, nil
 }
 
-// gt2Op adapts the block-triangular G̃2 solver to the Arnoldi operator
-// interfaces; ApplyBatch pushes a whole frontier through one
-// SolveShiftedBatch (one batched top-block substitution per step).
-type gt2Op struct {
-	g   *Gt2
+// h2Op is (G̃2 − s0·I)⁻¹ on vectors [x; ŵ] whose n² block is kept in
+// the Schur coordinates of G1, ŵ = (Q⊗Q)ᵀ·w. The change diag(I, Q⊗Q)
+// is orthogonal, so Arnoldi's inner products, and with them its basis
+// up to that change, are those of the original-coordinate chain, and
+// the top blocks are the original-coordinate candidates. One
+// application is a symmetric ⊕²R solve of the bottom block, G2·(Q⊗Q)
+// through a gather, and the (G1 − s0·I) substitution of the top block,
+// batched over the frontier. Every H2 bottom block is symmetric (Btilde2
+// symmetrizes each input pair, and the operator and Arnoldi's linear
+// combinations keep it so), which the ⊕²R solve relies on.
+type h2Op struct {
+	r   *Realization
 	s0  float64
-	err *error
+	s2  *kron.SumSolver2
+	g2  *gather // G2·(Q⊗Q); nil when G2 = 0
+	f   solver.Factorization
+	err error // the first failure; later applications return zeros
 }
 
-func (o gt2Op) Dim() int { return o.g.Dim() }
-
-func (o gt2Op) Apply(dst, src []float64) {
-	w, err := o.g.SolveShifted(o.s0, src)
+func (r *Realization) newH2Op(s0 float64) (*h2Op, error) {
+	s2, err := r.Sum2()
 	if err != nil {
-		*o.err = err
-		mat.Zero(dst)
-		return
+		return nil, err
 	}
-	copy(dst, w)
+	f, err := r.shiftedLU(s0)
+	if err != nil {
+		return nil, err
+	}
+	op := &h2Op{r: r, s0: s0, s2: s2, f: f}
+	if r.Sys.G2 != nil {
+		op.g2 = newGather(r.Sys.G2, s2.Schur().Q, 2)
+	}
+	return op, nil
 }
 
-func (o gt2Op) ApplyBatch(dst, src [][]float64) {
-	ws, err := o.g.SolveShiftedBatch(o.s0, src)
-	if err != nil {
-		*o.err = err
+func (o *h2Op) Dim() int {
+	n := o.r.Sys.N
+	return n + n*n
+}
+
+func (o *h2Op) Apply(dst, src []float64) {
+	o.ApplyBatch([][]float64{dst}, [][]float64{src})
+}
+
+func (o *h2Op) ApplyBatch(dst, src [][]float64) {
+	if o.err == nil {
+		o.err = o.apply(dst, src)
+	}
+	if o.err != nil {
 		for _, d := range dst {
 			mat.Zero(d)
 		}
-		return
 	}
-	for i := range dst {
-		copy(dst[i], ws[i])
+}
+
+func (o *h2Op) apply(dst, src [][]float64) error {
+	if err := o.r.ctx.Err(); err != nil {
+		return err
 	}
+	n := o.r.Sys.N
+	tops := make([][]float64, len(dst))
+	g2w := mat.GetVec(n)
+	defer mat.PutVec(g2w)
+	for c, d := range dst {
+		copy(d, src[c])
+		w := d[n:]
+		if err := sylv.TrSylvSym(o.s2.Schur().T, -o.s0, w, n); err != nil {
+			return err
+		}
+		if o.g2 != nil {
+			o.g2.apply(g2w, w)
+			mat.Axpy(-1, g2w, d[:n])
+		}
+		tops[c] = d[:n]
+	}
+	o.f.SolveBatch(tops)
+	return nil
 }
 
 // H2Candidates runs k2 steps of block Arnoldi on (G̃2 − s0·I)⁻¹ in the
@@ -105,8 +150,10 @@ func (o gt2Op) ApplyBatch(dst, src [][]float64) {
 // every unordered input pair, and returns the top-n blocks of the
 // orthonormal iterates. Those blocks span the state-moment space of
 // A2(H2)(s) about s0 (the orthonormalization is a triangular change of
-// basis, which the block extraction commutes with). The start block and
-// every Arnoldi frontier go through the batched shifted solve.
+// basis, which the block extraction commutes with). The n² blocks stay
+// in the Schur coordinates of G1 throughout (h2Op): the seeds are
+// formed from Qᵀbᵢ, and the start block and every Arnoldi frontier go
+// through one batched application.
 func (r *Realization) H2Candidates(k2 int, s0 float64) ([][]float64, error) {
 	if k2 <= 0 {
 		return nil, nil
@@ -115,28 +162,39 @@ func (r *Realization) H2Candidates(k2 int, s0 float64) ([][]float64, error) {
 	if sys.G2 == nil && sys.D1 == nil {
 		return nil, nil // H2 ≡ 0
 	}
+	op, err := r.newH2Op(s0)
+	if err != nil {
+		return nil, err
+	}
 	n := sys.N
+	bt := make([][]float64, sys.Inputs())
+	for i := range bt {
+		bt[i] = op.s2.ToSchur(sys.B.Col(i), 1)
+	}
 	var seeds [][]float64
 	for i := 0; i < sys.Inputs(); i++ {
 		for j := i; j < sys.Inputs(); j++ {
-			bt := r.Btilde2(i, j)
-			if mat.Norm2(bt) == 0 {
+			seed := r.btilde2(i, j, bt[i], bt[j])
+			if mat.Norm2(seed) == 0 {
 				continue
 			}
-			seeds = append(seeds, bt)
+			seeds = append(seeds, seed)
 		}
 	}
 	if len(seeds) == 0 {
 		return nil, nil
 	}
-	start, err := r.gt2.SolveShiftedBatch(s0, seeds)
-	if err != nil {
-		return nil, err
+	start := make([][]float64, len(seeds))
+	for i := range start {
+		start[i] = make([]float64, n+n*n)
 	}
-	var solveErr error
-	res := arnoldi.Krylov(gt2Op{g: r.gt2, s0: s0, err: &solveErr}, start, k2, 0)
-	if solveErr != nil {
-		return nil, solveErr
+	op.ApplyBatch(start, seeds)
+	if op.err != nil {
+		return nil, op.err
+	}
+	res := arnoldi.Krylov(op, start, k2, 0)
+	if op.err != nil {
+		return nil, op.err
 	}
 	if res.V == nil {
 		return nil, nil
@@ -202,9 +260,10 @@ func (r *Realization) solveMomentTable(f solver.Factorization, ws [][]float64, d
 //
 // where out_j is the symmetrized output of the j-th resolvent power of
 // the H̃3 realization. The powers run in the Schur coordinates of G1
-// (kronSchur): the rank-one start vector b⊗b̃2 is transformed once, and
-// only each power's top block returns to original coordinates, as
-// Q·X̃_top·Qᵀ before G2.
+// (kronSchur): the rank-one start vector b⊗b̃2 is transformed once, its
+// bottom block b^{3⊗} stays fully symmetric so every power solves it
+// with kron.Sym3, and only each power's top block returns to original
+// coordinates, as Q·X̃_top·Qᵀ before G2.
 func (r *Realization) H3Moments(k3 int, s0 float64) ([][]float64, error) {
 	if k3 <= 0 {
 		return nil, nil
@@ -228,6 +287,7 @@ func (r *Realization) H3Moments(k3 int, s0 float64) ([][]float64, error) {
 		if err != nil {
 			return nil, err
 		}
+		k.sym = k.s3.Sym()
 		s2 := k.s3.Sum2()
 		q := s2.Schur().Q
 		qt := q.T()
@@ -296,8 +356,9 @@ func (r *Realization) H3Moments(k3 int, s0 float64) ([][]float64, error) {
 //	m_k = Σ_{i+j=k} M^{−(i+1)}·G3·N3^{−(j+1)}·b^{3⊗},  N3 = ⊕³G1 − s0·I.
 //
 // The N3 powers run in the Schur coordinates of s3: b^{3⊗} maps to
-// (Qᵀb)^{3⊗}, every power is one SolveSchur, and G3 reads each power
-// through a gather over its nonzero columns.
+// (Qᵀb)^{3⊗}, every power is one symmetric solve (kron.Sym3, since the
+// powers of a fully symmetric tensor stay fully symmetric), and G3 reads
+// each power through a gather over its nonzero columns.
 func (r *Realization) H3MomentsCubic(s3 *kron.SumSolver3, k3 int, s0 float64) ([][]float64, error) {
 	if k3 <= 0 {
 		return nil, nil
@@ -318,13 +379,14 @@ func (r *Realization) H3MomentsCubic(s3 *kron.SumSolver3, k3 int, s0 float64) ([
 	bt := s2.ToSchur(sys.B.Col(0), 1)
 	z := kron.VecKron(kron.VecKron(bt, bt), bt)
 	g3 := newGather(sys.G3, s2.Schur().Q, 3)
+	sym := s3.Sym()
 	ws := make([][]float64, 0, k3)
 	for j := 0; j < k3; j++ {
-		if err := s3.SolveSchur(r.ctx, s0, z); err != nil {
+		if err := sym.SolveSchur(r.ctx, s0, z); err != nil {
 			return nil, fmt.Errorf("assoc: cubic resolvent power %d: %w", j+1, err)
 		}
 		w := make([]float64, n)
-		g3.apply(w, z)
+		g3.applySym(w, z)
 		ws = append(ws, w)
 	}
 	table, _, err := r.solveMomentTable(f, ws, nil, k3)

@@ -10,7 +10,8 @@
 // Bartels–Stewart recurrence over R whose inner solves are order-2
 // quasi-triangular solves (complexified across 2×2 Schur blocks). The
 // order-3 recurrence runs in Schur coordinates, so a chain of resolvent
-// powers applies Q once at each end rather than once per power.
+// powers applies Q once at each end rather than once per power, and on
+// fully symmetric tensors (Sym3) it computes each distinct entry once.
 //
 // Conventions (column-stacking): vec(X)[j·rows+i] = X[i][j], so
 // (A⊗B)·vec(X) = vec(B·X·Aᵀ) and (x⊗y)[p·len(y)+q] = x[p]·y[q].

@@ -74,8 +74,8 @@ func hessenberg(h, q *mat.Dense) {
 		}
 		mat.ScaleVec(1/vn, v)
 		reflectRows(h, v, k+1, 0)
-		reflectCols(h, v, k+1, 0)
-		reflectCols(q, v, k+1, 0)
+		reflectCols(h, v, k+1, n)
+		reflectCols(q, v, k+1, n)
 		// Clean the annihilated entries.
 		h.Set(k+1, k, alpha)
 		for i := k + 2; i < n; i++ {
@@ -87,6 +87,27 @@ func hessenberg(h, q *mat.Dense) {
 // reflectRows applies P = I − 2vvᵀ (v occupying rows r0..r0+len(v)-1) from
 // the left: m ← P·m, touching columns c0..end.
 func reflectRows(m *mat.Dense, v []float64, r0, c0 int) {
+	if len(v) == 3 {
+		// The Francis sweep's reflector, unrolled: the same operations
+		// in the same order as the loop below.
+		v0, v1, v2 := v[0], v[1], v[2]
+		a, b, c := m.Row(r0)[c0:], m.Row(r0 + 1)[c0:], m.Row(r0 + 2)[c0:]
+		b, c = b[:len(a)], c[:len(a)]
+		for j := range a {
+			s := 0.0
+			s += v0 * a[j]
+			s += v1 * b[j]
+			s += v2 * c[j]
+			s *= 2
+			if s == 0 {
+				continue
+			}
+			a[j] += -s * v0
+			b[j] += -s * v1
+			c[j] += -s * v2
+		}
+		return
+	}
 	for j := c0; j < m.C; j++ {
 		s := 0.0
 		for i, vi := range v {
@@ -103,9 +124,27 @@ func reflectRows(m *mat.Dense, v []float64, r0, c0 int) {
 }
 
 // reflectCols applies P from the right: m ← m·P, v occupying columns
-// c0..c0+len(v)-1, touching rows r0..end.
-func reflectCols(m *mat.Dense, v []float64, c0, r0 int) {
-	for i := r0; i < m.R; i++ {
+// c0..c0+len(v)-1, touching rows 0..r1-1.
+func reflectCols(m *mat.Dense, v []float64, c0, r1 int) {
+	if len(v) == 3 {
+		v0, v1, v2 := v[0], v[1], v[2]
+		for i := 0; i < r1; i++ {
+			row := m.Row(i)[c0 : c0+3]
+			s := 0.0
+			s += v0 * row[0]
+			s += v1 * row[1]
+			s += v2 * row[2]
+			s *= 2
+			if s == 0 {
+				continue
+			}
+			row[0] -= s * v0
+			row[1] -= s * v1
+			row[2] -= s * v2
+		}
+		return
+	}
+	for i := 0; i < r1; i++ {
 		row := m.Row(i)
 		s := 0.0
 		for j, vj := range v {
@@ -168,6 +207,14 @@ func francis(h, q *mat.Dense) error {
 
 // doubleShiftSweep performs one implicit double-shift bulge chase on the
 // active window rows/cols lo..hi (inclusive, size ≥ 3).
+//
+// The reflectors touch only the part of h that can be nonzero: the
+// reflector at k updates columns ≥ k−1 of rows k..k+2 and rows
+// ≤ min(k+3, hi) of columns k..k+2. Every entry a full update would
+// also visit is an exact zero, which the update leaves unchanged, or
+// lies below the subdiagonal left of the bulge, which nothing reads
+// before the clean-up at the end zeroes it; so h and q come out
+// bit-identical to full-width updates. q is updated on all rows.
 func doubleShiftSweep(h, q *mat.Dense, lo, hi int, exceptional bool) {
 	var s, t float64
 	if exceptional {
@@ -192,9 +239,9 @@ func doubleShiftSweep(h, q *mat.Dense, lo, hi int, exceptional bool) {
 		}
 		v, ok := householder3(vec)
 		if ok {
-			reflectRows(h, v, k, 0)
-			reflectCols(h, v, k, 0)
-			reflectCols(q, v, k, 0)
+			reflectRows(h, v, k, max(k-1, 0))
+			reflectCols(h, v, k, min(k+3, hi)+1)
+			reflectCols(q, v, k, q.R)
 		}
 		if k < hi-2 {
 			x = h.At(k+1, k)
@@ -210,9 +257,9 @@ func doubleShiftSweep(h, q *mat.Dense, lo, hi int, exceptional bool) {
 	x = h.At(hi-1, hi-2)
 	y = h.At(hi, hi-2)
 	if v, ok := householder2([]float64{x, y}); ok {
-		reflectRows(h, v, hi-1, 0)
-		reflectCols(h, v, hi-1, 0)
-		reflectCols(q, v, hi-1, 0)
+		reflectRows(h, v, hi-1, hi-2)
+		reflectCols(h, v, hi-1, hi+1)
+		reflectCols(q, v, hi-1, q.R)
 	}
 	// Clean below-bulge entries that should be exactly zero.
 	for i := lo + 2; i <= hi; i++ {

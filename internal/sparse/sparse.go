@@ -108,34 +108,9 @@ func (m *CSR) MulVec(dst, x []float64) {
 }
 
 // MulVecTo is the in-place multiply under its batch-era name: exactly
-// MulVec (dst = M·x, no allocation), the named sibling of MulBatchTo.
+// MulVec (dst = M·x, no allocation), the named sibling of
+// mat.Dense.MulVecTo.
 func (m *CSR) MulVecTo(dst, x []float64) { m.MulVec(dst, x) }
-
-// MulBatchTo computes dst[c] = M·xs[c] for every column of the batch,
-// in place and allocation-free. The row-pointer/column-index metadata
-// is traversed once per batch rather than once per column — the sparse
-// analogue of the block back-solve amortization. dst[c] must not alias
-// any xs column.
-func (m *CSR) MulBatchTo(dst, xs [][]float64) {
-	if len(dst) != len(xs) {
-		panic("sparse: MulBatchTo batch size mismatch")
-	}
-	for c, x := range xs {
-		if len(x) != m.Cols || len(dst[c]) != m.Rows {
-			panic("sparse: MulBatchTo length mismatch")
-		}
-	}
-	for r := 0; r < m.Rows; r++ {
-		k0, k1 := m.RowPtr[r], m.RowPtr[r+1]
-		for c, x := range xs {
-			s := 0.0
-			for k := k0; k < k1; k++ {
-				s += m.Val[k] * x[m.ColIdx[k]]
-			}
-			dst[c][r] = s
-		}
-	}
-}
 
 // MulVecC computes dst = M·x for complex x.
 func (m *CSR) MulVecC(dst, x []complex128) {

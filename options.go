@@ -123,7 +123,7 @@ func buildConfig(opts []Option) *config {
 // (TestArtifactEpochGolden). Because the epoch is part of every cache
 // key, a store, a fleet or a client that holds bytes from an older
 // epoch never serves them under a new key.
-const artifactEpoch = 1
+const artifactEpoch = 2
 
 // cacheKey canonicalizes a reduction request for the Reducer: the
 // artifact epoch, the system fingerprint and every option that can

@@ -178,6 +178,11 @@ func requestKey(sys *System, method string, opts []Option) string {
 // StoreErrors — callers that can compute elsewhere (the serve tier's
 // cluster forwarding treats a Lookup miss as "ask the owner") should
 // treat it as a miss.
+//
+// A key that a live flight holds is a miss even when the flight has
+// already written its ROM through to the store: the caller joins the
+// flight through Reduce instead, is counted as coalesced, and returns
+// only after the write-through has finished.
 func (rd *Reducer) Lookup(key string) (*ROM, error) {
 	if key == "" {
 		return nil, nil
@@ -189,6 +194,10 @@ func (rd *Reducer) Lookup(key string) (*ROM, error) {
 		rom := el.Value.(*cacheEntry).rom
 		rd.mu.Unlock()
 		return rom, nil
+	}
+	if fl, ok := rd.inflight[key]; ok && fl.refs > 0 {
+		rd.mu.Unlock()
+		return nil, nil
 	}
 	st := rd.store
 	rd.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"avtmor"
 )
@@ -262,5 +263,79 @@ func TestReducerLookup(t *testing.T) {
 	fs.failLoad = true
 	if rom, err := avtmor.NewReducer(avtmor.WithROMStore(fs)).Lookup(key); err == nil || rom != nil {
 		t.Fatalf("broken-store Lookup = %v, %v; want error", rom, err)
+	}
+}
+
+// slowFsyncStore is a fakeStore whose Store makes the ROM loadable,
+// then blocks until released: a write followed by a slow fsync.
+type slowFsyncStore struct {
+	*fakeStore
+	written, release chan struct{}
+}
+
+func (s *slowFsyncStore) Store(key string, rom *avtmor.ROM) error {
+	err := s.fakeStore.Store(key, rom)
+	close(s.written)
+	<-s.release
+	return err
+}
+
+func (s *slowFsyncStore) loadCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.loads
+}
+
+// TestReducerLookupDuringWriteThrough: while a flight is writing its
+// fresh ROM through to the store, Lookup misses without touching the
+// store, and a Reduce of the same key joins the flight; neither is a
+// store hit, and nothing returns before the write-through has finished.
+func TestReducerLookupDuringWriteThrough(t *testing.T) {
+	st := &slowFsyncStore{fakeStore: newFakeStore(), written: make(chan struct{}), release: make(chan struct{})}
+	var release sync.Once
+	defer release.Do(func() { close(st.release) })
+	rd := avtmor.NewReducer(avtmor.WithROMStore(st))
+	w := avtmor.NTLCurrent(20)
+	opts := variantOpts(w, 3)
+	key := avtmor.RequestKey(w.System, opts...)
+	ctx := context.Background()
+
+	done := make(chan error, 2)
+	go func() {
+		_, err := rd.Reduce(ctx, w.System, opts...)
+		done <- err
+	}()
+	<-st.written
+	loads := st.loadCount()
+	if rom, err := rd.Lookup(key); rom != nil || err != nil {
+		t.Fatalf("Lookup during the write-through = %v, %v; want a miss", rom, err)
+	}
+	if got := st.loadCount(); got != loads {
+		t.Fatalf("Lookup during the write-through loaded from the store (%d → %d loads)", loads, got)
+	}
+	go func() {
+		_, err := rd.Reduce(ctx, w.System, opts...)
+		done <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for rd.Stats().Coalesced != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("second Reduce did not join the flight: %+v", rd.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("a Reduce returned (%v) before the write-through finished", err)
+	default:
+	}
+	release.Do(func() { close(st.release) })
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := rd.Stats(); s.Reductions != 1 || s.Coalesced != 1 || s.StoreHits != 0 {
+		t.Fatalf("want 1 reduction, 1 coalesced, no store hit: %+v", s)
 	}
 }
