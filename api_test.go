@@ -2,7 +2,9 @@ package avtmor_test
 
 import (
 	"context"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"avtmor"
@@ -231,6 +233,64 @@ func TestH3ChainsFactorG1Once(t *testing.T) {
 		}
 		if got := rom.Stats().Factorizations; got != 1 {
 			t.Errorf("%s: %d factorizations, want 1", tc.name, got)
+		}
+	}
+}
+
+// TestROMProbesConcurrent: a fresh ROM's error probes and TransferH1
+// may run on many goroutines at once. They share one lazily built
+// realization pair, and every result equals a serial call's on a second
+// ROM from the same Reduce.
+func TestROMProbesConcurrent(t *testing.T) {
+	w := avtmor.NTLCurrent(20)
+	reduce := func() *avtmor.ROM {
+		rom, err := avtmor.Reduce(context.Background(), w.System, avtmor.WithOrders(4, 2, 2), avtmor.WithExpansion(w.S0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rom
+	}
+	type probes struct {
+		h1, h2, h3 float64
+		tf         []complex128
+	}
+	run := func(rom *avtmor.ROM) (p probes, err error) {
+		const s = 1i
+		if p.h1, err = rom.H1Error(0, s); err != nil {
+			return p, err
+		}
+		if p.h2, err = rom.H2Error(0, 0, s); err != nil {
+			return p, err
+		}
+		if p.h3, err = rom.H3Error(s); err != nil {
+			return p, err
+		}
+		p.tf, err = rom.TransferH1(0, s)
+		return p, err
+	}
+	want, err := run(reduce())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rom := reduce()
+	const workers = 8
+	got := make([]probes, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], errs[g] = run(rom)
+		}(g)
+	}
+	wg.Wait()
+	for g, p := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if p.h1 != want.h1 || p.h2 != want.h2 || p.h3 != want.h3 || !slices.Equal(p.tf, want.tf) {
+			t.Errorf("goroutine %d: probes %v, %v, %v, %v; serial %v, %v, %v, %v", g, p.h1, p.h2, p.h3, p.tf, want.h1, want.h2, want.h3, want.tf)
 		}
 	}
 }

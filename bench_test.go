@@ -220,17 +220,6 @@ func BenchmarkAblationSubspaceGrowth(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDecoupledH2 compares the Eq.-(18) Sylvester-decoupled
-// H2 subspace generation against the default block-triangular path.
-func BenchmarkAblationDecoupledH2(b *testing.B) {
-	w := circuits.NTLCurrent(70)
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Reduce(w.Sys, core.Options{K1: 6, K2: 3, S0: w.S0, DecoupledH2: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Structured solver micro-benchmarks (the §2.3 machinery) ---
 
 func BenchmarkSolverKronSum2N70(b *testing.B) {

@@ -23,9 +23,11 @@ type goldenCase struct {
 
 // goldenCases is the golden artifact set: the §3 testbenches at
 // internal/exper's orders, §3.2 and §3.3 through ReduceNORM too, a
-// sparse multipoint RLC line, the netlist diode ladder, and a two-port
+// sparse multipoint RLC line, the netlist diode ladder, a two-port
 // RLC line whose far-port products underflow — the one member whose
-// projection the subnormal flush changes.
+// projection the subnormal flush changes — and a chain with both a
+// quadratic and a cubic term, whose quadratic and cubic H3 chains share
+// one Schur form of G1.
 func goldenCases(t testing.TB) []goldenCase {
 	s31, s32, s33, s34 := NTLVoltage(50), NTLCurrent(70), RFReceiver(), Varistor()
 	return []goldenCase{
@@ -38,7 +40,35 @@ func goldenCases(t testing.TB) []goldenCase {
 		{"rlc-line-256", RLCLine(256).System, false, []Option{WithOrders(6, 0, 0), WithExpansion(1, 0.4, 0.9), WithSolver(SolverSparse)}},
 		{"netlist-ladder", diodeLadder(t), false, []Option{WithOrders(4, 2, 0), WithExpansion(0.4)}},
 		{"two-port-line-800", twoPortLine(t, 800), false, []Option{WithOrders(6, 0, 0), WithExpansion(0, 0.4, 0.9)}},
+		{"mixed-quad-cubic", mixedChain(t), false, []Option{WithOrders(4, 2, 2), WithExpansion(0.5)}},
 	}
+}
+
+// mixedChain is a 12-state SISO chain with G1 = diag(−1…−12) plus a ½
+// subdiagonal, G2(i,i,i) = −0.1, G2(i,i,i+1) = 0.05 and
+// G3(i,i,i,i) = −0.01, driven at the first state and observed at the
+// last.
+func mixedChain(t testing.TB) *System {
+	t.Helper()
+	const n = 12
+	sb := NewSystemBuilder(n, 1, 1)
+	for i := 0; i < n; i++ {
+		sb.G1(i, i, -float64(i+1))
+		if i > 0 {
+			sb.G1(i, i-1, 0.5)
+		}
+		sb.G2(i, i, i, -0.1)
+		if i+1 < n {
+			sb.G2(i, i, i+1, 0.05)
+		}
+		sb.G3(i, i, i, i, -0.01)
+	}
+	sb.B(0, 0, 1).L(0, n-1, 1)
+	sys, err := sb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
 }
 
 // twoPortLine is an RLC line of the given sections (unit C and L,
@@ -177,6 +207,7 @@ const goldenEpoch = 2
 // goldenDigests is the SHA-256 of each golden artifact, recorded on
 // linux/amd64.
 var goldenDigests = map[string]string{
+	"mixed-quad-cubic":  "3b4d8dc8af6ee7789e129d96de299526e075ea0c9293aff4efcc87454e7f215a",
 	"netlist-ladder":    "4b7f923e72c1e05a8c846a4b4010534017a7b603e158b11f4659fbe610da9ba5",
 	"rlc-line-256":      "53256ba03c8c633bf87a16b36cd77a0eaa020cd5d07be1ca575b775ad2d6c9ca",
 	"s31":               "6c5026dfd294575f79a0030bb13394f8e438209c6c64b64bb25f679b4059f64a",

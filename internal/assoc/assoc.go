@@ -25,7 +25,6 @@ import (
 	"avtmor/internal/lu"
 	"avtmor/internal/mat"
 	"avtmor/internal/qldae"
-	"avtmor/internal/schur"
 	"avtmor/internal/solver"
 	"avtmor/internal/sylv"
 )
@@ -93,6 +92,13 @@ func NewWithSolverCtx(ctx context.Context, sys *qldae.System, ls solver.LinearSo
 // callers that still set a width.
 func (r *Realization) SetBlockSize(int) {}
 
+// H2CandidatesDecoupled is H2Candidates. The Eq.-(18) decoupled chains
+// span what the Eq.-(17) chain spans, so no second H2 method is kept;
+// this name remains only for callers that still use it.
+func (r *Realization) H2CandidatesDecoupled(k2 int, s0 float64) ([][]float64, error) {
+	return r.H2Candidates(k2, s0)
+}
+
 // SolverStats reports the shifted-factorization cache counters (factor
 // steps actually paid, cache hits, batch-solve traffic) for the
 // observability layer.
@@ -120,18 +126,6 @@ func (r *Realization) Sum2() (*kron.SumSolver2, error) {
 	}
 	return r.s2, r.s2err
 }
-
-// Schur returns the cached Schur form of G1 (computing it on first use).
-func (r *Realization) Schur() (*schur.Schur, error) {
-	s2, err := r.Sum2()
-	if err != nil {
-		return nil, err
-	}
-	return s2.Schur(), nil
-}
-
-// Gt2Solver returns the shifted solver for the Eq.-(17) matrix G̃2.
-func (r *Realization) Gt2Solver() *Gt2 { return r.gt2 }
 
 // shiftedLU returns a cached factorization of (G1 − τI) from the
 // solver-backed shift cache.
@@ -262,8 +256,9 @@ func (g *Gt2) SolveShiftedC(tau complex128, rhs []complex128) ([]complex128, err
 type kronSchur struct {
 	s3 *kron.SumSolver3
 	g2 *gather // nil when G2 = 0
-	// sym, when set, runs the bottom recurrence on fully symmetric
-	// iterates (kron.Sym3): H3Moments' powers of b⊗b̃2 are.
+	// sym runs step's bottom recurrence on fully symmetric iterates
+	// (kron.Sym3), which H3Moments' powers of b⊗b̃2 are; stepC, which
+	// evaluates A3(H3) at a complex frequency, does not use it.
 	sym *kron.Sym3
 }
 
@@ -284,11 +279,7 @@ func (r *Realization) kronSchur() (*kronSchur, error) {
 // X̃_topᵀ, which solves R·W + W·Rᵀ − σ·W = Ṽ_topᵀ − D·Q with
 // D[p][i] = (G2·(Q⊗Q)·x̃_bot,p)[i] (⊕²R commutes with transposition).
 func (k *kronSchur) step(ctx context.Context, sigma float64, top, bot []float64) error {
-	solve := k.s3.SolveSchur
-	if k.sym != nil {
-		solve = k.sym.SolveSchur
-	}
-	if err := solve(ctx, sigma, bot); err != nil {
+	if err := k.sym.SolveSchur(ctx, sigma, bot); err != nil {
 		return err
 	}
 	n := k.s3.N()
@@ -296,11 +287,7 @@ func (k *kronSchur) step(ctx context.Context, sigma float64, top, bot []float64)
 	w := &mat.Dense{R: n, C: n, A: top}
 	if k.g2 != nil {
 		d := mat.NewDense(n, n)
-		if k.sym != nil {
-			k.g2.applySym(d.A, bot)
-		} else {
-			k.g2.apply(d.A, bot)
-		}
+		k.g2.applySym(d.A, bot)
 		w.AddScaled(-1, d.Mul(sch.Q))
 	}
 	x, err := sylv.TrSylvT(sch.T, sch.T, -sigma, w)
@@ -363,25 +350,10 @@ func joinKron[T float64 | complex128](top, bot []T, n int) []T {
 	return v
 }
 
-// SolveKron solves (G1⊕G̃2 − σI)·z = v, the resolvent of the H̃3
-// realization: v (length n·(n+n²), n column-stacked blocks) is mapped
-// into Schur coordinates, advanced by the recurrence H3Moments runs per
-// power, and mapped back.
-func (r *Realization) SolveKron(sigma float64, v []float64) ([]float64, error) {
-	k, err := r.kronSchur()
-	if err != nil {
-		return nil, err
-	}
-	n, s2 := r.Sys.N, k.s3.Sum2()
-	top, bot := splitKron(v, n)
-	top, bot = s2.ToSchur(top, 2), s2.ToSchur(bot, 3)
-	if err := k.step(r.ctx, sigma, top, bot); err != nil {
-		return nil, err
-	}
-	return joinKron(s2.FromSchur(top, 2), s2.FromSchur(bot, 3), n), nil
-}
-
-// SolveKronC is the complex-shift variant of SolveKron.
+// SolveKronC solves (G1⊕G̃2 − σI)·z = v for complex σ, the resolvent
+// of the H̃3 realization: v (length n·(n+n²), n column-stacked blocks)
+// is mapped into Schur coordinates, advanced by one resolvent power and
+// mapped back.
 func (r *Realization) SolveKronC(sigma complex128, v []complex128) ([]complex128, error) {
 	k, err := r.kronSchur()
 	if err != nil {
@@ -394,34 +366,6 @@ func (r *Realization) SolveKronC(sigma complex128, v []complex128) ([]complex128
 		return nil, err
 	}
 	return joinKron(s2.FromSchurC(top, 2), s2.FromSchurC(bot, 3), n), nil
-}
-
-// BuildGt2Dense forms G̃2 explicitly. Exponential in memory (n+n²)²; test
-// and diagnostic use only.
-func BuildGt2Dense(sys *qldae.System) *mat.Dense {
-	n := sys.N
-	nn := n + n*n
-	g := mat.NewDense(nn, nn)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			g.Set(i, j, sys.G1.At(i, j))
-		}
-	}
-	if sys.G2 != nil {
-		d := sys.G2.Dense()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n*n; j++ {
-				g.Set(i, n+j, d.At(i, j))
-			}
-		}
-	}
-	ks := kron.SumDense(sys.G1, sys.G1)
-	for i := 0; i < n*n; i++ {
-		for j := 0; j < n*n; j++ {
-			g.Set(n+i, n+j, ks.At(i, j))
-		}
-	}
-	return g
 }
 
 // errNotSISO flags H3 paths that are implemented for single-input systems.

@@ -32,6 +32,34 @@ func testSystem(rng *rand.Rand, n int, withD1 bool) *qldae.System {
 	return s
 }
 
+// BuildGt2Dense forms G̃2 explicitly. Exponential in memory (n+n²)²; test
+// and diagnostic use only.
+func BuildGt2Dense(sys *qldae.System) *mat.Dense {
+	n := sys.N
+	nn := n + n*n
+	g := mat.NewDense(nn, nn)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			g.Set(i, j, sys.G1.At(i, j))
+		}
+	}
+	if sys.G2 != nil {
+		d := sys.G2.Dense()
+		for i := 0; i < n; i++ {
+			for j := 0; j < n*n; j++ {
+				g.Set(i, n+j, d.At(i, j))
+			}
+		}
+	}
+	ks := kron.SumDense(sys.G1, sys.G1)
+	for i := 0; i < n*n; i++ {
+		for j := 0; j < n*n; j++ {
+			g.Set(n+i, n+j, ks.At(i, j))
+		}
+	}
+	return g
+}
+
 func cdiff(a, b []complex128) float64 {
 	d := make([]complex128, len(a))
 	for i := range a {
@@ -55,7 +83,7 @@ func TestGt2SolveComplexAgainstDense(t *testing.T) {
 	for i := range rhs {
 		rhs[i] = complex(2*rng.Float64()-1, 2*rng.Float64()-1)
 	}
-	got, err := r.Gt2Solver().SolveShiftedC(tau, rhs)
+	got, err := r.gt2.SolveShiftedC(tau, rhs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,24 +109,25 @@ func TestSolveKronAgainstDense(t *testing.T) {
 	gd := BuildGt2Dense(sys)
 	big := kron.SumDense(sys.G1, gd) // G1 ⊕ G̃2
 	nn := big.R
-	sigma := 0.15
-	v := mat.RandVec(rng, nn)
-	got, err := r.SolveKron(sigma, v)
+	sigma := 0.15 + 0.8i
+	v := make([]complex128, nn)
+	for i := range v {
+		v[i] = complex(2*rng.Float64()-1, 2*rng.Float64()-1)
+	}
+	got, err := r.SolveKronC(sigma, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shifted := big.Clone()
+	shifted := big.Complex()
 	for i := 0; i < nn; i++ {
-		shifted.Add(i, i, -sigma)
+		shifted.Set(i, i, shifted.At(i, i)-sigma)
 	}
-	want, err := lu.Solve(shifted, v)
+	want, err := lu.SolveC(shifted, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff := make([]float64, nn)
-	mat.SubVec(diff, got, want)
-	if mat.Norm2(diff) > 1e-7*(1+mat.Norm2(want)) {
-		t.Fatalf("G1⊕G̃2 solve differs from dense by %g", mat.Norm2(diff))
+	if d := cdiff(got, want); d > 1e-7*(1+mat.CNorm2(want)) {
+		t.Fatalf("G1⊕G̃2 solve differs from dense by %g", d)
 	}
 }
 

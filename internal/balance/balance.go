@@ -1,15 +1,13 @@
-// Package balance provides linear balanced-truncation machinery: Lyapunov
-// gramians, Hankel singular values, and the square-root balancing
-// transform. The paper's §4 (first bullet) points out that, because the
-// associated transforms are ordinary single-s transfer functions,
-// "automatic selection of moment numbers in H1(s), H2(s), H3(s) etc. can
-// utilize the Hankel singular values or similar measure inherent to
-// linear MOR" — core.SuggestOrders builds on this package to do exactly
-// that.
+// Package balance computes the Lyapunov gramians and Hankel singular
+// values of a stable linear system. The paper's §4 (first bullet) points
+// out that, because the associated transforms are ordinary single-s
+// transfer functions, "automatic selection of moment numbers in H1(s),
+// H2(s), H3(s) etc. can utilize the Hankel singular values or similar
+// measure inherent to linear MOR" — core.SuggestOrders builds on this
+// package to do exactly that.
 package balance
 
 import (
-	"errors"
 	"math"
 	"sort"
 
@@ -93,141 +91,4 @@ func SuggestOrder(hsv []float64, tol float64) int {
 		k = 1
 	}
 	return k
-}
-
-// Reduced is a balanced-truncated linear state-space model.
-type Reduced struct {
-	A, B, C *mat.Dense
-	// HSV are the full model's Hankel singular values (decreasing); the
-	// retained ones are HSV[:k].
-	HSV []float64
-	// W, V are the oblique projection matrices (x ≈ V·x̂, x̂ = Wᵀ·x,
-	// WᵀV = I).
-	W, V *mat.Dense
-}
-
-// Truncate computes the order-k balanced truncation of (A, B, C) by the
-// square-root method: with P = Zp·Zpᵀ, Q = Zq·Zqᵀ and the SVD
-// Zqᵀ·Zp = U·Σ·Yᵀ, the projectors are V = Zp·Y·Σ^{-1/2}, W = Zq·U·Σ^{-1/2}.
-func Truncate(a, b, c *mat.Dense, k int) (*Reduced, error) {
-	n := a.R
-	if k < 1 || k > n {
-		return nil, errors.New("balance: order out of range")
-	}
-	p, q, err := Gramians(a, b, c)
-	if err != nil {
-		return nil, err
-	}
-	zp, err := psdFactor(p)
-	if err != nil {
-		return nil, err
-	}
-	zq, err := psdFactor(q)
-	if err != nil {
-		return nil, err
-	}
-	m := zq.T().Mul(zp)
-	u, sv, y, err := svd(m)
-	if err != nil {
-		return nil, err
-	}
-	if k > len(sv) || sv[k-1] <= 0 {
-		return nil, errors.New("balance: requested order exceeds numerical Hankel rank")
-	}
-	// V = Zp·Y_k·Σ_k^{-1/2}, W = Zq·U_k·Σ_k^{-1/2}.
-	vk := mat.NewDense(y.R, k)
-	wk := mat.NewDense(u.R, k)
-	for j := 0; j < k; j++ {
-		s := 1 / math.Sqrt(sv[j])
-		for i := 0; i < y.R; i++ {
-			vk.Set(i, j, y.At(i, j)*s)
-		}
-		for i := 0; i < u.R; i++ {
-			wk.Set(i, j, u.At(i, j)*s)
-		}
-	}
-	v := zp.Mul(vk)
-	w := zq.Mul(wk)
-	red := &Reduced{
-		A:   w.T().Mul(a).Mul(v),
-		B:   w.T().Mul(b),
-		C:   c.Mul(v),
-		HSV: sv2hsv(sv),
-		W:   w,
-		V:   v,
-	}
-	return red, nil
-}
-
-func sv2hsv(sv []float64) []float64 {
-	out := make([]float64, len(sv))
-	copy(out, sv)
-	return out
-}
-
-// psdFactor returns Z with M = Z·Zᵀ for a symmetric PSD matrix via its
-// spectral decomposition (robust to semidefiniteness, unlike Cholesky).
-func psdFactor(m *mat.Dense) (*mat.Dense, error) {
-	s, err := schur.Decompose(m)
-	if err != nil {
-		return nil, err
-	}
-	n := m.R
-	// For symmetric input the Schur form is (numerically) diagonal.
-	z := mat.NewDense(n, n)
-	for j := 0; j < n; j++ {
-		lam := s.T.At(j, j)
-		if lam < 0 {
-			lam = 0
-		}
-		r := math.Sqrt(lam)
-		for i := 0; i < n; i++ {
-			z.Set(i, j, s.Q.At(i, j)*r)
-		}
-	}
-	return z, nil
-}
-
-// svd computes a thin SVD M = U·diag(σ)·Vᵀ through the spectral
-// decompositions of MᵀM (for V, σ) and M·V/σ (for U). Adequate for the
-// well-separated Hankel spectra this package sees; columns with σ at
-// rounding level get zero U columns.
-func svd(m *mat.Dense) (u *mat.Dense, sv []float64, v *mat.Dense, err error) {
-	n := m.C
-	mtm := m.T().Mul(m)
-	symmetrize(mtm)
-	s, err := schur.Decompose(mtm)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// Sort eigenpairs decreasing.
-	type pair struct {
-		lam float64
-		idx int
-	}
-	ps := make([]pair, n)
-	for j := 0; j < n; j++ {
-		ps[j] = pair{math.Max(0, s.T.At(j, j)), j}
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].lam > ps[j].lam })
-	v = mat.NewDense(n, n)
-	sv = make([]float64, n)
-	for j, pr := range ps {
-		sv[j] = math.Sqrt(pr.lam)
-		for i := 0; i < n; i++ {
-			v.Set(i, j, s.Q.At(i, pr.idx))
-		}
-	}
-	mv := m.Mul(v)
-	u = mat.NewDense(m.R, n)
-	for j := 0; j < n; j++ {
-		if sv[j] <= 1e-300 {
-			continue
-		}
-		inv := 1 / sv[j]
-		for i := 0; i < m.R; i++ {
-			u.Set(i, j, mv.At(i, j)*inv)
-		}
-	}
-	return u, sv, v, nil
 }

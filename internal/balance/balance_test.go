@@ -1,12 +1,9 @@
 package balance
 
 import (
-	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 
-	"avtmor/internal/lu"
 	"avtmor/internal/mat"
 )
 
@@ -77,114 +74,5 @@ func TestSuggestOrder(t *testing.T) {
 	}
 	if k := SuggestOrder([]float64{1}, 2); k != 1 {
 		t.Fatalf("floor: %d", k)
-	}
-}
-
-// transfer evaluates C·(sI−A)⁻¹·B (SISO-ish: returns the (0,0) entry).
-func transfer(t *testing.T, a, b, c *mat.Dense, s complex128) complex128 {
-	t.Helper()
-	n := a.R
-	f, err := lu.ShiftedReal(a.Clone().Scale(-1), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		x[i] = complex(b.At(i, 0), 0)
-	}
-	f.Solve(x, x)
-	var y complex128
-	for i := 0; i < n; i++ {
-		y += complex(c.At(0, i), 0) * x[i]
-	}
-	return y
-}
-
-func TestTruncatePreservesTransfer(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := mat.RandStable(rng, 16, 0.3)
-	b := mat.RandDense(rng, 16, 1)
-	c := mat.RandDense(rng, 1, 16)
-	hsv, err := HSV(a, b, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := SuggestOrder(hsv, 1e-6)
-	red, err := Truncate(a, b, c, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if red.A.R != k {
-		t.Fatalf("reduced order %d, want %d", red.A.R, k)
-	}
-	// Balanced-truncation error bound: ‖H − Ĥ‖∞ ≤ 2·Σ_{i>k} σ_i.
-	bound := 0.0
-	for i := k; i < len(hsv); i++ {
-		bound += 2 * hsv[i]
-	}
-	for _, s := range []complex128{0, 1i, 0.5 + 2i, 10i} {
-		hFull := transfer(t, a, b, c, s)
-		hRed := transfer(t, red.A, red.B, red.C, s)
-		if d := cmplx.Abs(hFull - hRed); d > bound*10+1e-9 {
-			t.Fatalf("s=%v: |ΔH| = %g exceeds bound %g", s, d, bound)
-		}
-	}
-}
-
-func TestTruncateObliqueProjection(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := mat.RandStable(rng, 10, 0.3)
-	b := mat.RandDense(rng, 10, 1)
-	c := mat.RandDense(rng, 1, 10)
-	red, err := Truncate(a, b, c, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wᵀ·V = I (oblique projector property).
-	if d := red.W.T().Mul(red.V).Sub(mat.Eye(4)).MaxAbs(); d > 1e-8 {
-		t.Fatalf("WᵀV − I = %g", d)
-	}
-}
-
-func TestTruncateBalancedGramians(t *testing.T) {
-	// The reduced system's gramians must both equal diag(σ_1..σ_k).
-	rng := rand.New(rand.NewSource(4))
-	a := mat.RandStable(rng, 12, 0.3)
-	b := mat.RandDense(rng, 12, 1)
-	c := mat.RandDense(rng, 1, 12)
-	const k = 5
-	red, err := Truncate(a, b, c, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, q, err := Gramians(red.A, red.B, red.C)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < k; i++ {
-		if math.Abs(p.At(i, i)-red.HSV[i]) > 1e-6*(1+red.HSV[0]) {
-			t.Fatalf("P[%d][%d] = %g, want σ=%g", i, i, p.At(i, i), red.HSV[i])
-		}
-		if math.Abs(q.At(i, i)-red.HSV[i]) > 1e-6*(1+red.HSV[0]) {
-			t.Fatalf("Q[%d][%d] = %g, want σ=%g", i, i, q.At(i, i), red.HSV[i])
-		}
-		for j := 0; j < k; j++ {
-			if i != j && (math.Abs(p.At(i, j)) > 1e-6*(1+red.HSV[0]) || math.Abs(q.At(i, j)) > 1e-6*(1+red.HSV[0])) {
-				t.Fatalf("gramians not diagonal at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestTruncateRejectsBadOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := mat.RandStable(rng, 6, 0.3)
-	b := mat.RandDense(rng, 6, 1)
-	c := mat.RandDense(rng, 1, 6)
-	if _, err := Truncate(a, b, c, 0); err == nil {
-		t.Fatal("order 0 must error")
-	}
-	if _, err := Truncate(a, b, c, 7); err == nil {
-		t.Fatal("order > n must error")
 	}
 }

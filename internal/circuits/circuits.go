@@ -474,33 +474,3 @@ func RLCLine(sections int) *Workload {
 		OutputName: "far-end voltage (V)",
 	}
 }
-
-// RawNTLVoltageRHS evaluates the original (pre-linearization) nonlinear
-// ODE of the NTLVoltage circuit on the nV node voltages: the fidelity
-// oracle showing the quadratic-linearization is exact (up to the invariant
-// z = e^{40w} manifold).
-func RawNTLVoltageRHS(nV int, dst, v []float64, u float64) {
-	iD := func(w float64) float64 { return math.Exp(40*w) - 1 }
-	for k := 0; k < nV; k++ {
-		var s float64
-		switch {
-		case k == 0:
-			s = u - 2*v[0] - iD(v[0]) - iD(v[0]-at(v, 1))
-			if nV > 1 {
-				s += v[1]
-			}
-		case k < nV-1:
-			s = v[k-1] - 2*v[k] + v[k+1] + iD(v[k-1]-v[k]) - iD(v[k]-v[k+1])
-		default:
-			s = v[k-1] - 2*v[k] + iD(v[k-1]-v[k])
-		}
-		dst[k] = s
-	}
-}
-
-func at(v []float64, i int) float64 {
-	if i < len(v) {
-		return v[i]
-	}
-	return 0
-}

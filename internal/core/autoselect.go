@@ -45,12 +45,3 @@ func SuggestOrders(sys *qldae.System, tol float64) (Options, error) {
 	}
 	return opt, nil
 }
-
-// AutoReduce composes SuggestOrders and Reduce.
-func AutoReduce(sys *qldae.System, tol float64) (*ROM, error) {
-	opt, err := SuggestOrders(sys, tol)
-	if err != nil {
-		return nil, err
-	}
-	return Reduce(sys, opt)
-}

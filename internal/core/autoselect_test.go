@@ -42,12 +42,16 @@ func TestSuggestOrdersTolMonotone(t *testing.T) {
 func TestAutoReduceAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	sys := testSystem(rng, 22, true)
-	rom, err := AutoReduce(sys, 1e-5)
+	opt, err := SuggestOrders(sys, 1e-5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rom.Order() >= sys.N {
-		t.Fatalf("no reduction: q = %d", rom.Order())
+	rom, err := Reduce(sys, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rom.Sys.N >= sys.N {
+		t.Fatalf("no reduction: q = %d", rom.Sys.N)
 	}
 	// The HSV cut at 1e-5 should give a ROM whose linear transfer is
 	// accurate well beyond the expansion point.

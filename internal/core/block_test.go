@@ -78,8 +78,8 @@ func sysBitEqual(t *testing.T, a, b *qldae.System) {
 	}
 }
 
-// TestReduceBlockedBitExact: across nonlinear, multipoint, decoupled-H2
-// and large-sparse workloads the moment generators go through the block
+// TestReduceBlockedBitExact: across nonlinear, multipoint and
+// large-sparse workloads the moment generators go through the block
 // solve path, and its counters move. Per-column bit-exactness of
 // SolveBatch against looped Solve is pinned in internal/solver.
 func TestReduceBlockedBitExact(t *testing.T) {
@@ -92,8 +92,6 @@ func TestReduceBlockedBitExact(t *testing.T) {
 			Options{K1: 4, K2: 2, K3: 2, S0: circuits.NTLCurrent(30).S0}},
 		{"rf-receiver-mimo", circuits.RFReceiver().Sys,
 			Options{K1: 3, K2: 2, S0: circuits.RFReceiver().S0}},
-		{"ntl-current-decoupled", circuits.NTLCurrent(24).Sys,
-			Options{K1: 3, K2: 2, S0: circuits.NTLCurrent(24).S0, DecoupledH2: true}},
 		{"rlc-multipoint-sparse", circuits.RLCLine(160).Sys,
 			Options{K1: 5, ExtraPoints: []float64{0.4, 0.9}}},
 		{"varistor-cubic", circuits.Varistor().Sys,

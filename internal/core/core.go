@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"avtmor/internal/assoc"
-	"avtmor/internal/kron"
 	"avtmor/internal/mat"
 	"avtmor/internal/qldae"
 	"avtmor/internal/qr"
@@ -48,12 +47,6 @@ type Options struct {
 	// DropTol is the deflation tolerance of the rank-revealing
 	// orthonormalization; 0 selects 1e-8.
 	DropTol float64
-	// DecoupledH2 selects the Eq.-(18) Sylvester-decoupled H2 moment
-	// generation (two independent Krylov chains after solving
-	// G1·Π + G2 = Π·⊕²G1) instead of the default block-triangular
-	// realization path. Results are span-equivalent; the paths differ in
-	// cost profile (see BenchmarkAblationDecoupledH2).
-	DecoupledH2 bool
 	// Solver selects the linear-solver backend for every shift-invert
 	// factorization: auto (dense below the routing cutoff, sparse LU for
 	// large sparse G1), or forced dense/sparse. Auto is what makes
@@ -70,6 +63,10 @@ type Options struct {
 	// that shares a shifted factorization. It remains only for callers
 	// that still set it.
 	BlockSize int
+	// DecoupledH2 is ignored: H2 moments always come from the Eq.-(17)
+	// block-triangular chain, which spans what the Eq.-(18) decoupled
+	// chains span. It remains only for callers that still set it.
+	DecoupledH2 bool
 }
 
 func (o Options) dropTol() float64 {
@@ -88,7 +85,9 @@ type ROM struct {
 	Method string
 	Stats  Stats
 
-	cache *evalPair // lazily built verification realizations
+	mu   sync.Mutex
+	full *assoc.Realization // guarded by mu; lazy, for the error probes
+	red  *assoc.Realization // guarded by mu; lazy, for the probes and TransferH1
 }
 
 // Stats records reduction bookkeeping for the experiment tables. It is
@@ -142,9 +141,6 @@ func heapAllocs() uint64 {
 	}
 	return 0
 }
-
-// Order returns the reduced dimension q.
-func (r *ROM) Order() int { return r.Sys.N }
 
 // Reduce runs the proposed associated-transform NMOR. All shift-invert
 // factorizations route through the backend named by opt.Solver and are
@@ -224,13 +220,7 @@ func ReduceContext(ctx context.Context, sys *qldae.System, opt Options) (*ROM, e
 			continue
 		}
 		run(2*i+1, func() ([][]float64, error) {
-			var h2 [][]float64
-			var err error
-			if opt.DecoupledH2 {
-				h2, err = r.H2CandidatesDecoupled(opt.K2, s0)
-			} else {
-				h2, err = r.H2Candidates(opt.K2, s0)
-			}
+			h2, err := r.H2Candidates(opt.K2, s0)
 			if err != nil {
 				return nil, fmt.Errorf("core: H2 candidates at s0=%g: %w", s0, err)
 			}
@@ -248,14 +238,11 @@ func ReduceContext(ctx context.Context, sys *qldae.System, opt Options) (*ROM, e
 	}
 	if wantH3Cubic {
 		run(2*len(points)+1, func() ([][]float64, error) {
-			if sys.G1 == nil {
-				return nil, errors.New("core: cubic H3 moments need a dense G1")
-			}
-			s3, err := kron.NewSumSolver3(sys.G1)
+			s2, err := r.Sum2()
 			if err != nil {
 				return nil, err
 			}
-			h3c, err := r.H3MomentsCubic(s3, opt.K3, opt.S0)
+			h3c, err := r.H3MomentsCubic(s2.Sum3(), opt.K3, opt.S0)
 			if err != nil {
 				return nil, fmt.Errorf("core: cubic H3 moments: %w", err)
 			}

@@ -50,11 +50,11 @@ func TestReduceBasicShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rom.Order() > 6 {
-		t.Fatalf("associated-transform ROM order %d exceeds k1+k2+k3", rom.Order())
+	if rom.Sys.N > 6 {
+		t.Fatalf("associated-transform ROM order %d exceeds k1+k2+k3", rom.Sys.N)
 	}
-	if rom.Order() < 3 {
-		t.Fatalf("ROM order %d suspiciously small", rom.Order())
+	if rom.Sys.N < 3 {
+		t.Fatalf("ROM order %d suspiciously small", rom.Sys.N)
 	}
 	if qr.OrthoError(rom.V) > 1e-10 {
 		t.Fatal("projection basis not orthonormal")
@@ -62,7 +62,7 @@ func TestReduceBasicShape(t *testing.T) {
 	if err := rom.Sys.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if rom.Method != "assoc" || rom.Stats.Order != rom.Order() {
+	if rom.Method != "assoc" || rom.Stats.Order != rom.Sys.N {
 		t.Fatalf("bookkeeping wrong: %+v", rom.Stats)
 	}
 }
@@ -143,11 +143,11 @@ func TestSubspaceGrowthContrast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Order() > opt.K1+opt.K2+opt.K3 {
-		t.Fatalf("proposed ROM order %d > k1+k2+k3", a.Order())
+	if a.Sys.N > opt.K1+opt.K2+opt.K3 {
+		t.Fatalf("proposed ROM order %d > k1+k2+k3", a.Sys.N)
 	}
-	if nm.Order() < 2*a.Order() {
-		t.Fatalf("NORM order %d not substantially larger than proposed %d", nm.Order(), a.Order())
+	if nm.Sys.N < 2*a.Sys.N {
+		t.Fatalf("NORM order %d not substantially larger than proposed %d", nm.Sys.N, a.Sys.N)
 	}
 	if nm.Stats.Candidates <= a.Stats.Candidates {
 		t.Fatal("NORM candidate count should exceed proposed")
@@ -161,8 +161,8 @@ func TestReduceCubic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rom.Order() > 6 {
-		t.Fatalf("cubic ROM order %d", rom.Order())
+	if rom.Sys.N > 6 {
+		t.Fatalf("cubic ROM order %d", rom.Sys.N)
 	}
 	near := complex(0.02, 0.01)
 	if e, err := rom.H1Error(0, near); err != nil || e > 1e-6 {

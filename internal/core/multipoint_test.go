@@ -21,9 +21,9 @@ func TestMultipointMatchesBothPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both ROMs spend a comparable moment budget.
-	if multi.Order() > single.Order()+3 {
+	if multi.Sys.N > single.Sys.N+3 {
 		t.Fatalf("multipoint order %d vs single %d: budgets not comparable",
-			multi.Order(), single.Order())
+			multi.Sys.N, single.Sys.N)
 	}
 	// Near s = 0 both must be excellent.
 	if e, err := multi.H1Error(0, 0.01); err != nil || e > 1e-6 {
@@ -76,7 +76,7 @@ func TestMultipointDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Order() != a.Order() {
-		t.Fatalf("duplicate point changed order: %d vs %d", b.Order(), a.Order())
+	if b.Sys.N != a.Sys.N {
+		t.Fatalf("duplicate point changed order: %d vs %d", b.Sys.N, a.Sys.N)
 	}
 }

@@ -30,6 +30,6 @@ func TestProbeMultivariateConvergence(t *testing.T) {
 		}
 		yr := mat.CDot(lr, xr)
 		a2, _ := rom.H2Error(0, 0, complex(0.02, 0.015))
-		t.Logf("k=%v q=%d multiH2relerr=%.3g assocH2err=%.3g yf=%.4g", k, rom.Order(), cmplx.Abs(yf-yr)/cmplx.Abs(yf), a2, cmplx.Abs(yf))
+		t.Logf("k=%v q=%d multiH2relerr=%.3g assocH2err=%.3g yf=%.4g", k, rom.Sys.N, cmplx.Abs(yf-yr)/cmplx.Abs(yf), a2, cmplx.Abs(yf))
 	}
 }

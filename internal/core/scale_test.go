@@ -65,7 +65,7 @@ func TestScaleCSROnlyReduceAndSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("full sparse transient: %v", err)
 	}
-	red, err := ode.Trapezoidal(rom.Sys, make([]float64, rom.Order()), w.U, 10, 400)
+	red, err := ode.Trapezoidal(rom.Sys, make([]float64, rom.Sys.N), w.U, 10, 400)
 	if err != nil {
 		t.Fatalf("ROM transient: %v", err)
 	}
@@ -88,9 +88,9 @@ func TestParallelReduceMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Order() != par.Order() || serial.Stats.Candidates != par.Stats.Candidates {
+	if serial.Sys.N != par.Sys.N || serial.Stats.Candidates != par.Stats.Candidates {
 		t.Fatalf("parallel changed the reduction: order %d/%d candidates %d/%d",
-			serial.Order(), par.Order(), serial.Stats.Candidates, par.Stats.Candidates)
+			serial.Sys.N, par.Sys.N, serial.Stats.Candidates, par.Stats.Candidates)
 	}
 	if !serial.V.Equalish(par.V, 1e-13) {
 		t.Fatal("parallel fan-out produced a different projection basis")

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"avtmor/internal/assoc"
-	"avtmor/internal/kron"
 	"avtmor/internal/mat"
 )
 
@@ -15,36 +14,42 @@ import (
 // the curves quantify ROM fidelity (this is how EXPERIMENTS.md tabulates
 // "paper vs measured" accuracy).
 
-type evalPair struct {
-	full *assoc.Realization
-	red  *assoc.Realization
-	s3f  *kron.SumSolver3
-	s3r  *kron.SumSolver3
+// realizations returns the realizations of the reduced system and, when
+// withFull is set, of the full one. Each is built once per ROM, under
+// mu, and then shared: the error probes and the ROM's own transfer
+// function evaluate through them concurrently, which a Realization
+// allows, and the cubic probes reuse each one's cached Schur form.
+func (r *ROM) realizations(withFull bool) (full, red *assoc.Realization, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.red == nil {
+		if r.red, err = assoc.New(r.Sys); err != nil {
+			return nil, nil, err
+		}
+	}
+	if withFull && r.full == nil {
+		if r.full, err = assoc.New(r.Full); err != nil {
+			return nil, nil, err
+		}
+	}
+	return r.full, r.red, nil
 }
 
-func (r *ROM) pair() (*evalPair, error) {
-	if r.cache != nil {
-		return r.cache, nil
-	}
-	full, err := assoc.New(r.Full)
+// TransferH1 evaluates the reduced system's own output transfer
+// function L̂·(sI − Ĝ1)⁻¹·b̂ for input column in. It needs no full
+// model, so it works on deserialized ROMs too.
+func (r *ROM) TransferH1(in int, s complex128) ([]complex128, error) {
+	_, red, err := r.realizations(false)
 	if err != nil {
 		return nil, err
 	}
-	red, err := assoc.New(r.Sys)
+	x, err := red.EvalH1(in, s)
 	if err != nil {
 		return nil, err
 	}
-	p := &evalPair{full: full, red: red}
-	if r.Full.G3 != nil {
-		if p.s3f, err = kron.NewSumSolver3(r.Full.G1); err != nil {
-			return nil, err
-		}
-		if p.s3r, err = kron.NewSumSolver3(r.Sys.G1); err != nil {
-			return nil, err
-		}
-	}
-	r.cache = p
-	return p, nil
+	y := make([]complex128, r.Sys.L.R)
+	r.Sys.L.Complex().MulVec(y, x)
+	return y, nil
 }
 
 // relOutErr maps two state-space vectors through the respective output
@@ -69,15 +74,15 @@ func (r *ROM) relOutErr(xf, xr []complex128) float64 {
 
 // H1Error returns the relative output error of H1 at s (input column in).
 func (r *ROM) H1Error(in int, s complex128) (float64, error) {
-	p, err := r.pair()
+	full, red, err := r.realizations(true)
 	if err != nil {
 		return 0, err
 	}
-	xf, err := p.full.EvalH1(in, s)
+	xf, err := full.EvalH1(in, s)
 	if err != nil {
 		return 0, err
 	}
-	xr, err := p.red.EvalH1(in, s)
+	xr, err := red.EvalH1(in, s)
 	if err != nil {
 		return 0, err
 	}
@@ -87,15 +92,15 @@ func (r *ROM) H1Error(in int, s complex128) (float64, error) {
 // H2Error returns the relative output error of A2(H2) for input pair
 // (i, j) at s.
 func (r *ROM) H2Error(i, j int, s complex128) (float64, error) {
-	p, err := r.pair()
+	full, red, err := r.realizations(true)
 	if err != nil {
 		return 0, err
 	}
-	xf, err := p.full.EvalAssocH2(i, j, s)
+	xf, err := full.EvalAssocH2(i, j, s)
 	if err != nil {
 		return 0, err
 	}
-	xr, err := p.red.EvalAssocH2(i, j, s)
+	xr, err := red.EvalAssocH2(i, j, s)
 	if err != nil {
 		return 0, err
 	}
@@ -108,29 +113,31 @@ func (r *ROM) H3Error(s complex128) (float64, error) {
 	if r.Full.Inputs() != 1 {
 		return 0, errors.New("core: H3Error is SISO only")
 	}
-	p, err := r.pair()
+	full, red, err := r.realizations(true)
 	if err != nil {
 		return 0, err
 	}
-	var xf, xr []complex128
+	eval := (*assoc.Realization).EvalAssocH3
 	if r.Full.G3 != nil {
-		xf, err = p.full.EvalAssocH3Cubic(p.s3f, s)
-		if err != nil {
-			return 0, err
-		}
-		xr, err = p.red.EvalAssocH3Cubic(p.s3r, s)
-		if err != nil {
-			return 0, err
-		}
-	} else {
-		xf, err = p.full.EvalAssocH3(s)
-		if err != nil {
-			return 0, err
-		}
-		xr, err = p.red.EvalAssocH3(s)
-		if err != nil {
-			return 0, err
-		}
+		eval = evalCubic
+	}
+	xf, err := eval(full, s)
+	if err != nil {
+		return 0, err
+	}
+	xr, err := eval(red, s)
+	if err != nil {
+		return 0, err
 	}
 	return r.relOutErr(xf, xr), nil
+}
+
+// evalCubic evaluates the cubic A3(H3) over the realization's own Schur
+// form of G1.
+func evalCubic(a *assoc.Realization, s complex128) ([]complex128, error) {
+	s2, err := a.Sum2()
+	if err != nil {
+		return nil, err
+	}
+	return a.EvalAssocH3Cubic(s2.Sum3(), s)
 }

@@ -58,8 +58,8 @@ func TestDiagnosticReductionProfile(t *testing.T) {
 				return w
 			}
 			t.Logf("%s drop=%g: prop cand=%d q=%d maxRe=%.3g | norm cand=%d q=%d maxRe=%.3g",
-				tc.name, drop, p.Stats.Candidates, p.Order(), worst(sp),
-				nm.Stats.Candidates, nm.Order(), worst(sn))
+				tc.name, drop, p.Stats.Candidates, p.Sys.N, worst(sp),
+				nm.Stats.Candidates, nm.Sys.N, worst(sn))
 		}
 	}
 }

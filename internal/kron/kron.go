@@ -114,47 +114,3 @@ func SumDense(a, b *mat.Dense) *mat.Dense {
 	ib := Dense(mat.Eye(a.R), b)
 	return out.AddScaled(1, ib)
 }
-
-// SumApply2 computes dst = (⊕²A)·z for z of length n², without forming
-// the operator: unvec, A·X + X·Aᵀ, re-vec.
-func SumApply2(a *mat.Dense, dst, z []float64) {
-	n := a.R
-	if len(z) != n*n || len(dst) != n*n {
-		panic("kron: SumApply2 length mismatch")
-	}
-	x := Unvec(z, n, n)
-	r := a.Mul(x).Plus(x.Mul(a.T()))
-	copy(dst, Vec(r))
-}
-
-// SumApply3 computes dst = (⊕³A)·z for z of length n³, viewing z as an
-// n²×n matrix X with (⊕³A)vec(X) = vec((⊕²A)X + X·Aᵀ).
-func SumApply3(a *mat.Dense, dst, z []float64) {
-	n := a.R
-	n2 := n * n
-	if len(z) != n2*n || len(dst) != n2*n {
-		panic("kron: SumApply3 length mismatch")
-	}
-	col := make([]float64, n2)
-	tmp := make([]float64, n2)
-	// (⊕²A)·X part, column by column.
-	for j := 0; j < n; j++ {
-		copy(col, z[j*n2:(j+1)*n2])
-		SumApply2(a, tmp, col)
-		copy(dst[j*n2:(j+1)*n2], tmp)
-	}
-	// X·Aᵀ part: dst[:,j] += Σ_k X[:,k]·A[j][k].
-	for j := 0; j < n; j++ {
-		dj := dst[j*n2 : (j+1)*n2]
-		for k := 0; k < n; k++ {
-			ajk := a.At(j, k)
-			if ajk == 0 {
-				continue
-			}
-			xk := z[k*n2 : (k+1)*n2]
-			for i := range dj {
-				dj[i] += ajk * xk[i]
-			}
-		}
-	}
-}

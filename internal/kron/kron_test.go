@@ -291,6 +291,41 @@ func TestSumSolver3SolveC(t *testing.T) {
 	}
 }
 
+// TestSumSolver3SolveCAgainstDense checks the complex-shift recurrence
+// (2×2 blocks decoupled by diagonalization) against a dense LU of ⊕³A.
+func TestSumSolver3SolveCAgainstDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a := rotationBlock(rng, 3)
+	ss, err := NewSumSolver3(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigma := 0.1 + 0.9i
+	v := make([]complex128, 27)
+	for i := range v {
+		v[i] = complex(2*rng.Float64()-1, 2*rng.Float64()-1)
+	}
+	got, err := ss.SolveC(sigma, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := SumDense(a, SumDense(a, a)).Complex()
+	for i := 0; i < 27; i++ {
+		big.Set(i, i, big.At(i, i)-sigma)
+	}
+	want, err := lu.SolveC(big, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := make([]complex128, 27)
+	for i := range d {
+		d[i] = got[i] - want[i]
+	}
+	if mat.CNorm2(d) > 1e-8*(1+mat.CNorm2(want)) {
+		t.Fatalf("complex ⊕³ recurrence differs from dense by %g", mat.CNorm2(d))
+	}
+}
+
 func TestSpectralMatchesSumSolver(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 5
@@ -388,6 +423,50 @@ func BenchmarkSumSolver2N70(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ss.Solve(0, v); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// SumApply2 computes dst = (⊕²A)·z for z of length n², without forming
+// the operator: unvec, A·X + X·Aᵀ, re-vec.
+func SumApply2(a *mat.Dense, dst, z []float64) {
+	n := a.R
+	if len(z) != n*n || len(dst) != n*n {
+		panic("kron: SumApply2 length mismatch")
+	}
+	x := Unvec(z, n, n)
+	r := a.Mul(x).Plus(x.Mul(a.T()))
+	copy(dst, Vec(r))
+}
+
+// SumApply3 computes dst = (⊕³A)·z for z of length n³, viewing z as an
+// n²×n matrix X with (⊕³A)vec(X) = vec((⊕²A)X + X·Aᵀ).
+func SumApply3(a *mat.Dense, dst, z []float64) {
+	n := a.R
+	n2 := n * n
+	if len(z) != n2*n || len(dst) != n2*n {
+		panic("kron: SumApply3 length mismatch")
+	}
+	col := make([]float64, n2)
+	tmp := make([]float64, n2)
+	// (⊕²A)·X part, column by column.
+	for j := 0; j < n; j++ {
+		copy(col, z[j*n2:(j+1)*n2])
+		SumApply2(a, tmp, col)
+		copy(dst[j*n2:(j+1)*n2], tmp)
+	}
+	// X·Aᵀ part: dst[:,j] += Σ_k X[:,k]·A[j][k].
+	for j := 0; j < n; j++ {
+		dj := dst[j*n2 : (j+1)*n2]
+		for k := 0; k < n; k++ {
+			ajk := a.At(j, k)
+			if ajk == 0 {
+				continue
+			}
+			xk := z[k*n2 : (k+1)*n2]
+			for i := range dj {
+				dj[i] += ajk * xk[i]
+			}
 		}
 	}
 }

@@ -7,11 +7,10 @@ import (
 	"avtmor/internal/schur"
 )
 
-// Spectral is the eigendecomposition backend for Kronecker-sum resolvents:
+// Spectral is the eigendecomposition oracle for Kronecker-sum resolvents:
 // with A = S·Λ·S⁻¹, (⊕ᵈA − σI)⁻¹ = (⊗ᵈS)·diag(1/(λ_{i1}+…+λ_{id}−σ))·(⊗ᵈS)⁻¹,
-// applied by d mode multiplications. It requires a diagonalizable A and is
-// used to cross-validate the Schur/Sylvester solvers and for the analytic
-// association oracle.
+// applied by d mode multiplications. It requires a diagonalizable A and
+// cross-validates the Schur/Sylvester solvers by an independent method.
 type Spectral struct {
 	n    int
 	vals []complex128

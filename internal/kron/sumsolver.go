@@ -23,9 +23,6 @@ func NewSumSolver2(a *mat.Dense) (*SumSolver2, error) {
 	return &SumSolver2{n: a.R, s: s, qt: s.Q.T()}, nil
 }
 
-// N returns the base dimension n (the solver acts on length-n² vectors).
-func (ss *SumSolver2) N() int { return ss.n }
-
 // Schur exposes the cached decomposition of A.
 func (ss *SumSolver2) Schur() *schur.Schur { return ss.s }
 
@@ -97,27 +94,6 @@ func mulRealRight(x *mat.CDense, b *mat.Dense) *mat.CDense {
 				if bkj != 0 {
 					orow[j] += xik * complex(bkj, 0)
 				}
-			}
-		}
-	}
-	return out
-}
-
-// rightMulCols computes the column-block product W = Z·M where Z is
-// stored as cols columns of length rows (column-major), M is small.
-func rightMulCols(z []float64, m *mat.Dense, rows int) []float64 {
-	cols := m.R
-	out := make([]float64, rows*m.C)
-	for j := 0; j < m.C; j++ {
-		oj := out[j*rows : (j+1)*rows]
-		for k := 0; k < cols; k++ {
-			mkj := m.At(k, j)
-			if mkj == 0 {
-				continue
-			}
-			zk := z[k*rows : (k+1)*rows]
-			for i := range oj {
-				oj[i] += mkj * zk[i]
 			}
 		}
 	}

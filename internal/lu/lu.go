@@ -20,9 +20,8 @@ var ErrSingular = errors.New("lu: matrix is singular")
 
 // LU holds a factorization P·A = L·U of a real square matrix.
 type LU struct {
-	lu   *mat.Dense
-	piv  []int // row i of lu came from row piv[i] of A
-	sign float64
+	lu  *mat.Dense
+	piv []int // row i of lu came from row piv[i] of A
 }
 
 // Factor computes the LU factorization of a. The input is not modified:
@@ -47,7 +46,7 @@ func factorInPlace(a *mat.Dense) (*LU, int, error) {
 		return nil, 0, errors.New("lu: matrix must be square")
 	}
 	n := a.R
-	f := &LU{lu: a, piv: make([]int, n), sign: 1}
+	f := &LU{lu: a, piv: make([]int, n)}
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -65,7 +64,6 @@ func factorInPlace(a *mat.Dense) (*LU, int, error) {
 		if p != k {
 			swapRows(w, p, k)
 			f.piv[p], f.piv[k] = f.piv[k], f.piv[p]
-			f.sign = -f.sign
 		}
 		inv := 1 / w.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -221,11 +219,6 @@ func (f *LU) SolveMat(b *mat.Dense) *mat.Dense {
 	return x
 }
 
-// Inverse returns A⁻¹.
-func (f *LU) Inverse() *mat.Dense {
-	return f.SolveMat(mat.Eye(f.N()))
-}
-
 // MinAbsPivot returns the smallest |U_ii| of the factorization — a cheap
 // near-singularity witness: for a structurally rank-deficient matrix it
 // sits at rounding level relative to the matrix scale.
@@ -241,16 +234,6 @@ func (f *LU) MinAbsPivot() float64 {
 		}
 	}
 	return m
-}
-
-// Det returns det(A).
-func (f *LU) Det() float64 {
-	d := f.sign
-	n := f.N()
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // Solve is a convenience one-shot solve of A x = b.

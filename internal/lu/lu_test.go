@@ -88,31 +88,6 @@ func TestNonSquare(t *testing.T) {
 	}
 }
 
-func TestDet(t *testing.T) {
-	a := mat.FromRows([][]float64{{0, 1}, {1, 0}}) // det = -1, forces a pivot swap
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Det()+1) > 1e-15 {
-		t.Fatalf("det = %v", f.Det())
-	}
-	b := mat.Diag([]float64{2, 3, 4})
-	fb, _ := Factor(b)
-	if math.Abs(fb.Det()-24) > 1e-12 {
-		t.Fatalf("det = %v", fb.Det())
-	}
-}
-
-func TestInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := mat.RandStable(rng, 10, 0.1)
-	f, _ := Factor(a)
-	if !a.Mul(f.Inverse()).Equalish(mat.Eye(10), 1e-9) {
-		t.Fatal("A·A⁻¹ != I")
-	}
-}
-
 func TestSolveMat(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := mat.RandStable(rng, 7, 0.1)
@@ -224,9 +199,6 @@ func TestFactorInPlaceIsFactor(t *testing.T) {
 		if math.Float64bits(v) != math.Float64bits(scratch.A[i]) {
 			t.Fatalf("factor entry %d differs: %v in place, %v cloned", i, scratch.A[i], v)
 		}
-	}
-	if f.sign != ref.sign {
-		t.Fatal("pivot sign differs")
 	}
 	for i := range f.piv {
 		if f.piv[i] != ref.piv[i] {

@@ -195,36 +195,8 @@ func (m *Dense) MulVec(dst, x []float64) {
 }
 
 // MulVecTo is the in-place multiply under its batch-era name: it is
-// exactly MulVec (dst = m*x, no allocation), kept as the named sibling
-// of MulBatchTo so call sites that batch and call sites that cannot
-// read uniformly.
+// exactly MulVec (dst = m*x, no allocation).
 func (m *Dense) MulVecTo(dst, x []float64) { m.MulVec(dst, x) }
-
-// MulBatchTo computes dst[c] = m*xs[c] for every column of the batch,
-// in place and allocation-free. Each matrix row is read once per batch
-// instead of once per column, which is what amortizes the O(n²) row
-// traffic across the right-hand sides of a block solve or a grouped
-// Krylov step. dst[c] must not alias any xs column.
-func (m *Dense) MulBatchTo(dst, xs [][]float64) {
-	if len(dst) != len(xs) {
-		panic("mat: MulBatchTo batch size mismatch")
-	}
-	for c, x := range xs {
-		if len(x) != m.C || len(dst[c]) != m.R {
-			panic("mat: MulBatchTo length mismatch")
-		}
-	}
-	for i := 0; i < m.R; i++ {
-		row := m.A[i*m.C : (i+1)*m.C]
-		for c, x := range xs {
-			s := 0.0
-			for j, v := range row {
-				s += v * x[j]
-			}
-			dst[c][i] = s
-		}
-	}
-}
 
 // MulVecT computes dst = mᵀ*x. dst must have length m.C and must not alias x.
 func (m *Dense) MulVecT(dst, x []float64) {

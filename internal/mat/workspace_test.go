@@ -33,32 +33,17 @@ func TestWorkspaceReuse(t *testing.T) {
 	}
 }
 
-func TestMulBatchToMatchesMulVec(t *testing.T) {
+// TestMulVecToMatchesMulVec: MulVecTo is MulVec by another name.
+func TestMulVecToMatchesMulVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	m := RandDense(rng, 23, 17)
-	const k = 5
-	xs := make([][]float64, k)
-	dst := make([][]float64, k)
-	want := make([][]float64, k)
-	for c := 0; c < k; c++ {
-		xs[c] = RandVec(rng, 17)
-		dst[c] = make([]float64, 23)
-		want[c] = make([]float64, 23)
-		m.MulVec(want[c], xs[c])
-	}
-	m.MulBatchTo(dst, xs)
-	for c := 0; c < k; c++ {
-		for i := range dst[c] {
-			if dst[c][i] != want[c][i] {
-				t.Fatalf("col %d row %d: batch %v, MulVec %v", c, i, dst[c][i], want[c][i])
-			}
-		}
-	}
-	// MulVecTo is MulVec by another name.
+	x := RandVec(rng, 17)
+	want := make([]float64, 23)
+	m.MulVec(want, x)
 	one := make([]float64, 23)
-	m.MulVecTo(one, xs[0])
+	m.MulVecTo(one, x)
 	for i := range one {
-		if one[i] != want[0][i] {
+		if one[i] != want[i] {
 			t.Fatal("MulVecTo diverged from MulVec")
 		}
 	}

@@ -31,9 +31,10 @@ func oracleTrapezoidal(sys *qldae.System, x0 []float64, u Input, tEnd float64, n
 	}
 	ls := solver.Auto{}
 	sparseAssembly := sys.G1 == nil || (sys.G1S != nil && n >= solver.AutoDenseCutoff)
+	prep, jb := sys.Prepare(), sparse.NewBuilder(n, n)
 	newtonMatrix := func(xn, u1 []float64, h float64) *solver.Matrix {
 		if sparseAssembly {
-			return solver.FromCSR(sparse.Add(1, sparse.Eye(n), -0.5*h, sys.JacobianCSR(xn, u1)))
+			return solver.FromCSR(sparse.Add(1, sparse.Eye(n), -0.5*h, prep.JacobianCSRInto(jb, xn, u1)))
 		}
 		jac := sys.Jacobian(xn, u1).Scale(-0.5 * h)
 		for i := 0; i < n; i++ {

@@ -7,18 +7,7 @@ import (
 	"avtmor/internal/mat"
 )
 
-// Additional coverage of state lifting and MIMO projection.
-
-func TestLiftState(t *testing.T) {
-	v := mat.FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
-	x := LiftState(v, []float64{2, 3})
-	want := []float64{2, 3, 5}
-	for i := range want {
-		if x[i] != want[i] {
-			t.Fatalf("lift wrong at %d: %v", i, x[i])
-		}
-	}
-}
+// Additional coverage of MIMO projection.
 
 func TestProjectMISO(t *testing.T) {
 	// MIMO projection must reduce B and every D1 block consistently.

@@ -324,23 +324,12 @@ func (p *Prepared) NewtonInto(j *mat.Dense, pat *NewtonPattern, x, u []float64, 
 	}
 }
 
-// JacobianCSR assembles ∂RHS/∂x at (x, u) directly in CSR form, never
-// touching n² dense entries: G1 nonzeros (CSR mirror preferred), the
-// quadratic/cubic Jacobian triplets, and the nonzeros of any active D1
-// blocks. This is the operand the sparse-direct Newton path of
-// ode.Trapezoidal factors once per step.
-func (s *System) JacobianCSR(x, u []float64) *sparse.CSR {
-	return s.JacobianCSRInto(sparse.NewBuilder(s.N, s.N), x, u)
-}
-
-// JacobianCSRInto is JacobianCSR through a caller-owned builder; see
-// Prepared.JacobianCSRInto.
-func (s *System) JacobianCSRInto(b *sparse.Builder, x, u []float64) *sparse.CSR {
-	return s.Prepare().JacobianCSRInto(b, x, u)
-}
-
-// JacobianCSRInto is JacobianCSR assembling through a caller-owned
-// builder (Reset here before use): the Newton loop of ode.Trapezoidal
+// JacobianCSRInto assembles ∂RHS/∂x at (x, u) directly in CSR form,
+// never touching n² dense entries: G1 nonzeros (CSR mirror preferred),
+// the quadratic/cubic Jacobian triplets, and the nonzeros of any active
+// D1 blocks. This is the operand the sparse-direct Newton path of
+// ode.Trapezoidal factors once per step. It assembles through a
+// caller-owned builder (Reset here before use): the Newton loop
 // assembles a same-structure Jacobian thousands of times per transient,
 // and reusing one triplet slab keeps that path from regrowing COO
 // storage on every iteration. The built CSR is fresh either way.
@@ -510,11 +499,4 @@ func projectCube(g3 *sparse.CSR, v *mat.Dense) *mat.Dense {
 		}
 	}
 	return v.T().Mul(t)
-}
-
-// LiftState maps a reduced state back to full coordinates: x = V·x̂.
-func LiftState(v *mat.Dense, xhat []float64) []float64 {
-	x := make([]float64, v.R)
-	v.MulVec(x, xhat)
-	return x
 }

@@ -212,7 +212,8 @@ func TestProjectGalerkinConsistency(t *testing.T) {
 	rhat := make([]float64, q)
 	rom.Eval(rhat, xhat, u)
 	// Vᵀ·RHS(V·x̂).
-	x := LiftState(v, xhat)
+	x := make([]float64, n)
+	v.MulVec(x, xhat)
 	rfull := make([]float64, n)
 	s.Eval(rfull, x, u)
 	want := make([]float64, q)

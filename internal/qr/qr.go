@@ -124,19 +124,6 @@ func Orthonormalize(cols [][]float64, dropTol float64) *mat.Dense {
 	return v
 }
 
-// AppendOrthonormal extends an existing column-orthonormal matrix v with
-// the given candidate vectors (same deflation rule as Orthonormalize) and
-// returns the enlarged basis. v may be nil.
-func AppendOrthonormal(v *mat.Dense, cols [][]float64, dropTol float64) *mat.Dense {
-	var existing [][]float64
-	if v != nil {
-		for j := 0; j < v.C; j++ {
-			existing = append(existing, v.Col(j))
-		}
-	}
-	return Orthonormalize(append(existing, cols...), dropTol)
-}
-
 // OrthoError returns max |QᵀQ - I|, a quick orthonormality diagnostic.
 func OrthoError(q *mat.Dense) float64 {
 	g := q.T().Mul(q)

@@ -107,22 +107,6 @@ func TestOrthonormalizeSpanPreserved(t *testing.T) {
 	}
 }
 
-func TestAppendOrthonormal(t *testing.T) {
-	v := Orthonormalize([][]float64{{1, 0, 0, 0}}, 1e-10)
-	v2 := AppendOrthonormal(v, [][]float64{{1, 1, 0, 0}, {1, 0, 0, 0}}, 1e-10)
-	if v2.C != 2 {
-		t.Fatalf("expected 2 columns after append, got %d", v2.C)
-	}
-	if OrthoError(v2) > 1e-13 {
-		t.Fatal("appended basis not orthonormal")
-	}
-	// Appending to nil behaves like Orthonormalize.
-	v3 := AppendOrthonormal(nil, [][]float64{{0, 1}}, 1e-10)
-	if v3 == nil || v3.C != 1 {
-		t.Fatal("append to nil failed")
-	}
-}
-
 func TestOrthonormalizeNearDependent(t *testing.T) {
 	// A vector differing from span by 1e-14 must deflate at dropTol 1e-8.
 	base := []float64{1, 2, 3}

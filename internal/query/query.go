@@ -80,7 +80,6 @@ func System(body []byte) (*avtmor.System, error) {
 //	             default when no k1/k2/k3 is given either
 //	s0           real expansion frequency, xp=f1,f2,… extra points
 //	droptol      deflation tolerance
-//	decoupledh2  1/true selects the Eq.-(18) Sylvester path
 //	solver       auto|dense|sparse
 //	parallel     1/true fans moment generation out over goroutines
 //	method       assoc (default) | norm
@@ -189,11 +188,6 @@ func Parse(q url.Values) (*Request, error) {
 	} else if ok {
 		req.Opts = append(req.Opts, avtmor.WithDropTol(tol))
 	}
-	if dec, err := getBool("decoupledh2"); err != nil {
-		return nil, err
-	} else if dec {
-		req.Opts = append(req.Opts, avtmor.WithDecoupledH2())
-	}
 	if par, err := getBool("parallel"); err != nil {
 		return nil, err
 	} else if par {
@@ -226,7 +220,7 @@ func Parse(q url.Values) (*Request, error) {
 }
 
 // paramNames are the parameters Parse reads.
-var paramNames = []string{"k1", "k2", "k3", "auto", "s0", "xp", "droptol", "decoupledh2", "solver", "parallel", "method", "timeout"}
+var paramNames = []string{"k1", "k2", "k3", "auto", "s0", "xp", "droptol", "solver", "parallel", "method", "timeout"}
 
 // parseFinite parses a float parameter and refuses NaN and ±Inf, which
 // strconv.ParseFloat accepts and no reduction option gives a meaning.

@@ -42,8 +42,6 @@ func TestParseKeys(t *testing.T) {
 		{query: "k1=2&s0=0.4&xp=0.9,1.5", opts: []avtmor.Option{k2, avtmor.WithExpansion(0.4, 0.9, 1.5)}},
 		{query: "k1=2&xp=0.9", opts: []avtmor.Option{k2, avtmor.WithExpansion(0, 0.9)}},
 		{query: "k1=2&droptol=1e-10", opts: []avtmor.Option{k2, avtmor.WithDropTol(1e-10)}},
-		{query: "k1=2&k2=1&decoupledh2=1", opts: []avtmor.Option{avtmor.WithOrders(2, 1, 0), avtmor.WithDecoupledH2()}},
-		{query: "k1=2&k2=1&decoupledh2=true", opts: []avtmor.Option{avtmor.WithOrders(2, 1, 0), avtmor.WithDecoupledH2()}},
 		{query: "k1=2&solver=auto", opts: []avtmor.Option{k2, avtmor.WithSolver(avtmor.SolverAuto)}},
 		{query: "k1=2&solver=dense", opts: []avtmor.Option{k2, avtmor.WithSolver(avtmor.SolverDense)}},
 		{query: "k1=2&solver=sparse", opts: []avtmor.Option{k2, avtmor.WithSolver(avtmor.SolverSparse)}},
@@ -80,7 +78,7 @@ func TestParseErrors(t *testing.T) {
 		{"k1=2&k2=-2", "non-negative"},
 		{"k1=2&auto=1e-4", "mutually exclusive"},
 		{"k1=0&k2=0", "at least one positive"},
-		{"k1=2&decoupledh2=yes", "parameter decoupledh2"},
+		{"k1=2&decoupledh2=yes", `unknown parameter "decoupledh2"`},
 		{"k1=2&parallel=2", "parameter parallel"},
 		{"k1=2&s0=abc", "parameter s0"},
 		{"k1=2&droptol=x", "parameter droptol"},
@@ -103,6 +101,8 @@ func TestParseErrors(t *testing.T) {
 		{"k1=2&k2=1&norm=1", `unknown parameter "norm"`},
 		{"k1=2&k2=1&s0=0.4&s1=0.4", `unknown parameter "s1"`},
 		{"k1=2&k2=1&s0=0.4&blocksize=4", `unknown parameter "blocksize"`},
+		{"k1=2&k2=1&decoupledh2=1", `unknown parameter "decoupledh2"`},
+		{"k1=2&k2=1&decoupledh2=true", `unknown parameter "decoupledh2"`},
 	} {
 		t.Run(tc.query, func(t *testing.T) {
 			_, err := parse(t, tc.query)

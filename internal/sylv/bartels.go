@@ -5,49 +5,9 @@ import (
 	"avtmor/internal/schur"
 )
 
-// Full-matrix Bartels–Stewart wrappers. The Schur decompositions dominate
-// the cost; callers that solve repeatedly against the same A (as the MOR
-// pipeline does with G1) should cache them and use the Factored variants.
-
-// Solve computes X with A·X + X·B = C for general square A, B.
-func Solve(a, b, c *mat.Dense) (*mat.Dense, error) {
-	sa, err := schur.Decompose(a)
-	if err != nil {
-		return nil, err
-	}
-	sb, err := schur.Decompose(b)
-	if err != nil {
-		return nil, err
-	}
-	return SolveFactored(sa, sb, c)
-}
-
-// SolveFactored solves A·X + X·B = C given the Schur forms of A and B.
-func SolveFactored(sa, sb *schur.Schur, c *mat.Dense) (*mat.Dense, error) {
-	// A = Qa·Ra·Qaᵀ, B = Qb·Rb·Qbᵀ ⇒ Ra·Y + Y·Rb = Qaᵀ·C·Qb, X = Qa·Y·Qbᵀ.
-	ct := sa.Q.T().Mul(c).Mul(sb.Q)
-	y, err := TrSylvN(sa.T, sb.T, 0, ct)
-	if err != nil {
-		return nil, err
-	}
-	return sa.Q.Mul(y).Mul(sb.Q.T()), nil
-}
-
-// SolveT computes X with A·X + X·Bᵀ = C.
-func SolveT(a, b, c *mat.Dense) (*mat.Dense, error) {
-	sa, err := schur.Decompose(a)
-	if err != nil {
-		return nil, err
-	}
-	sb, err := schur.Decompose(b)
-	if err != nil {
-		return nil, err
-	}
-	return SolveTFactored(sa, sb, c)
-}
-
 // SolveTFactored solves A·X + X·Bᵀ = C given Schur forms of A and B.
 // Note Bᵀ = Qb·Rbᵀ·Qbᵀ, so the reduced equation is Ra·Y + Y·Rbᵀ = QaᵀCQb.
+// Callers that solve repeatedly against the same A cache its Schur form.
 func SolveTFactored(sa, sb *schur.Schur, c *mat.Dense) (*mat.Dense, error) {
 	ct := sa.Q.T().Mul(c).Mul(sb.Q)
 	y, err := TrSylvT(sa.T, sb.T, 0, ct)
@@ -55,13 +15,4 @@ func SolveTFactored(sa, sb *schur.Schur, c *mat.Dense) (*mat.Dense, error) {
 		return nil, err
 	}
 	return sa.Q.Mul(y).Mul(sb.Q.T()), nil
-}
-
-// Lyapunov solves A·X + X·Aᵀ = C with a single Schur decomposition.
-func Lyapunov(a, c *mat.Dense) (*mat.Dense, error) {
-	sa, err := schur.Decompose(a)
-	if err != nil {
-		return nil, err
-	}
-	return SolveTFactored(sa, sa, c)
 }

@@ -13,40 +13,20 @@ import (
 // (complex eigenvalue pair) is complexified into a single shifted solve,
 // and when evaluating transfer functions at s = jω.
 
-// TrSylvNC solves A·X + X·B + σ·X = C with complex σ and C.
-func TrSylvNC(a, b *mat.Dense, sigma complex128, c *mat.CDense) (*mat.CDense, error) {
-	return trSylvCplx(a, b, sigma, c, false)
-}
-
-// TrSylvTC solves A·X + X·Bᵀ + σ·X = C with complex σ and C.
+// TrSylvTC solves A·X + X·Bᵀ + σ·X = C with complex σ and C, in the
+// operation order of TrSylvT.
 func TrSylvTC(a, b *mat.Dense, sigma complex128, c *mat.CDense) (*mat.CDense, error) {
-	return trSylvCplx(a, b, sigma, c, true)
-}
-
-func trSylvCplx(a, b *mat.Dense, sigma complex128, c *mat.CDense, transB bool) (*mat.CDense, error) {
 	m, n := a.R, b.R
 	if a.C != m || b.C != n || c.R != m || c.C != n {
 		panic(fmt.Sprintf("sylv: shape mismatch A %d×%d B %d×%d C %d×%d", a.R, a.C, b.R, b.C, c.R, c.C))
 	}
 	x := mat.NewCDense(m, n)
-	// Column-major mirror of X and column access to B, as in trSylvReal.
+	// Column-major mirror of X, as in TrSylvT.
 	xc := make([]complex128, m*n)
-	bc := b
-	if !transB {
-		bc = b.T()
-	}
 	ab := blocks(a)
 	bb := blocks(b)
-	lIdx := make([]int, len(bb))
-	for i := range lIdx {
-		if transB {
-			lIdx[i] = len(bb) - 1 - i
-		} else {
-			lIdx[i] = i
-		}
-	}
 	var f [4]complex128
-	for _, li := range lIdx {
+	for li := len(bb) - 1; li >= 0; li-- {
 		l0, ln := bb[li][0], bb[li][1]
 		for ki := len(ab) - 1; ki >= 0; ki-- {
 			k0, kn := ab[ki][0], ab[ki][1]
@@ -60,21 +40,15 @@ func trSylvCplx(a, b *mat.Dense, sigma complex128, c *mat.CDense, transB bool) (
 					for j, av := range arow {
 						s -= complex(av, 0) * xcol[j]
 					}
-					brow := bc.A[(l0+q)*n : (l0+q+1)*n]
-					if transB {
-						for i := l0 + ln; i < n; i++ {
-							s -= xrow[i] * complex(brow[i], 0)
-						}
-					} else {
-						for i := 0; i < l0; i++ {
-							s -= xrow[i] * complex(brow[i], 0)
-						}
+					brow := b.A[(l0+q)*n : (l0+q+1)*n]
+					for i := l0 + ln; i < n; i++ {
+						s -= xrow[i] * complex(brow[i], 0)
 					}
 					f[p*ln+q] = s
 				}
 			}
 			if kn == 1 && ln == 1 {
-				// The 1×1 case of solveSmallCplx, as in trSylvReal.
+				// The 1×1 case of solveSmallCplx, as in TrSylvT.
 				var v complex128
 				v += complex(a.A[k0*m+k0], 0)
 				v += complex(b.A[l0*n+l0], 0)
@@ -86,7 +60,7 @@ func trSylvCplx(a, b *mat.Dense, sigma complex128, c *mat.CDense, transB bool) (
 				xc[l0*m+k0] = x.A[k0*n+l0]
 				continue
 			}
-			if err := solveSmallCplx(a, b, k0, kn, l0, ln, sigma, transB, f[:kn*ln], x); err != nil {
+			if err := solveSmallCplx(a, b, k0, kn, l0, ln, sigma, f[:kn*ln], x); err != nil {
 				return nil, err
 			}
 			for p := 0; p < kn; p++ {
@@ -99,7 +73,7 @@ func trSylvCplx(a, b *mat.Dense, sigma complex128, c *mat.CDense, transB bool) (
 	return x, nil
 }
 
-func solveSmallCplx(a, b *mat.Dense, k0, kn, l0, ln int, sigma complex128, transB bool, f []complex128, x *mat.CDense) error {
+func solveSmallCplx(a, b *mat.Dense, k0, kn, l0, ln int, sigma complex128, f []complex128, x *mat.CDense) error {
 	sz := kn * ln
 	var sys [16]complex128
 	for p := 0; p < kn; p++ {
@@ -112,11 +86,7 @@ func solveSmallCplx(a, b *mat.Dense, k0, kn, l0, ln int, sigma complex128, trans
 						v += complex(a.At(k0+p, k0+r), 0)
 					}
 					if r == p {
-						if transB {
-							v += complex(b.At(l0+q, l0+s), 0)
-						} else {
-							v += complex(b.At(l0+s, l0+q), 0)
-						}
+						v += complex(b.At(l0+q, l0+s), 0)
 					}
 					if r == p && s == q {
 						v += sigma

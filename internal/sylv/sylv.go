@@ -1,16 +1,16 @@
 // Package sylv solves Sylvester equations
 //
-//	A·X + X·B  + σ·X = C      (variant N)
-//	A·X + X·Bᵀ + σ·X = C      (variant T)
+//	A·X + X·Bᵀ + σ·X = C
 //
 // for A, B upper quasi-triangular (real Schur factors), by the classic
 // block back-substitution of Bartels & Stewart (the dtrsyl algorithm),
-// plus full-matrix wrappers that compute the Schur forms first.
+// in real and complex arithmetic; TrSylvSym solves the symmetric
+// A = B case over the upper triangle only, and SolveTFactored is the
+// full-matrix wrapper over cached Schur forms.
 //
 // This is the workhorse behind the paper's structured solves: the
-// Kronecker-sum resolvents of Theorem 1, the Sylvester decoupling
-// G1·Π + G2 = Π·(⊕²G1) of Eq. (18), and the quasi-triangular
-// back-substitution advocated in §2.3 all reduce to these kernels.
+// Kronecker-sum resolvents of Theorem 1 and the quasi-triangular
+// back-substitution advocated in §2.3 reduce to these kernels.
 package sylv
 
 import (
@@ -40,48 +40,26 @@ func blocks(t *mat.Dense) [][2]int {
 	return out
 }
 
-// TrSylvN solves A·X + X·B + σ·X = C for upper quasi-triangular A (m×m)
-// and B (n×n), real σ, dense C (m×n). C is not modified.
-func TrSylvN(a, b *mat.Dense, sigma float64, c *mat.Dense) (*mat.Dense, error) {
-	return trSylvReal(a, b, sigma, c, false)
-}
-
-// TrSylvT solves A·X + X·Bᵀ + σ·X = C (same shapes as TrSylvN).
+// TrSylvT solves A·X + X·Bᵀ + σ·X = C for upper quasi-triangular A
+// (m×m) and B (n×n), real σ, dense C (m×n). C is not modified. Column
+// blocks of X are solved right to left.
 func TrSylvT(a, b *mat.Dense, sigma float64, c *mat.Dense) (*mat.Dense, error) {
-	return trSylvReal(a, b, sigma, c, true)
-}
-
-func trSylvReal(a, b *mat.Dense, sigma float64, c *mat.Dense, transB bool) (*mat.Dense, error) {
 	m, n := a.R, b.R
 	if a.C != m || b.C != n || c.R != m || c.C != n {
 		panic(fmt.Sprintf("sylv: shape mismatch A %d×%d B %d×%d C %d×%d", a.R, a.C, b.R, b.C, c.R, c.C))
 	}
 	x := mat.NewDense(m, n)
 	// xc mirrors X column-major (xc[j·m+i] = X[i][j]) so the A·X sums
-	// read a contiguous column; the N variant reads B by columns, i.e.
-	// the rows of Bᵀ.
+	// read a contiguous column.
 	xc := make([]float64, m*n)
-	bc := b
-	if !transB {
-		bc = b.T()
-	}
 	ab := blocks(a)
 	bb := blocks(b)
-	// Column-block processing order depends on the B variant.
-	lIdx := make([]int, len(bb))
-	for i := range lIdx {
-		if transB {
-			lIdx[i] = len(bb) - 1 - i // right to left
-		} else {
-			lIdx[i] = i // left to right
-		}
-	}
 	var f [4]float64
-	for _, li := range lIdx {
+	for li := len(bb) - 1; li >= 0; li-- {
 		l0, ln := bb[li][0], bb[li][1]
 		for ki := len(ab) - 1; ki >= 0; ki-- {
 			k0, kn := ab[ki][0], ab[ki][1]
-			// RHS block F = C_kl − Σ_{j>k} A_kj X_jl − (X·B or X·Bᵀ terms).
+			// RHS block F = C_kl − Σ_{j>k} A_kj X_jl − Σ_{i>l} X_ki·B_li.
 			for p := 0; p < kn; p++ {
 				xrow := x.A[(k0+p)*n : (k0+p+1)*n]
 				// Rows below the k block of A (A upper: columns j > k block).
@@ -93,17 +71,10 @@ func trSylvReal(a, b *mat.Dense, sigma float64, c *mat.Dense, transB bool) (*mat
 					for j, av := range arow {
 						s -= av * xcol[j]
 					}
-					brow := bc.A[(l0+q)*n : (l0+q+1)*n]
-					if transB {
-						// (X Bᵀ)_{k,l} = Σ_{i>l-block} X_ki·B_{l i} over processed cols.
-						for i := l0 + ln; i < n; i++ {
-							s -= xrow[i] * brow[i]
-						}
-					} else {
-						// (X B)_{k,l} = Σ_{i<l-block} X_ki·B_{i l}.
-						for i := 0; i < l0; i++ {
-							s -= xrow[i] * brow[i]
-						}
+					// (X Bᵀ)_{k,l} = Σ_{i>l-block} X_ki·B_{l i} over processed cols.
+					brow := b.A[(l0+q)*n : (l0+q+1)*n]
+					for i := l0 + ln; i < n; i++ {
+						s -= xrow[i] * brow[i]
 					}
 					f[p*ln+q] = s
 				}
@@ -122,7 +93,7 @@ func trSylvReal(a, b *mat.Dense, sigma float64, c *mat.Dense, transB bool) (*mat
 				xc[l0*m+k0] = x.A[k0*n+l0]
 				continue
 			}
-			if err := solveSmallReal(a, b, k0, kn, l0, ln, sigma, transB, f[:kn*ln], x); err != nil {
+			if err := solveSmallReal(a, b, k0, kn, l0, ln, sigma, f[:kn*ln], x); err != nil {
 				return nil, err
 			}
 			for p := 0; p < kn; p++ {
@@ -136,9 +107,8 @@ func trSylvReal(a, b *mat.Dense, sigma float64, c *mat.Dense, transB bool) (*mat
 }
 
 // solveSmallReal solves the ≤2×2 by ≤2×2 block equation
-// A_kk·Xb + Xb·Bop + σ·Xb = F, with Bop = B_ll or B_llᵀ, and writes the
-// block into x.
-func solveSmallReal(a, b *mat.Dense, k0, kn, l0, ln int, sigma float64, transB bool, f []float64, x *mat.Dense) error {
+// A_kk·Xb + Xb·B_llᵀ + σ·Xb = F and writes the block into x.
+func solveSmallReal(a, b *mat.Dense, k0, kn, l0, ln int, sigma float64, f []float64, x *mat.Dense) error {
 	sz := kn * ln
 	var sys [16]float64
 	// Unknown ordering: x_{pq} at index p*ln+q.
@@ -152,11 +122,7 @@ func solveSmallReal(a, b *mat.Dense, k0, kn, l0, ln int, sigma float64, transB b
 						v += a.At(k0+p, k0+r)
 					}
 					if r == p {
-						if transB {
-							v += b.At(l0+q, l0+s) // (Bᵀ)_{sq} = B_{qs}
-						} else {
-							v += b.At(l0+s, l0+q)
-						}
+						v += b.At(l0+q, l0+s) // (Bᵀ)_{sq} = B_{qs}
 					}
 					if r == p && s == q {
 						v += sigma

@@ -63,7 +63,7 @@ func TrSylvSym(a *mat.Dense, sigma float64, x []float64, m int) error {
 				if k0 == l0 {
 					f[2] = f[1]
 				}
-				if err := solveSmallReal(a, a, k0, kn, l0, ln, sigma, true, f[:kn*ln], &xd); err != nil {
+				if err := solveSmallReal(a, a, k0, kn, l0, ln, sigma, f[:kn*ln], &xd); err != nil {
 					return err
 				}
 				mirrorBlock(x, n, k0, kn, l0, ln)
@@ -110,7 +110,7 @@ func TrSylvSymC(a *mat.Dense, sigma complex128, x []complex128, m int) error {
 				if k0 == l0 {
 					f[2] = f[1]
 				}
-				if err := solveSmallCplx(a, a, k0, kn, l0, ln, sigma, true, f[:kn*ln], &xd); err != nil {
+				if err := solveSmallCplx(a, a, k0, kn, l0, ln, sigma, f[:kn*ln], &xd); err != nil {
 					return err
 				}
 				mirrorBlock(x, n, k0, kn, l0, ln)

@@ -101,13 +101,6 @@ func WithDropTol(tol float64) Option {
 	return func(c *config) { c.opt.DropTol = tol }
 }
 
-// WithDecoupledH2 selects the Eq.-(18) Sylvester-decoupled H2 moment
-// generation instead of the default block-triangular realization path
-// (span-equivalent; different cost profile).
-func WithDecoupledH2() Option {
-	return func(c *config) { c.opt.DecoupledH2 = true }
-}
-
 func buildConfig(opts []Option) *config {
 	c := &config{}
 	for _, o := range opts {
@@ -131,10 +124,10 @@ const artifactEpoch = 2
 // changes wall-clock, never the artifact. Float options are keyed by their exact bit patterns.
 func (c *config) cacheKey(sys *System, method string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "e=%d|fp=%016x|m=%s|k=%d,%d,%d|auto=%016x|s0=%016x|drop=%016x|dec=%v|solver=%s|xp=",
+	fmt.Fprintf(&b, "e=%d|fp=%016x|m=%s|k=%d,%d,%d|auto=%016x|s0=%016x|drop=%016x|solver=%s|xp=",
 		artifactEpoch, sys.Fingerprint(), method, c.opt.K1, c.opt.K2, c.opt.K3,
 		math.Float64bits(c.autoTol), math.Float64bits(c.opt.S0),
-		math.Float64bits(c.opt.DropTol), c.opt.DecoupledH2, c.opt.Solver)
+		math.Float64bits(c.opt.DropTol), c.opt.Solver)
 	for _, p := range c.opt.ExtraPoints {
 		fmt.Fprintf(&b, "%016x,", math.Float64bits(p))
 	}

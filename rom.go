@@ -3,10 +3,8 @@ package avtmor
 import (
 	"context"
 	"errors"
-	"sync"
 	"time"
 
-	"avtmor/internal/assoc"
 	"avtmor/internal/core"
 )
 
@@ -17,17 +15,14 @@ import (
 // states back to full coordinates (Lift), and serializes to a
 // versioned binary format (WriteTo/ReadFrom) for caching and reuse
 // across processes. A built or loaded ROM is safe for concurrent
-// reads (Simulate, probes, WriteTo); ReadFrom replaces the contents
-// and must not race with them.
+// reads (Simulate, probes, TransferH1, WriteTo); ReadFrom replaces the
+// contents and must not race with them.
 type ROM struct {
 	rom *core.ROM
 	// shared marks a ROM owned by a Reducer cache; set once before the
 	// instance is published to any caller. ReadFrom refuses to mutate
 	// shared instances so one caller cannot poison the cache.
 	shared bool
-
-	mu  sync.Mutex
-	red *assoc.Realization // lazy: reduced-system realization for TransferH1
 }
 
 // Stats is the build report of a reduction. None of it is serialized:
@@ -157,24 +152,7 @@ func (r *ROM) H3Error(s complex128) (float64, error) {
 // regardless of the full-order size; it needs no full model, so it
 // works on deserialized ROMs too.
 func (r *ROM) TransferH1(in int, s complex128) ([]complex128, error) {
-	r.mu.Lock()
-	if r.red == nil {
-		red, err := assoc.New(r.rom.Sys)
-		if err != nil {
-			r.mu.Unlock()
-			return nil, err
-		}
-		r.red = red
-	}
-	red := r.red
-	r.mu.Unlock()
-	x, err := red.EvalH1(in, s)
-	if err != nil {
-		return nil, err
-	}
-	y := make([]complex128, r.rom.Sys.L.R)
-	r.rom.Sys.L.Complex().MulVec(y, x)
-	return y, nil
+	return r.rom.TransferH1(in, s)
 }
 
 // Lift maps a reduced state back to full coordinates: x = V·x̂.

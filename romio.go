@@ -390,9 +390,6 @@ func (r *ROM) ReadFrom(src io.Reader) (int64, error) {
 	}
 	out.Sys = sys
 	out.Stats.Order = sys.N
-	r.mu.Lock()
 	r.rom = out
-	r.red = nil
-	r.mu.Unlock()
 	return cr.n, nil
 }

@@ -23,7 +23,7 @@ import (
 // content address in X-Avtmor-Rom-Key for later GET/simulate calls.
 //
 // Query parameters are documented on query.Parse (k1/k2/k3, auto, s0,
-// xp, droptol, decoupledh2, solver, parallel, method, timeout).
+// xp, droptol, solver, parallel, method, timeout).
 func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 	s.reduceReqs.Add(1)
 	start := time.Now()

@@ -349,10 +349,13 @@ func TestServeErrors(t *testing.T) {
 		t.Fatalf("bad method: %d %s", code, msg)
 	}
 	// An unknown parameter is refused, not dropped: norm=1 would
-	// otherwise return an associated-transform ROM.
+	// otherwise return an associated-transform ROM, and decoupledh2
+	// names an H2 method the server no longer has.
 	for _, path := range []string{"/v1/reduce", "/v1/reduce/batch"} {
-		if code, msg := post(path+"?k1=2&k2=1&norm=1", clipper); code != http.StatusBadRequest || !strings.Contains(msg, `unknown parameter "norm"`) {
-			t.Fatalf("%s with norm=1: %d %s", path, code, msg)
+		for _, name := range []string{"norm", "decoupledh2"} {
+			if code, msg := post(path+"?k1=2&k2=1&"+name+"=1", clipper); code != http.StatusBadRequest || !strings.Contains(msg, `unknown parameter "`+name+`"`) {
+				t.Fatalf("%s with %s=1: %d %s", path, name, code, msg)
+			}
 		}
 	}
 	// A non-finite expansion point is refused before admission, not run
