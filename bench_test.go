@@ -255,7 +255,7 @@ func benchFactorSolve(b *testing.B, nominal int, ls solver.LinearSolver) {
 	x := make([]float64, w.Sys.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := ls.Factor(op)
+		f, err := ls.FactorCtx(context.Background(), op)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func BenchmarkReducerCachedN500(b *testing.B) {
 func benchSolveBatch(b *testing.B, ls solver.LinearSolver) {
 	b.Helper()
 	w := rlcSized(1024) // 1023 states
-	f, err := ls.Factor(solver.Operand(w.Sys.G1, w.Sys.G1S))
+	f, err := ls.FactorCtx(context.Background(), solver.Operand(w.Sys.G1, w.Sys.G1S))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -56,19 +56,14 @@ type Realization struct {
 
 // New prepares the realization with the auto-routed solver backend.
 func New(sys *qldae.System) (*Realization, error) {
-	return NewWithSolver(sys, nil)
+	return NewWithSolverCtx(context.Background(), sys, nil)
 }
 
-// NewWithSolver prepares the realization with an explicit linear-solver
-// backend (nil selects solver.Auto).
-func NewWithSolver(sys *qldae.System, ls solver.LinearSolver) (*Realization, error) {
-	return NewWithSolverCtx(context.Background(), sys, ls)
-}
-
-// NewWithSolverCtx is NewWithSolver bound to a context: every moment
-// chain, resolvent power, and shifted factor step of this realization
-// polls ctx and aborts with its error once the caller gives up. One
-// Realization serves one Reduce call, so binding the context at
+// NewWithSolverCtx prepares the realization with an explicit
+// linear-solver backend (nil selects solver.Auto), bound to a context:
+// every moment chain, resolvent power, and shifted factor step of this
+// realization polls ctx and aborts with its error once the caller gives
+// up. One Realization serves one Reduce call, so binding the context at
 // construction keeps the per-iteration hot paths signature-stable.
 func NewWithSolverCtx(ctx context.Context, sys *qldae.System, ls solver.LinearSolver) (*Realization, error) {
 	if err := sys.Validate(); err != nil {

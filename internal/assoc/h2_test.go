@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"avtmor/internal/arnoldi"
 	"avtmor/internal/circuits"
 	"avtmor/internal/lu"
 	"avtmor/internal/mat"
@@ -56,7 +55,7 @@ func TestH2OpAgainstDense(t *testing.T) {
 			}
 			src := append(mat.CopyVec(rhs[:n]), op.s2.ToSchur(rhs[n:], 2)...)
 			dst := make([]float64, nn)
-			op.Apply(dst, src)
+			op.ApplyBatch([][]float64{dst}, [][]float64{src})
 			if op.err != nil {
 				t.Fatal(op.err)
 			}
@@ -119,10 +118,14 @@ func origH2Candidates(t *testing.T, r *Realization, k2 int, s0 float64) [][]floa
 			start = append(start, z)
 		}
 	}
-	res := arnoldi.Krylov(arnoldi.FuncOp{N: n + n*n, F: apply}, start, k2, 0)
+	applyBatch := func(dst, src [][]float64) {
+		for c := range dst {
+			apply(dst[c], src[c])
+		}
+	}
 	var out [][]float64
-	for c := 0; c < res.V.C; c++ {
-		top := mat.CopyVec(res.V.Col(c)[:n])
+	for _, col := range qr.Krylov(applyBatch, start, k2, 1e-10) {
+		top := mat.CopyVec(col[:n])
 		if n2 := mat.Norm2(top); n2 > 1e-14 {
 			mat.ScaleVec(1/n2, top)
 			out = append(out, top)

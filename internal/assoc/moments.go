@@ -3,9 +3,9 @@ package assoc
 import (
 	"fmt"
 
-	"avtmor/internal/arnoldi"
 	"avtmor/internal/kron"
 	"avtmor/internal/mat"
+	"avtmor/internal/qr"
 	"avtmor/internal/solver"
 	"avtmor/internal/sylv"
 )
@@ -101,15 +101,6 @@ func (r *Realization) newH2Op(s0 float64) (*h2Op, error) {
 	return op, nil
 }
 
-func (o *h2Op) Dim() int {
-	n := o.r.Sys.N
-	return n + n*n
-}
-
-func (o *h2Op) Apply(dst, src []float64) {
-	o.ApplyBatch([][]float64{dst}, [][]float64{src})
-}
-
 func (o *h2Op) ApplyBatch(dst, src [][]float64) {
 	if o.err == nil {
 		o.err = o.apply(dst, src)
@@ -145,15 +136,16 @@ func (o *h2Op) apply(dst, src [][]float64) error {
 	return nil
 }
 
-// H2Candidates runs k2 steps of block Arnoldi on (G̃2 − s0·I)⁻¹ in the
-// (n+n²)-dimensional realization space, starting from the b̃2 columns of
-// every unordered input pair, and returns the top-n blocks of the
-// orthonormal iterates. Those blocks span the state-moment space of
-// A2(H2)(s) about s0 (the orthonormalization is a triangular change of
-// basis, which the block extraction commutes with). The n² blocks stay
-// in the Schur coordinates of G1 throughout (h2Op): the seeds are
-// formed from Qᵀbᵢ, and the start block and every Arnoldi frontier go
-// through one batched application.
+// H2Candidates runs k2 steps of block Arnoldi (qr.Krylov over
+// h2Op.ApplyBatch) on (G̃2 − s0·I)⁻¹ in the (n+n²)-dimensional
+// realization space, starting from the b̃2 columns of every unordered
+// input pair, and returns the top-n blocks of the orthonormal iterates.
+// Those blocks span the state-moment space of A2(H2)(s) about s0 (the
+// orthonormalization is a triangular change of basis, which the block
+// extraction commutes with). The n² blocks stay in the Schur
+// coordinates of G1 throughout (h2Op): the seeds are formed from Qᵀbᵢ,
+// and the start block and every Arnoldi frontier go through one batched
+// application.
 func (r *Realization) H2Candidates(k2 int, s0 float64) ([][]float64, error) {
 	if k2 <= 0 {
 		return nil, nil
@@ -192,16 +184,12 @@ func (r *Realization) H2Candidates(k2 int, s0 float64) ([][]float64, error) {
 	if op.err != nil {
 		return nil, op.err
 	}
-	res := arnoldi.Krylov(op, start, k2, 0)
+	basis := qr.Krylov(op.ApplyBatch, start, k2, 1e-10)
 	if op.err != nil {
 		return nil, op.err
 	}
-	if res.V == nil {
-		return nil, nil
-	}
 	var out [][]float64
-	for c := 0; c < res.V.C; c++ {
-		col := res.V.Col(c)
+	for _, col := range basis {
 		top := mat.CopyVec(col[:n])
 		if n2 := mat.Norm2(top); n2 > 1e-14 {
 			mat.ScaleVec(1/n2, top)
@@ -211,17 +199,23 @@ func (r *Realization) H2Candidates(k2 int, s0 float64) ([][]float64, error) {
 	return out, nil
 }
 
-// solveMomentTable computes table[j][i] = M^{−(i+1)}·ws[j] for i+j < k3
-// plus (when d2 != nil) dpow[i] = M^{−(i+1)}·d2 — the triangular solve
-// table of the H3 moment assembly. The independent chains advance in
-// lockstep: sweep i applies M⁻¹ to every still-active chain through one
-// batched substitution, with values bit-identical to per-chain loops.
-func (r *Realization) solveMomentTable(f solver.Factorization, ws [][]float64, d2 []float64, k3 int) (table [][][]float64, dpow [][]float64, err error) {
-	table = make([][][]float64, len(ws))
+// h3MomentSums returns the normalized nonzero moments
+//
+//	m_k = Σ_{i+j=k} M^{−(i+1)}·ws[j] − M^{−(k+1)}·d2,  k < k3,
+//
+// the last term only when d2 != nil: the H3 moment assembly both H3
+// chains end in. It first solves the triangular table
+// table[j][i] = M^{−(i+1)}·ws[j] for i+j < k3 and the powers
+// dpow[i] = M^{−(i+1)}·d2. The independent chains advance in lockstep:
+// sweep i applies M⁻¹ to every still-active chain through one batched
+// substitution, with values bit-identical to per-chain loops.
+func (r *Realization) h3MomentSums(f solver.Factorization, ws [][]float64, d2 []float64, k3 int) ([][]float64, error) {
+	table := make([][][]float64, len(ws))
+	var dpow [][]float64
 	cols := make([][]float64, 0, len(ws)+1)
 	for i := 0; i < k3; i++ {
 		if err := r.ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cols = cols[:0]
 		for j := range ws {
@@ -250,7 +244,21 @@ func (r *Realization) solveMomentTable(f solver.Factorization, ws [][]float64, d
 		}
 		f.SolveBatch(cols)
 	}
-	return table, dpow, nil
+	out := make([][]float64, 0, k3)
+	for k := 0; k < k3; k++ {
+		m := make([]float64, r.Sys.N)
+		for j := 0; j <= k && j < len(table); j++ {
+			mat.Axpy(1, table[j][k-j], m)
+		}
+		if dpow != nil {
+			mat.Axpy(-1, dpow[k], m)
+		}
+		if n2v := mat.Norm2(m); n2v > 0 {
+			mat.ScaleVec(1/n2v, m)
+			out = append(out, m)
+		}
+	}
+	return out, nil
 }
 
 // H3Moments returns the exact state-moment vectors m_0 … m_{k3−1} of
@@ -326,28 +334,7 @@ func (r *Realization) H3Moments(k3 int, s0 float64) ([][]float64, error) {
 		sys.D1[0].MulVec(d2, d1b)
 		mat.PutVec(d1b)
 	}
-	// Table c[j][i] = M^{−(i+1)}·w_j and the d-term powers
-	// M^{−(k+1)}·d2, all chains advancing together one batched solve
-	// per sweep.
-	table, dpow, err := r.solveMomentTable(f, ws, d2, k3)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, 0, k3)
-	for k := 0; k < k3; k++ {
-		m := make([]float64, n)
-		for j := 0; j <= k && j < len(table); j++ {
-			mat.Axpy(1, table[j][k-j], m)
-		}
-		if dpow != nil {
-			mat.Axpy(-1, dpow[k], m)
-		}
-		if n2v := mat.Norm2(m); n2v > 0 {
-			mat.ScaleVec(1/n2v, m)
-			out = append(out, m)
-		}
-	}
-	return out, nil
+	return r.h3MomentSums(f, ws, d2, k3)
 }
 
 // H3MomentsCubic returns the exact state-moment vectors of the cubic
@@ -389,20 +376,5 @@ func (r *Realization) H3MomentsCubic(s3 *kron.SumSolver3, k3 int, s0 float64) ([
 		g3.applySym(w, z)
 		ws = append(ws, w)
 	}
-	table, _, err := r.solveMomentTable(f, ws, nil, k3)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, 0, k3)
-	for k := 0; k < k3; k++ {
-		m := make([]float64, n)
-		for j := 0; j <= k; j++ {
-			mat.Axpy(1, table[j][k-j], m)
-		}
-		if n2v := mat.Norm2(m); n2v > 0 {
-			mat.ScaleVec(1/n2v, m)
-			out = append(out, m)
-		}
-	}
-	return out, nil
+	return r.h3MomentSums(f, ws, nil, k3)
 }

@@ -49,7 +49,7 @@ func checkWorkload(t *testing.T, w *Workload, wantN int) {
 	}
 	// The origin must be an equilibrium with zero input.
 	dst := make([]float64, w.Sys.N)
-	w.Sys.Eval(dst, make([]float64, w.Sys.N), make([]float64, w.Sys.Inputs()))
+	w.Sys.Prepare().Eval(dst, make([]float64, w.Sys.N), make([]float64, w.Sys.Inputs()))
 	if mat.NormInf(dst) != 0 {
 		t.Fatalf("%s: origin is not an equilibrium (|f| = %g)", w.Name, mat.NormInf(dst))
 	}

@@ -201,24 +201,6 @@ func (f *LU) solveBatch(ctx context.Context, cols [][]float64) error {
 	return nil
 }
 
-// SolveMat solves A X = B through one batched substitution over all
-// columns (one factor traversal for the whole right-hand-side block).
-func (f *LU) SolveMat(b *mat.Dense) *mat.Dense {
-	if b.R != f.N() {
-		panic("lu: SolveMat shape mismatch")
-	}
-	x := mat.NewDense(b.R, b.C)
-	cols := make([][]float64, b.C)
-	for j := 0; j < b.C; j++ {
-		cols[j] = b.Col(j)
-	}
-	f.SolveBatch(cols)
-	for j, col := range cols {
-		x.SetCol(j, col)
-	}
-	return x
-}
-
 // MinAbsPivot returns the smallest |U_ii| of the factorization — a cheap
 // near-singularity witness: for a structurally rank-deficient matrix it
 // sits at rounding level relative to the matrix scale.

@@ -88,17 +88,6 @@ func TestNonSquare(t *testing.T) {
 	}
 }
 
-func TestSolveMat(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := mat.RandStable(rng, 7, 0.1)
-	b := mat.RandDense(rng, 7, 3)
-	f, _ := Factor(a)
-	x := f.SolveMat(b)
-	if !a.Mul(x).Equalish(b, 1e-9) {
-		t.Fatal("A·X != B")
-	}
-}
-
 func TestComplexSolveKnown(t *testing.T) {
 	// (1+i) x = 2 → x = 1 - i.
 	a := mat.NewCDense(1, 1)

@@ -339,23 +339,6 @@ func span(cols []int32) (lo, hi int) {
 	return int(cols[0]), int(cols[len(cols)-1]) + 1
 }
 
-// SolveMat solves A X = B column by column.
-func (f *Refactored) SolveMat(b *mat.Dense) *mat.Dense {
-	if b.R != f.N() {
-		panic("lu: SolveMat shape mismatch")
-	}
-	x := mat.NewDense(b.R, b.C)
-	cols := make([][]float64, b.C)
-	for j := range cols {
-		cols[j] = b.Col(j)
-	}
-	f.SolveBatch(cols)
-	for j, col := range cols {
-		x.SetCol(j, col)
-	}
-	return x
-}
-
 // MinAbsPivot returns the smallest |U_ii|.
 func (f *Refactored) MinAbsPivot() float64 {
 	n := f.N()

@@ -217,7 +217,7 @@ G1 n1 0 1.0 0.5
 	}
 	// v̇ = u − v − 0.5·v²: check Eval at v = 0.2, u = 0.1.
 	dst := make([]float64, 1)
-	sys.Eval(dst, []float64{0.2}, []float64{0.1})
+	sys.Prepare().Eval(dst, []float64{0.2}, []float64{0.1})
 	want := 0.1 - 0.2 - 0.5*0.04
 	if math.Abs(dst[0]-want) > 1e-14 {
 		t.Fatalf("Eval = %v, want %v", dst[0], want)

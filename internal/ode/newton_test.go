@@ -29,6 +29,7 @@ func oracleTrapezoidal(sys *qldae.System, x0 []float64, u Input, tEnd float64, n
 		dense.G1S = nil
 		evalSys = &dense
 	}
+	evalPrep := evalSys.Prepare()
 	ls := solver.Auto{}
 	sparseAssembly := sys.G1 == nil || (sys.G1S != nil && n >= solver.AutoDenseCutoff)
 	prep, jb := sys.Prepare(), sparse.NewBuilder(n, n)
@@ -36,7 +37,9 @@ func oracleTrapezoidal(sys *qldae.System, x0 []float64, u Input, tEnd float64, n
 		if sparseAssembly {
 			return solver.FromCSR(sparse.Add(1, sparse.Eye(n), -0.5*h, prep.JacobianCSRInto(jb, xn, u1)))
 		}
-		jac := sys.Jacobian(xn, u1).Scale(-0.5 * h)
+		jac := mat.NewDense(n, n)
+		prep.JacobianInto(jac, xn, u1)
+		jac = jac.Scale(-0.5 * h)
 		for i := 0; i < n; i++ {
 			jac.Add(i, i, 1)
 		}
@@ -53,14 +56,14 @@ func oracleTrapezoidal(sys *qldae.System, x0 []float64, u Input, tEnd float64, n
 		t := float64(s) * h
 		u0 := u(t)
 		u1 := u(t + h)
-		evalSys.Eval(f0, x, u0)
+		evalPrep.Eval(f0, x, u0)
 		xn := mat.CopyVec(x)
 		mat.Axpy(h, f0, xn)
 		converged := false
 		var fac solver.Factorization
 		for it := 0; it < 25; it++ {
 			res.NewtonIters++
-			evalSys.Eval(f1, xn, u1)
+			evalPrep.Eval(f1, xn, u1)
 			for i := 0; i < n; i++ {
 				g[i] = xn[i] - x[i] - 0.5*h*(f0[i]+f1[i])
 			}
@@ -71,7 +74,7 @@ func oracleTrapezoidal(sys *qldae.System, x0 []float64, u Input, tEnd float64, n
 			}
 			if fac == nil || (it > 0 && it%newtonRefresh == 0) {
 				var err error
-				if fac, err = ls.Factor(newtonMatrix(xn, u1, h)); err != nil {
+				if fac, err = ls.FactorCtx(context.Background(), newtonMatrix(xn, u1, h)); err != nil {
 					return nil, 0, err
 				}
 				factorizations++

@@ -46,11 +46,6 @@ func (w *workspace) release() {
 	w.bufs = nil
 }
 
-// Const wraps a constant input vector.
-func Const(u []float64) Input {
-	return func(float64) []float64 { return u }
-}
-
 // Result is a recorded trajectory.
 type Result struct {
 	T []float64
@@ -230,6 +225,13 @@ func Dopri5Ctx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tE
 			errNorm += r * r
 		}
 		errNorm = math.Sqrt(errNorm / float64(n))
+		if math.IsNaN(errNorm) {
+			// An overflowed stage makes the estimate Inf − Inf. Read it
+			// as infinite: the step is rejected and h shrinks by the
+			// minimum factor, so the hMin guard ends a run that cannot
+			// recover instead of NaN steps spinning to the step budget.
+			errNorm = math.Inf(1)
+		}
 		if errNorm <= 1 {
 			t += h
 			copy(x, xs)

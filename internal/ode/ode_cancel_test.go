@@ -33,10 +33,6 @@ type wrapSolver struct {
 
 func (w *wrapSolver) Name() string { return w.inner.Name() }
 
-func (w *wrapSolver) Factor(a *solver.Matrix) (solver.Factorization, error) {
-	return w.FactorCtx(context.Background(), a)
-}
-
 func (w *wrapSolver) FactorCtx(ctx context.Context, a *solver.Matrix) (solver.Factorization, error) {
 	f, err := w.inner.FactorCtx(ctx, a)
 	if err != nil {

@@ -1,14 +1,22 @@
 package ode
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"avtmor/internal/mat"
 	"avtmor/internal/qldae"
 	"avtmor/internal/sparse"
 )
+
+// Const wraps a constant input vector.
+func Const(u []float64) Input {
+	return func(float64) []float64 { return u }
+}
 
 // linearScalar builds dx/dt = a·x + u with output x.
 func linearScalar(a float64) *qldae.System {
@@ -92,6 +100,28 @@ func TestDopri5AdaptsToTolerance(t *testing.T) {
 	}
 	if loose.Factorizations != 0 || tight.Factorizations != 0 {
 		t.Fatal("Dopri5 reports factorizations")
+	}
+}
+
+// TestDopri5NaNErrorCollapses: x' = −x + 1e300·x² overflows in its
+// first stages, so the error estimate is Inf − Inf. The run must end
+// with the step-collapse error, not spin on NaN step sizes until the
+// step budget or the context ends it.
+func TestDopri5NaNErrorCollapses(t *testing.T) {
+	g2 := sparse.NewBuilder(1, 1)
+	g2.Add(0, 0, 1e300)
+	sys := &qldae.System{
+		N:  1,
+		G1: mat.Diag([]float64{-1}),
+		G2: g2.Build(),
+		B:  mat.FromRows([][]float64{{1}}),
+		L:  mat.FromRows([][]float64{{1}}),
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	_, err := Dopri5Ctx(ctx, sys, []float64{1}, Const([]float64{0}), 1, 1e-7, 1e-9)
+	if err == nil || !strings.Contains(err.Error(), "step collapsed") {
+		t.Fatalf("err = %v, want the step-collapse error", err)
 	}
 }
 

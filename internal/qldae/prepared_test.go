@@ -159,15 +159,12 @@ func TestD1CSRMatchesDense(t *testing.T) {
 				got := make([]float64, n)
 				p.Eval(got, x, u)
 				sameBitsVec(t, "Prepared.Eval", got, want)
-				s.Eval(got, x, u)
-				sameBitsVec(t, "System.Eval", got, want)
 
 				wantJ := mat.NewDense(n, n)
 				jacobianDenseD1(s, wantJ, x, u)
 				gotJ := mat.NewDense(n, n)
 				p.JacobianInto(gotJ, x, u)
 				sameBitsVec(t, "Prepared.JacobianInto", gotJ.A, wantJ.A)
-				sameBitsVec(t, "System.Jacobian", s.Jacobian(x, u).A, wantJ.A)
 
 				wantS := jacobianCSRDenseD1(s, x, u)
 				gotS := p.JacobianCSRInto(sparse.NewBuilder(n, n), x, u)

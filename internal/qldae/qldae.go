@@ -142,10 +142,6 @@ func csrBlocks(blocks []*mat.Dense) []*sparse.CSR {
 	return out
 }
 
-// Eval computes dst = RHS(x, u). It derives the D1 CSR forms on every
-// call; repeated evaluations go through Prepare.
-func (s *System) Eval(dst, x, u []float64) { s.Prepare().Eval(dst, x, u) }
-
 // Eval computes dst = RHS(x, u). Scratch comes from the shared
 // workspace pool, so the per-stage integrator loops (four Evals per RK4
 // step, one per Newton iteration) evaluate allocation-free. Each D1
@@ -190,17 +186,6 @@ func (p *Prepared) Eval(dst, x, u []float64) {
 		}
 	}
 }
-
-// Jacobian returns ∂RHS/∂x at (x, u) as a dense matrix.
-func (s *System) Jacobian(x, u []float64) *mat.Dense {
-	j := mat.NewDense(s.N, s.N)
-	s.JacobianInto(j, x, u)
-	return j
-}
-
-// JacobianInto writes ∂RHS/∂x at (x, u) into the n×n matrix j; see
-// Prepared.JacobianInto.
-func (s *System) JacobianInto(j *mat.Dense, x, u []float64) { s.Prepare().JacobianInto(j, x, u) }
 
 // JacobianInto writes ∂RHS/∂x at (x, u) into the n×n matrix j,
 // overwriting all of it: the Newton loop of ode.Trapezoidal assembles

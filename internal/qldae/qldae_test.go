@@ -58,7 +58,7 @@ func TestEvalAgainstExplicitKron(t *testing.T) {
 	x := mat.RandVec(rng, n)
 	u := mat.RandVec(rng, m)
 	got := make([]float64, n)
-	s.Eval(got, x, u)
+	s.Prepare().Eval(got, x, u)
 	// Explicit: G1x + G2(x⊗x) + D1_i x u_i + B u.
 	want := make([]float64, n)
 	s.G1.MulVec(want, x)
@@ -102,7 +102,7 @@ func TestEvalMatchesDenseColumnOrder(t *testing.T) {
 		x := mat.RandVec(rng, n)
 		u := mat.RandVec(rng, m)
 		u[trial%m] = 0
-		s.Eval(got, x, u)
+		s.Prepare().Eval(got, x, u)
 		s.G1.MulVec(want, x)
 		s.G2.QuadAddApply(want, 1, x, x)
 		s.G3.CubeApply(tmp, x)
@@ -129,16 +129,22 @@ func TestEvalMatchesDenseColumnOrder(t *testing.T) {
 	}
 }
 
-// TestJacobianIntoOverwrites pins JacobianInto against Jacobian: it must
-// overwrite a dirty buffer completely, from the dense G1 or from a
-// CSR-only G1S alike.
+// jacobian returns ∂RHS/∂x at (x, u) in a new dense matrix.
+func jacobian(s *System, x, u []float64) *mat.Dense {
+	j := mat.NewDense(s.N, s.N)
+	s.Prepare().JacobianInto(j, x, u)
+	return j
+}
+
+// TestJacobianIntoOverwrites: JacobianInto must overwrite a dirty
+// buffer completely, from the dense G1 or from a CSR-only G1S alike.
 func TestJacobianIntoOverwrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n, m := 6, 2
 	s := randSystem(rng, n, m)
 	x := mat.RandVec(rng, n)
 	u := mat.RandVec(rng, m)
-	want := s.Jacobian(x, u)
+	want := jacobian(s, x, u)
 	csrOnly := *s
 	csrOnly.G1S, csrOnly.G1 = sparse.FromDense(s.G1), nil
 	for _, sys := range []*System{s, &csrOnly} {
@@ -146,10 +152,10 @@ func TestJacobianIntoOverwrites(t *testing.T) {
 		for i := range j.A {
 			j.A[i] = math.NaN()
 		}
-		sys.JacobianInto(j, x, u)
+		sys.Prepare().JacobianInto(j, x, u)
 		for i, v := range want.A {
 			if math.Float64bits(j.A[i]) != math.Float64bits(v) {
-				t.Fatalf("entry %d: JacobianInto %v, Jacobian %v (CSR-only %v)", i, j.A[i], v, sys.G1 == nil)
+				t.Fatalf("entry %d: JacobianInto %v into a dirty buffer, %v into a zero one (CSR-only %v)", i, j.A[i], v, sys.G1 == nil)
 			}
 		}
 	}
@@ -167,15 +173,16 @@ func TestJacobianFiniteDifference(t *testing.T) {
 	s.G3 = g3b.Build()
 	x := mat.RandVec(rng, n)
 	u := mat.RandVec(rng, m)
-	jac := s.Jacobian(x, u)
+	jac := jacobian(s, x, u)
 	const h = 1e-6
+	p := s.Prepare()
 	f0 := make([]float64, n)
-	s.Eval(f0, x, u)
+	p.Eval(f0, x, u)
 	fp := make([]float64, n)
 	for j := 0; j < n; j++ {
 		xp := mat.CopyVec(x)
 		xp[j] += h
-		s.Eval(fp, xp, u)
+		p.Eval(fp, xp, u)
 		for i := 0; i < n; i++ {
 			fd := (fp[i] - f0[i]) / h
 			if math.Abs(fd-jac.At(i, j)) > 1e-4*(1+math.Abs(fd)) {
@@ -210,12 +217,12 @@ func TestProjectGalerkinConsistency(t *testing.T) {
 	u := mat.RandVec(rng, m)
 	// Reduced RHS.
 	rhat := make([]float64, q)
-	rom.Eval(rhat, xhat, u)
+	rom.Prepare().Eval(rhat, xhat, u)
 	// Vᵀ·RHS(V·x̂).
 	x := make([]float64, n)
 	v.MulVec(x, xhat)
 	rfull := make([]float64, n)
-	s.Eval(rfull, x, u)
+	s.Prepare().Eval(rfull, x, u)
 	want := make([]float64, q)
 	v.MulVecT(want, rfull)
 	for i := range want {
@@ -241,8 +248,8 @@ func TestProjectIdentityBasis(t *testing.T) {
 	u := []float64{0.3}
 	a := make([]float64, n)
 	b := make([]float64, n)
-	s.Eval(a, x, u)
-	rom.Eval(b, x, u)
+	s.Prepare().Eval(a, x, u)
+	rom.Prepare().Eval(b, x, u)
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-10 {
 			t.Fatalf("identity projection mismatch at %d", i)

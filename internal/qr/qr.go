@@ -1,6 +1,6 @@
-// Package qr provides Householder QR factorization and the
-// orthonormalization primitives used to assemble projection matrices from
-// unions of Krylov/moment subspaces (paper §2.3).
+// Package qr builds orthonormal bases by modified Gram–Schmidt (MGS):
+// of the union of candidate sets that becomes a projection matrix, and
+// of the block Krylov subspaces the moment chains span (paper §2.3).
 package qr
 
 import (
@@ -9,86 +9,32 @@ import (
 	"avtmor/internal/mat"
 )
 
-// QR holds a thin Householder factorization A = Q·R with Q m×n
-// column-orthonormal and R n×n upper triangular (requires m ≥ n).
-type QR struct {
-	Q *mat.Dense
-	R *mat.Dense
-}
-
-// Factor computes the thin QR factorization of a (m ≥ n).
-func Factor(a *mat.Dense) *QR {
-	m, n := a.R, a.C
-	if m < n {
-		panic("qr: Factor requires rows >= cols")
+// orthogonalize removes from w, in place, its components along the
+// orthonormal basis by two MGS passes and normalizes the remainder. It
+// reports false when w deflates: when w is zero or its remainder is not
+// above dropTol times its original norm, which a NaN remainder never is.
+func orthogonalize(basis [][]float64, w []float64, dropTol float64) bool {
+	orig := mat.Norm2(w)
+	if orig == 0 {
+		return false
 	}
-	r := a.Clone()
-	// Store Householder vectors.
-	vs := make([][]float64, 0, n)
-	for k := 0; k < n; k++ {
-		// Build the reflector for column k below the diagonal.
-		x := make([]float64, m-k)
-		for i := k; i < m; i++ {
-			x[i-k] = r.At(i, k)
-		}
-		alpha := mat.Norm2(x)
-		if x[0] > 0 {
-			alpha = -alpha
-		}
-		v := mat.CopyVec(x)
-		v[0] -= alpha
-		vn := mat.Norm2(v)
-		if vn > 0 {
-			mat.ScaleVec(1/vn, v)
-			applyReflector(r, v, k)
-		}
-		vs = append(vs, v)
-	}
-	// Accumulate Q by applying the reflectors to the first n columns of I.
-	q := mat.NewDense(m, n)
-	for j := 0; j < n; j++ {
-		q.Set(j, j, 1)
-	}
-	for k := n - 1; k >= 0; k-- {
-		if mat.Norm2(vs[k]) > 0 {
-			applyReflector(q, vs[k], k)
+	for pass := 0; pass < 2; pass++ {
+		for _, q := range basis {
+			mat.Axpy(-mat.Dot(q, w), q, w)
 		}
 	}
-	// Zero out the strictly-lower part of R and truncate to n×n.
-	rr := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			rr.Set(i, j, r.At(i, j))
-		}
+	rem := mat.Norm2(w)
+	if !(rem > dropTol*orig) {
+		return false
 	}
-	return &QR{Q: q, R: rr}
-}
-
-// applyReflector applies H = I - 2 v vᵀ (v unit, living in rows k..m-1) to
-// the rows k..m-1 of a, for all columns.
-func applyReflector(a *mat.Dense, v []float64, k int) {
-	m, n := a.R, a.C
-	for j := 0; j < n; j++ {
-		s := 0.0
-		for i := k; i < m; i++ {
-			s += v[i-k] * a.At(i, j)
-		}
-		s *= 2
-		if s == 0 {
-			continue
-		}
-		for i := k; i < m; i++ {
-			a.Add(i, j, -s*v[i-k])
-		}
-	}
+	mat.ScaleVec(1/rem, w)
+	return true
 }
 
 // Orthonormalize builds an orthonormal basis for the span of the given
-// column vectors by modified Gram–Schmidt with one reorthogonalization
-// pass. Columns whose remainder after projection is below dropTol times
-// their original norm are deflated (skipped). Zero columns are skipped.
-// The returned matrix has one column per surviving vector; it may be nil
-// if everything deflates.
+// column vectors, one column at a time in order. Columns that deflate
+// (see orthogonalize) are skipped. The returned matrix has one column
+// per surviving vector; it is nil if everything deflates.
 func Orthonormalize(cols [][]float64, dropTol float64) *mat.Dense {
 	if len(cols) == 0 {
 		return nil
@@ -99,18 +45,7 @@ func Orthonormalize(cols [][]float64, dropTol float64) *mat.Dense {
 		if len(c) != n {
 			panic("qr: Orthonormalize ragged columns")
 		}
-		orig := mat.Norm2(c)
-		if orig == 0 {
-			continue
-		}
-		w := mat.CopyVec(c)
-		for pass := 0; pass < 2; pass++ {
-			for _, q := range basis {
-				mat.Axpy(-mat.Dot(q, w), q, w)
-			}
-		}
-		if rem := mat.Norm2(w); rem > dropTol*orig {
-			mat.ScaleVec(1/rem, w)
+		if w := mat.CopyVec(c); orthogonalize(basis, w, dropTol) {
 			basis = append(basis, w)
 		}
 	}
@@ -122,6 +57,38 @@ func Orthonormalize(cols [][]float64, dropTol float64) *mat.Dense {
 		v.SetCol(j, q)
 	}
 	return v
+}
+
+// Krylov returns an orthonormal basis of the block Krylov subspace
+// span{S, A·S, …, A^{steps−1}·S} of the start columns S. apply computes
+// dst[c] = A·src[c] for a whole frontier at once, into fresh dst
+// columns. The basis holds the start columns first, then each step's
+// images in frontier order, each orthogonalized against all before it;
+// a column that deflates (as in Orthonormalize) leaves the frontier.
+// The start columns are not modified.
+func Krylov(apply func(dst, src [][]float64), start [][]float64, steps int, dropTol float64) [][]float64 {
+	var basis, frontier [][]float64
+	for _, s := range start {
+		if w := mat.CopyVec(s); orthogonalize(basis, w, dropTol) {
+			basis = append(basis, w)
+			frontier = append(frontier, w)
+		}
+	}
+	for step := 1; step < steps && len(frontier) > 0; step++ {
+		images := make([][]float64, len(frontier))
+		for i, f := range frontier {
+			images[i] = make([]float64, len(f))
+		}
+		apply(images, frontier)
+		frontier = frontier[:0]
+		for _, w := range images {
+			if orthogonalize(basis, w, dropTol) {
+				basis = append(basis, w)
+				frontier = append(frontier, w)
+			}
+		}
+	}
+	return basis
 }
 
 // OrthoError returns max |QᵀQ - I|, a quick orthonormality diagnostic.

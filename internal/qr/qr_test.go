@@ -8,45 +8,6 @@ import (
 	"avtmor/internal/mat"
 )
 
-func TestFactorReconstruction(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 2 + rng.Intn(20)
-		n := 1 + rng.Intn(m)
-		a := mat.RandDense(rng, m, n)
-		qr := Factor(a)
-		if OrthoError(qr.Q) > 1e-12 {
-			return false
-		}
-		return qr.Q.Mul(qr.R).Equalish(a, 1e-11)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFactorRUpperTriangular(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := mat.RandDense(rng, 8, 5)
-	qr := Factor(a)
-	for i := 0; i < qr.R.R; i++ {
-		for j := 0; j < i; j++ {
-			if qr.R.At(i, j) != 0 {
-				t.Fatalf("R[%d][%d] = %v below diagonal", i, j, qr.R.At(i, j))
-			}
-		}
-	}
-}
-
-func TestFactorSquare(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := mat.RandStable(rng, 10, 0.1)
-	qr := Factor(a)
-	if !qr.Q.Mul(qr.R).Equalish(a, 1e-11) {
-		t.Fatal("square QR reconstruction failed")
-	}
-}
-
 func TestOrthonormalizeBasic(t *testing.T) {
 	cols := [][]float64{{1, 0, 0}, {1, 1, 0}, {1, 1, 1}}
 	v := Orthonormalize(cols, 1e-10)
@@ -126,27 +87,6 @@ func TestOrthoErrorDetects(t *testing.T) {
 	}
 	if e := OrthoError(mat.Eye(4)); e != 0 {
 		t.Fatalf("identity ortho error %v", e)
-	}
-}
-
-func TestFactorTallThin(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := mat.RandDense(rng, 50, 3)
-	qr := Factor(a)
-	if qr.Q.R != 50 || qr.Q.C != 3 || qr.R.R != 3 {
-		t.Fatalf("thin shapes wrong: Q %d×%d R %d×%d", qr.Q.R, qr.Q.C, qr.R.R, qr.R.C)
-	}
-	if !qr.Q.Mul(qr.R).Equalish(a, 1e-11) {
-		t.Fatal("tall-thin reconstruction failed")
-	}
-}
-
-func TestFactorNeedsPivotlessColumn(t *testing.T) {
-	// First column zero: reflector degenerates but factorization must survive.
-	a := mat.FromRows([][]float64{{0, 1}, {0, 0}, {0, 2}})
-	qr := Factor(a)
-	if !qr.Q.Mul(qr.R).Equalish(a, 1e-12) {
-		t.Fatal("zero-column reconstruction failed")
 	}
 }
 

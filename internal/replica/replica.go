@@ -152,14 +152,6 @@ func (s *State) Ring() *cluster.Ring {
 	return s.ring
 }
 
-// Replicas returns the current replication factor, clamped to the
-// fleet size.
-func (s *State) Replicas() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return min(s.ms.Replicas, s.ring.Len())
-}
-
 // Apply adopts m if it is greater than the current view (Compare
 // order) and reports whether a transition happened. An invalid m is
 // ignored. The ring is rebuilt from the adopted peer list.

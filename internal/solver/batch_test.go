@@ -63,7 +63,7 @@ func TestSolveBatchBitExact(t *testing.T) {
 		op := Operand(a.Dense(), a)
 		n := a.Rows
 		for beName, ls := range backends {
-			f, err := ls.Factor(op)
+			f, err := ls.FactorCtx(context.Background(), op)
 			if err != nil {
 				t.Fatalf("%s/%s: factor: %v", caseName, beName, err)
 			}
@@ -98,7 +98,7 @@ func TestSolveBatchShiftedBitExact(t *testing.T) {
 	for _, ls := range []LinearSolver{Dense{}, Sparse{}} {
 		sc := NewShiftedCache(Operand(a.Dense(), a), nil, ls)
 		for _, sigma := range []float64{0, -0.4, 1.3} {
-			f, err := sc.Factor(sigma)
+			f, err := sc.FactorCtx(context.Background(), sigma)
 			if err != nil {
 				t.Fatalf("%s σ=%g: %v", ls.Name(), sigma, err)
 			}
@@ -133,7 +133,7 @@ func TestSolveBatchCtxAbort(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	a := rlcLineCSR(300) // n = 599 > the ctx poll stride guard sizes
 	for _, ls := range []LinearSolver{Dense{}, Sparse{}} {
-		f, err := ls.Factor(Operand(a.Dense(), a))
+		f, err := ls.FactorCtx(context.Background(), Operand(a.Dense(), a))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestShiftedCacheSingleflight(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				<-start
-				facts[w], errs[w] = sc.Factor(-0.5)
+				facts[w], errs[w] = sc.FactorCtx(context.Background(), -0.5)
 			}(w)
 		}
 		close(start)

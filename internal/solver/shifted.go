@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"avtmor/internal/mat"
 	"avtmor/internal/sparse"
 )
 
@@ -87,9 +86,6 @@ func NewShiftedCache(g *Matrix, c *Matrix, ls LinearSolver) *ShiftedCache {
 	return &ShiftedCache{g: g, c: c, ls: ls, entries: map[float64]*shiftEntry{}}
 }
 
-// Solver exposes the backend the cache factors through.
-func (sc *ShiftedCache) Solver() LinearSolver { return sc.ls }
-
 // BackendName names the backend the pencil actually factors through:
 // for Auto it resolves the per-operand routing decision ("dense" or
 // "sparse"), so the observability layer reports what ran, not the
@@ -104,9 +100,6 @@ func (sc *ShiftedCache) BackendName() string {
 // Scale returns max |g_ij|, the reference for pivot-ratio checks.
 func (sc *ShiftedCache) Scale() float64 { return sc.g.MaxAbs() }
 
-// N returns the pencil dimension.
-func (sc *ShiftedCache) N() int { return sc.g.N() }
-
 // Stats reports factorization, hit, and batch-solve counters.
 func (sc *ShiftedCache) Stats() CacheStats {
 	analyses, refactors := sc.sym.Stats()
@@ -120,13 +113,8 @@ func (sc *ShiftedCache) Stats() CacheStats {
 	}
 }
 
-// Factor returns the cached factorization of G + σ·C, computing it on
-// first use.
-func (sc *ShiftedCache) Factor(sigma float64) (Factorization, error) {
-	return sc.FactorCtx(context.Background(), sigma)
-}
-
-// FactorCtx is Factor with cooperative cancellation. A factorization
+// FactorCtx returns the cached factorization of G + σ·C, computing it
+// on first use, with cooperative cancellation. A factorization
 // aborted by ctx is NOT cached: the leader evicts its entry, so a later
 // (or concurrently waiting) request with a live context recomputes it
 // instead of inheriting the stale cancellation error.
@@ -189,10 +177,8 @@ type countedFact struct {
 	sc    *ShiftedCache
 }
 
-func (c *countedFact) N() int                           { return c.inner.N() }
-func (c *countedFact) MinAbsPivot() float64             { return c.inner.MinAbsPivot() }
-func (c *countedFact) Solve(dst, b []float64)           { c.inner.Solve(dst, b) }
-func (c *countedFact) SolveMat(b *mat.Dense) *mat.Dense { return c.inner.SolveMat(b) }
+func (c *countedFact) MinAbsPivot() float64   { return c.inner.MinAbsPivot() }
+func (c *countedFact) Solve(dst, b []float64) { c.inner.Solve(dst, b) }
 
 func (c *countedFact) SolveBatch(cols [][]float64) {
 	c.sc.batchSolves.Add(1)

@@ -2,7 +2,10 @@
 // abstraction over the square real systems that dominate the paper's
 // runtime — the shift-inverted Krylov back-solves of the moment
 // generation (§2.3's "one LU of G1, then cheap back-solves per moment")
-// and the Newton steps of the implicit transient integrators.
+// and the Newton steps of the implicit transient integrators. A
+// LinearSolver factors an operand once (FactorCtx); the Factorization
+// then serves Solve, the batched SolveBatch/SolveBatchCtx and the
+// MinAbsPivot near-singularity witness.
 //
 // Two backends implement the interface: the existing dense LU with
 // partial pivoting (package lu, O(n³) factor / O(n²) solve) and a sparse
@@ -33,8 +36,6 @@ var ErrSingular = errors.New("solver: matrix is singular")
 // Factorization is safe for concurrent solves (scratch comes from a
 // shared pool, never from factorization state).
 type Factorization interface {
-	// N returns the matrix dimension.
-	N() int
 	// Solve computes x with A·x = b, writing into dst (dst may alias b).
 	Solve(dst, b []float64)
 	// SolveBatch solves A·x = cols[c] for every column of the batch, in
@@ -48,8 +49,6 @@ type Factorization interface {
 	// polled along the substitution sweeps, and on abort the columns
 	// are left untouched (solutions scatter back only on completion).
 	SolveBatchCtx(ctx context.Context, cols [][]float64) error
-	// SolveMat solves A·X = B (one batched substitution).
-	SolveMat(b *mat.Dense) *mat.Dense
 	// MinAbsPivot returns the smallest |U_ii| — the cheap
 	// near-singularity witness the shifted-system callers check against
 	// the matrix scale.
@@ -170,13 +169,11 @@ func (m *Matrix) MaxAbs() float64 {
 type LinearSolver interface {
 	// Name identifies the backend ("dense", "sparse", "auto").
 	Name() string
-	// Factor computes a factorization of a; a is not modified, except
-	// that a Scratch operand's dense storage may become the factors.
-	Factor(a *Matrix) (Factorization, error)
-	// FactorCtx is Factor with cooperative cancellation: long
-	// factorizations (the sparse-LU column loop) poll ctx and abort with
-	// its error, so a caller that gives up on a reduction is not stuck
-	// behind an O(nnz·fill) factor step.
+	// FactorCtx computes a factorization of a; a is not modified,
+	// except that a Scratch operand's dense storage may become the
+	// factors. Long factorizations (the sparse-LU column loop) poll ctx
+	// and abort with its error, so a caller that gives up on a
+	// reduction is not stuck behind an O(nnz·fill) factor step.
 	FactorCtx(ctx context.Context, a *Matrix) (Factorization, error)
 }
 
@@ -185,11 +182,6 @@ type Dense struct{}
 
 // Name returns "dense".
 func (Dense) Name() string { return "dense" }
-
-// Factor runs the dense LU.
-func (Dense) Factor(a *Matrix) (Factorization, error) {
-	return Dense.FactorCtx(Dense{}, context.Background(), a)
-}
 
 // FactorCtx runs the dense LU (the ctx is checked on entry only; the
 // dense kernel is a tight third-party-free loop kept check-free). A
@@ -216,12 +208,8 @@ type Sparse struct{}
 // Name returns "sparse".
 func (Sparse) Name() string { return "sparse" }
 
-// Factor runs the sparse LU of splu.go.
-func (Sparse) Factor(a *Matrix) (Factorization, error) {
-	return factorCSR(context.Background(), a.AsCSR())
-}
-
-// FactorCtx runs the sparse LU, polling ctx along the column loop.
+// FactorCtx runs the sparse LU of splu.go, polling ctx along the
+// column loop.
 func (Sparse) FactorCtx(ctx context.Context, a *Matrix) (Factorization, error) {
 	return factorCSR(ctx, a.AsCSR())
 }
@@ -253,11 +241,6 @@ func (Auto) Pick(m *Matrix) LinearSolver {
 		return Sparse{}
 	}
 	return Dense{}
-}
-
-// Factor routes to the picked backend.
-func (a Auto) Factor(m *Matrix) (Factorization, error) {
-	return a.Pick(m).Factor(m)
 }
 
 // FactorCtx routes to the picked backend with cancellation.

@@ -40,11 +40,11 @@ func TestSparseLUMatchesDense(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 17, 60, 140} {
 		for trial := 0; trial < 3; trial++ {
 			a := randSparse(rng, n, 0.08)
-			fs, err := (Sparse{}).Factor(FromCSR(a))
+			fs, err := (Sparse{}).FactorCtx(context.Background(), FromCSR(a))
 			if err != nil {
 				t.Fatalf("n=%d: sparse factor: %v", n, err)
 			}
-			fd, err := (Dense{}).Factor(FromDense(a.Dense()))
+			fd, err := (Dense{}).FactorCtx(context.Background(), FromDense(a.Dense()))
 			if err != nil {
 				t.Fatalf("n=%d: dense factor: %v", n, err)
 			}
@@ -80,7 +80,7 @@ func TestSparseLUNonDominantPivoting(t *testing.T) {
 	b.Add(2, 0, 1)
 	b.Add(2, 2, 3)
 	a := b.Build()
-	f, err := (Sparse{}).Factor(FromCSR(a))
+	f, err := (Sparse{}).FactorCtx(context.Background(), FromCSR(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestSparseLUSingular(t *testing.T) {
 	b := sparse.NewBuilder(3, 3)
 	b.Add(0, 0, 1)
 	b.Add(2, 2, 1)
-	if _, err := (Sparse{}).Factor(FromCSR(b.Build())); err == nil {
+	if _, err := (Sparse{}).FactorCtx(context.Background(), FromCSR(b.Build())); err == nil {
 		t.Fatal("expected singular error for an empty row")
 	} else if !strings.Contains(err.Error(), "singular") {
 		t.Fatalf("unhelpful error: %v", err)
@@ -111,36 +111,24 @@ func TestSparseLUSingular(t *testing.T) {
 	b2.Add(0, 1, 2)
 	b2.Add(1, 0, 1)
 	b2.Add(1, 1, 2)
-	if _, err := (Sparse{}).Factor(FromCSR(b2.Build())); err == nil {
+	if _, err := (Sparse{}).FactorCtx(context.Background(), FromCSR(b2.Build())); err == nil {
 		t.Fatal("expected singular error for a rank-deficient matrix")
 	}
 	// Non-square input is rejected.
-	if _, err := (Sparse{}).Factor(FromCSR(sparse.NewBuilder(2, 3).Build())); err == nil {
+	if _, err := (Sparse{}).FactorCtx(context.Background(), FromCSR(sparse.NewBuilder(2, 3).Build())); err == nil {
 		t.Fatal("expected shape error")
 	}
 }
 
-func TestSparseLUSolveMatAndPivotWitness(t *testing.T) {
+func TestSparseLUPivotWitness(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randSparse(rng, 40, 0.1)
-	f, err := (Sparse{}).Factor(FromCSR(a))
+	f, err := (Sparse{}).FactorCtx(context.Background(), FromCSR(a))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.MinAbsPivot() <= 0 {
 		t.Fatal("MinAbsPivot must be positive for a nonsingular matrix")
-	}
-	bm := mat.RandDense(rng, 40, 3)
-	x := f.SolveMat(bm)
-	for j := 0; j < 3; j++ {
-		col := x.Col(j)
-		prod := make([]float64, 40)
-		a.MulVec(prod, col)
-		for i := 0; i < 40; i++ {
-			if math.Abs(prod[i]-bm.At(i, j)) > 1e-10 {
-				t.Fatalf("SolveMat residual at (%d,%d)", i, j)
-			}
-		}
 	}
 }
 
@@ -162,7 +150,7 @@ func TestBandedFillStaysLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nnz := f.NNZ(); nnz > 10*n {
+	if nnz := n + len(f.lidx) + len(f.uidx); nnz > 10*n {
 		t.Fatalf("tridiagonal fill blew up: %d stored entries for n=%d", nnz, n)
 	}
 }
@@ -190,7 +178,7 @@ func TestShiftedCacheIdentityDescriptor(t *testing.T) {
 	for _, ls := range []LinearSolver{Dense{}, Sparse{}, Auto{}} {
 		sc := NewShiftedCache(Operand(a.Dense(), a), nil, ls)
 		for _, sigma := range []float64{0, -0.7, 2.5} {
-			f, err := sc.Factor(sigma)
+			f, err := sc.FactorCtx(context.Background(), sigma)
 			if err != nil {
 				t.Fatalf("%s σ=%g: %v", ls.Name(), sigma, err)
 			}
@@ -206,7 +194,7 @@ func TestShiftedCacheIdentityDescriptor(t *testing.T) {
 				t.Fatalf("%s σ=%g: residual %g", ls.Name(), sigma, mat.NormInf(res))
 			}
 			// Second request hits the cache (same pointer).
-			f2, _ := sc.Factor(sigma)
+			f2, _ := sc.FactorCtx(context.Background(), sigma)
 			if f2 != f {
 				t.Fatalf("%s σ=%g: cache miss on repeat", ls.Name(), sigma)
 			}
@@ -220,7 +208,7 @@ func TestShiftedCacheGeneralDescriptor(t *testing.T) {
 	c := randSparse(rng, 20, 0.1)
 	sc := NewShiftedCache(FromCSR(g), FromCSR(c), Sparse{})
 	sigma := 0.3
-	f, err := sc.Factor(sigma)
+	f, err := sc.FactorCtx(context.Background(), sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +245,7 @@ func TestShiftedCacheConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				_, errs[w] = sc.Factor(shifts[w%len(shifts)])
+				_, errs[w] = sc.FactorCtx(context.Background(), shifts[w%len(shifts)])
 			}(w)
 		}
 		wg.Wait()
@@ -305,7 +293,7 @@ func TestDenseBackendMatchesLUPackage(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		a.Add(i, i, 15)
 	}
-	f, err := (Dense{}).Factor(FromDense(a))
+	f, err := (Dense{}).FactorCtx(context.Background(), FromDense(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +322,7 @@ func TestScratchOperandFactorsInPlace(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.Add(i, i, 12)
 	}
-	ref, err := (Dense{}).Factor(FromDense(a))
+	ref, err := (Dense{}).FactorCtx(context.Background(), FromDense(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +334,7 @@ func TestScratchOperandFactorsInPlace(t *testing.T) {
 		inPlace bool
 	}{{Dense{}, true}, {Sparse{}, false}, {Auto{}, true}} {
 		d := a.Clone()
-		f, err := tc.ls.Factor(Scratch(d))
+		f, err := tc.ls.FactorCtx(context.Background(), Scratch(d))
 		if err != nil {
 			t.Fatal(err)
 		}

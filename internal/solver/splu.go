@@ -283,9 +283,6 @@ func toCSC(a *sparse.CSR, withSrc bool) (colPtr, rowIdx []int, vals []float64, s
 	return colPtr, rowIdx, vals, src
 }
 
-// N returns the matrix dimension.
-func (f *spLU) N() int { return f.n }
-
 // Solve computes x with A·x = b (dst may alias b). Scratch comes from
 // the shared workspace pool, so chain iterations solve allocation-free.
 func (f *spLU) Solve(dst, b []float64) {
@@ -414,24 +411,6 @@ func (f *spLU) solveBatch(ctx context.Context, cols [][]float64) error {
 // sparse substitution.
 const batchSolveCtxStride = 512
 
-// SolveMat solves A·X = B through one batched substitution over all
-// columns.
-func (f *spLU) SolveMat(b *mat.Dense) *mat.Dense {
-	if b.R != f.n {
-		panic("solver: sparse SolveMat shape mismatch")
-	}
-	x := mat.NewDense(b.R, b.C)
-	cols := make([][]float64, b.C)
-	for j := 0; j < b.C; j++ {
-		cols[j] = b.Col(j)
-	}
-	f.SolveBatch(cols)
-	for j, col := range cols {
-		x.SetCol(j, col)
-	}
-	return x
-}
-
 // MinAbsPivot returns min |U_kk|.
 func (f *spLU) MinAbsPivot() float64 {
 	if f.n == 0 {
@@ -444,9 +423,4 @@ func (f *spLU) MinAbsPivot() float64 {
 		}
 	}
 	return m
-}
-
-// NNZ returns the stored factor nonzeros (fill diagnostics).
-func (f *spLU) NNZ() int {
-	return f.n + len(f.lidx) + len(f.uidx)
 }

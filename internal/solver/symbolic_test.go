@@ -181,7 +181,7 @@ func TestShiftedCacheSymbolicStats(t *testing.T) {
 	sc := NewShiftedCache(FromCSR(g), nil, Sparse{})
 	shifts := []float64{1, 2.5, 0.7, 10}
 	for _, sigma := range shifts {
-		if _, err := sc.Factor(sigma); err != nil {
+		if _, err := sc.FactorCtx(context.Background(), sigma); err != nil {
 			t.Fatalf("σ=%v: %v", sigma, err)
 		}
 	}

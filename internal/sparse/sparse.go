@@ -245,22 +245,3 @@ func (m *CSR) MulDense(x *mat.Dense) *mat.Dense {
 	}
 	return out
 }
-
-// T returns the transpose as a new CSR.
-func (m *CSR) T() *CSR {
-	b := NewBuilder(m.Cols, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			b.Add(m.ColIdx[k], r, m.Val[k])
-		}
-	}
-	return b.Build()
-}
-
-// Scale multiplies all values in place and returns m.
-func (m *CSR) Scale(a float64) *CSR {
-	for i := range m.Val {
-		m.Val[i] *= a
-	}
-	return m
-}

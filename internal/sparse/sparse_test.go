@@ -94,29 +94,11 @@ func TestMulVecC(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := randCSR(rng, 7, 4, 12)
-	if !m.T().Dense().Equalish(m.Dense().T(), 1e-15) {
-		t.Fatal("transpose mismatch")
-	}
-}
-
 func TestFromDenseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	d := mat.RandDense(rng, 6, 8)
 	if !FromDense(d).Dense().Equalish(d, 0) {
 		t.Fatal("FromDense round trip failed")
-	}
-}
-
-func TestScale(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := randCSR(rng, 4, 4, 8)
-	want := m.Dense().Scale(3)
-	m.Scale(3)
-	if !m.Dense().Equalish(want, 1e-15) {
-		t.Fatal("Scale wrong")
 	}
 }
 
