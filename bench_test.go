@@ -68,7 +68,7 @@ func BenchmarkFig5VaristorReduce(b *testing.B) {
 	w := circuits.Varistor()
 	opt := core.Options{K1: 7, K3: 2, S0: w.S0}
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Reduce(w.Sys, opt); err != nil {
+		if _, err := core.ReduceContext(context.Background(), w.Sys, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,9 +91,9 @@ func benchArnoldi(b *testing.B, w *circuits.Workload, opt core.Options, norm boo
 	for i := 0; i < b.N; i++ {
 		var err error
 		if norm {
-			_, err = core.ReduceNORM(w.Sys, opt)
+			_, err = core.ReduceNORMContext(context.Background(), w.Sys, opt)
 		} else {
-			_, err = core.Reduce(w.Sys, opt)
+			_, err = core.ReduceContext(context.Background(), w.Sys, opt)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -108,9 +108,9 @@ func benchODESolve(b *testing.B, w *circuits.Workload, sys *qldae.System) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		if w.Stiff {
-			_, err = ode.Trapezoidal(sys, x0, w.U, w.TEnd, w.Steps)
+			_, err = ode.TrapezoidalSolverCtx(context.Background(), sys, x0, w.U, w.TEnd, w.Steps, nil)
 		} else {
-			res := ode.RK4(sys, x0, w.U, w.TEnd, w.Steps)
+			res, _ := ode.RK4Ctx(context.Background(), sys, x0, w.U, w.TEnd, w.Steps)
 			_ = res
 		}
 		if err != nil {
@@ -136,7 +136,7 @@ func BenchmarkTable1Sect32ODESolveOriginal(b *testing.B) {
 
 func BenchmarkTable1Sect32ODESolveProposed(b *testing.B) {
 	w, opt := sect32()
-	rom, err := core.Reduce(w.Sys, opt)
+	rom, err := core.ReduceContext(context.Background(), w.Sys, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func BenchmarkTable1Sect32ODESolveProposed(b *testing.B) {
 
 func BenchmarkTable1Sect32ODESolveNORM(b *testing.B) {
 	w, opt := sect32()
-	rom, err := core.ReduceNORM(w.Sys, opt)
+	rom, err := core.ReduceNORMContext(context.Background(), w.Sys, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func BenchmarkTable1Sect33ODESolveOriginal(b *testing.B) {
 
 func BenchmarkTable1Sect33ODESolveProposed(b *testing.B) {
 	w, opt := sect33()
-	rom, err := core.Reduce(w.Sys, opt)
+	rom, err := core.ReduceContext(context.Background(), w.Sys, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func BenchmarkTable1Sect33ODESolveProposed(b *testing.B) {
 
 func BenchmarkTable1Sect33ODESolveNORM(b *testing.B) {
 	w, opt := sect33()
-	rom, err := core.ReduceNORM(w.Sys, opt)
+	rom, err := core.ReduceNORMContext(context.Background(), w.Sys, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func benchReduceMultipoint(b *testing.B, nominal int, parallel bool) {
 	opt := core.Options{K1: 6, ExtraPoints: []float64{0.4, 0.9}, Parallel: parallel}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Reduce(w.Sys, opt); err != nil {
+		if _, err := core.ReduceContext(context.Background(), w.Sys, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -383,7 +383,7 @@ func BenchmarkReduceBlocked(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Reduce(w.Sys, opt); err != nil {
+		if _, err := core.ReduceContext(context.Background(), w.Sys, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

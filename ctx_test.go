@@ -26,8 +26,7 @@ func TestReduceCancelPrompt(t *testing.T) {
 	canceledAt := make(chan time.Time, 1)
 	go func() {
 		_, err := avtmor.Reduce(ctx, w.System,
-			avtmor.WithOrders(400, 0, 0), // a long H1 chain: hundreds of back-solves
-			avtmor.WithSolver(avtmor.SolverSparse))
+			avtmor.WithOrders(400, 0, 0)) // a long H1 chain: hundreds of back-solves
 		at := <-canceledAt
 		done <- outcome{err: err, elapsed: time.Since(at)}
 	}()

@@ -11,29 +11,32 @@ import (
 	"avtmor/internal/lint"
 )
 
-// numericPackages are the packages below avtmor/internal/ that
-// TestNoTestOnlyCode holds to "no production function only tests call".
-var numericPackages = []string{
-	"assoc", "balance", "circuits", "core", "kron", "lu", "netlist",
-	"ode", "qldae", "qr", "schur", "solver", "sparse", "sylv",
-}
-
-// testOnlyAllowed names the functions of numericPackages that no
-// production path calls but that tests use as oracles, hooks or
-// context-free wrappers. Each value names a test that uses the
-// function. What an allowed function calls is allowed too.
+// testOnlyAllowed names the scanned functions that no production path
+// calls but that tests use as oracles, constructors or hooks. Each
+// value names a test that uses the function. What an allowed function
+// calls is allowed too.
 var testOnlyAllowed = map[string]string{
-	"core.Reduce":                 "ode.TestPaperTransientsRecordOnce",
-	"core.ReduceNORM":             "ode.TestPaperTransientsRecordOnce",
 	"kron.SumDense":               "assoc.TestSolveKronAgainstDense",
+	"lint.RunFixture":             "lint.TestFixtures",
 	"lu.(*Record).NNZ":            "ode.TestReplaySkipsWork",
 	"lu.Solve":                    "assoc.TestH2OpAgainstDense",
 	"lu.SolveC":                   "assoc.TestSolveKronAgainstDense",
-	"ode.Dopri5":                  "ode.TestDopri5MatchesRK4",
-	"ode.RK4":                     "netlist.TestDiodeLinearizationMatchesRawODE",
-	"ode.Trapezoidal":             "circuits.TestVaristorClamps",
-	"ode.TrapezoidalSolver":       "core.TestScaleCSROnlyReduceAndSimulate",
+	"mat.(*CDense).MaxAbs":        "sylv.TestTrSylvTCComplex",
+	"mat.(*CDense).Mul":           "sylv.TestTrSylvTCComplex",
+	"mat.(*Dense).Equalish":       "kron.TestVecUnvecRoundTrip",
+	"mat.(*Dense).MulVecT":        "qr.TestKrylov",
+	"mat.(*Dense).Plus":           "balance.TestGramiansResiduals",
+	"mat.(*Dense).Sub":            "schur.TestDecomposeSmallKnown",
+	"mat.CDot":                    "core.TestProbeMultivariateConvergence",
+	"mat.Diag":                    "balance.TestHSVDiagonalKnown",
+	"mat.Expm":                    "kron.TestExpKronSumIdentity",
+	"mat.FromRows":                "lu.TestSolveKnown",
+	"mat.RandDense":               "solver.TestAutoRouting",
+	"mat.RandStable":              "lu.TestSolveRandomResidual",
+	"mat.RandVec":                 "solver.TestSolveBatchBitExact",
+	"mat.SubVec":                  "assoc.TestH2OpAgainstDense",
 	"qr.OrthoError":               "core.TestReduceBasicShape",
+	"quota.(*Limiter).SetClock":   "quota.TestBurstThenRefill",
 	"schur.(*Eig).InverseVectors": "kron.TestSpectralMatchesSumSolver",
 	"schur.Eigen":                 "kron.TestSpectralMatchesSumSolver",
 	"sparse.(*CSR).AddMulVec":     "assoc.TestH2CandidatesMatchOriginalCoordinates",
@@ -57,8 +60,10 @@ var stdInterfaceMethods = map[string]bool{
 	"Import": true, "ImportFrom": true,
 }
 
-// TestNoTestOnlyCode fails on every function of numericPackages that no
-// production path reaches. Liveness starts at main and init of every
+// TestNoTestOnlyCode fails on every function that no production path
+// reaches, in every package below avtmor/internal/ except
+// internal/volterra (a package of test oracles by design), and among the
+// unexported functions of avtmor, serve and avtmorclient. Liveness starts at main and init of every
 // package, at the exported API of avtmor, serve and avtmorclient, at
 // package-level initializers and at methods the standard library calls
 // by name. It spreads to every function a live body references; a call
@@ -227,10 +232,19 @@ func (g *callGraph) markImplementations(fn *types.Func) {
 }
 
 // funcName renders fn as pkg.Func, pkg.T.Method or pkg.(*T).Method and
-// reports whether fn belongs to numericPackages.
+// reports whether TestNoTestOnlyCode scans fn. The exported API of the
+// root package, serve and avtmorclient is live by definition, so
+// scanning those packages whole checks their unexported functions.
 func funcName(modPath string, fn *types.Func) (string, bool) {
-	pkg, ok := strings.CutPrefix(fn.Pkg().Path(), modPath+"/internal/")
-	if !ok || !slices.Contains(numericPackages, pkg) {
+	var pkg string
+	switch path := fn.Pkg().Path(); {
+	case path == modPath:
+		pkg = "avtmor"
+	case path == modPath+"/serve", path == modPath+"/avtmorclient":
+		pkg = strings.TrimPrefix(path, modPath+"/")
+	case strings.HasPrefix(path, modPath+"/internal/") && path != modPath+"/internal/volterra":
+		pkg = strings.TrimPrefix(path, modPath+"/internal/")
+	default:
 		return "", false
 	}
 	recv := fn.Type().(*types.Signature).Recv()

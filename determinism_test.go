@@ -37,7 +37,7 @@ func goldenCases(t testing.TB) []goldenCase {
 		{"s34", s34.System, false, []Option{WithOrders(7, 0, 2), WithExpansion(s34.S0)}},
 		{"s32-norm", s32.System, true, []Option{WithOrders(6, 3, 2), WithExpansion(s32.S0)}},
 		{"s33-norm", s33.System, true, []Option{WithOrders(4, 2, 0), WithExpansion(s33.S0)}},
-		{"rlc-line-256", RLCLine(256).System, false, []Option{WithOrders(6, 0, 0), WithExpansion(1, 0.4, 0.9), WithSolver(SolverSparse)}},
+		{"rlc-line-256", RLCLine(256).System, false, []Option{WithOrders(6, 0, 0), WithExpansion(1, 0.4, 0.9)}},
 		{"netlist-ladder", diodeLadder(t), false, []Option{WithOrders(4, 2, 0), WithExpansion(0.4)}},
 		{"two-port-line-800", twoPortLine(t, 800), false, []Option{WithOrders(6, 0, 0), WithExpansion(0, 0.4, 0.9)}},
 		{"mixed-quad-cubic", mixedChain(t), false, []Option{WithOrders(4, 2, 2), WithExpansion(0.5)}},

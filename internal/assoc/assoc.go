@@ -39,7 +39,7 @@ import (
 // reductions of large sparse circuits never pay the O(n³) step.
 //
 // A Realization is safe for the concurrent moment generation of
-// core.Reduce's parallel fan-out: the shifted caches are mutexed, and
+// core.ReduceContext's parallel fan-out: the shifted caches are mutexed, and
 // distinct shifts factor concurrently.
 type Realization struct {
 	Sys *qldae.System

@@ -404,12 +404,6 @@ func Varistor() *Workload {
 	}
 }
 
-// rlcDenseMirrorLimit bounds the state count up to which RLCLine also
-// materializes the dense G1 (for dense-vs-sparse comparison runs);
-// beyond it the workload is CSR-only — the regime the dense path cannot
-// touch at all.
-const rlcDenseMirrorLimit = 2500
-
 // RLCLine builds a linear RLC transmission line with the given number
 // of sections — the classic interconnect/power-grid workload that
 // motivates the sparse-direct spine (ROADMAP: thousands of nodes).
@@ -459,7 +453,7 @@ func RLCLine(sections int) *Workload {
 	l := mat.NewDense(1, n)
 	l.Set(0, m-1, 1) // observe the far-end voltage
 	sys := &qldae.System{N: n, G1S: g1s, B: b, L: l}
-	if n <= rlcDenseMirrorLimit {
+	if n <= qldae.DenseMirrorLimit {
 		sys.G1 = g1s.Dense()
 	}
 	return &Workload{

@@ -1,6 +1,7 @@
 package circuits
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -156,7 +157,7 @@ func TestNTLVoltageQuadraticLinearizationExact(t *testing.T) {
 	const stages = 8
 	w := NTLVoltage(stages)
 	x0 := make([]float64, w.Sys.N)
-	res := ode.RK4(w.Sys, x0, w.U, 10, 4000)
+	res, _ := ode.RK4Ctx(context.Background(), w.Sys, x0, w.U, 10, 4000)
 
 	// Raw ODE integration (plain RK4 on the node voltages).
 	v := make([]float64, stages)
@@ -213,7 +214,7 @@ func TestVaristorClamps(t *testing.T) {
 	// The surge must be clamped: protected-side voltage ≪ source peak.
 	w := Varistor()
 	x0 := make([]float64, w.Sys.N)
-	res, err := ode.Trapezoidal(w.Sys, x0, w.U, w.TEnd, w.Steps)
+	res, err := ode.TrapezoidalSolverCtx(context.Background(), w.Sys, x0, w.U, w.TEnd, w.Steps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +237,9 @@ func TestNTLCurrentRespondsNonlinearly(t *testing.T) {
 	// conductances at work).
 	w := NTLCurrent(30)
 	x0 := make([]float64, w.Sys.N)
-	r1 := ode.RK4(w.Sys, x0, w.U, 15, 3000)
+	r1, _ := ode.RK4Ctx(context.Background(), w.Sys, x0, w.U, 15, 3000)
 	u2 := func(t float64) []float64 { return []float64{2 * w.U(t)[0]} }
-	r2 := ode.RK4(w.Sys, x0, u2, 15, 3000)
+	r2, _ := ode.RK4Ctx(context.Background(), w.Sys, x0, u2, 15, 3000)
 	maxDev := 0.0
 	for k := range r1.Y {
 		dev := math.Abs(r2.Y[k][0] - 2*r1.Y[k][0])

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestAutoReduceAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rom, err := Reduce(sys, opt)
+	rom, err := ReduceContext(context.Background(), sys, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"avtmor/internal/circuits"
@@ -99,7 +100,7 @@ func TestReduceBlockedBitExact(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rb, err := Reduce(tc.sys, tc.opt)
+			rb, err := ReduceContext(context.Background(), tc.sys, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,11 +124,11 @@ func TestReduceBlockedParallelBitExact(t *testing.T) {
 	serial := base
 	par := base
 	par.Parallel = true
-	r1, err := Reduce(w.Sys, serial)
+	r1, err := ReduceContext(context.Background(), w.Sys, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Reduce(w.Sys, par)
+	r2, err := ReduceContext(context.Background(), w.Sys, par)
 	if err != nil {
 		t.Fatal(err)
 	}

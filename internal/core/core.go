@@ -1,9 +1,9 @@
 // Package core exposes the nonlinear model order reduction entry points:
 //
-//   - Reduce — the paper's associated-transform NMOR: one single-s Krylov
-//     subspace per Volterra order (H1, A2(H2), A3(H3)), projection size
-//     O(k1+k2+k3).
-//   - ReduceNORM — the classical NORM baseline (Li & Pileggi), which
+//   - ReduceContext — the paper's associated-transform NMOR: one single-s
+//     Krylov subspace per Volterra order (H1, A2(H2), A3(H3)), projection
+//     size O(k1+k2+k3).
+//   - ReduceNORMContext — the classical NORM baseline (Li & Pileggi), which
 //     moment-matches the multivariate H2(s1,s2), H3(s1,s2,s3) directly and
 //     grows as O(k1 + k2³ + k3⁴).
 //
@@ -50,7 +50,9 @@ type Options struct {
 	// Solver selects the linear-solver backend for every shift-invert
 	// factorization: auto (dense below the routing cutoff, sparse LU for
 	// large sparse G1), or forced dense/sparse. Auto is what makes
-	// ≥10³-state circuits reduce in O(nnz·fill) instead of O(n³).
+	// ≥10³-state circuits reduce in O(nnz·fill) instead of O(n³). It is
+	// an internal override for backend comparisons (exper.CompareBackends)
+	// and benchmarks: the public facade and the wire always route Auto.
 	Solver solver.Kind
 	// Parallel fans the independent moment generators out over
 	// goroutines: one per expansion point (H1+H2 about S0 and every
@@ -142,20 +144,16 @@ func heapAllocs() uint64 {
 	return 0
 }
 
-// Reduce runs the proposed associated-transform NMOR. All shift-invert
-// factorizations route through the backend named by opt.Solver and are
-// cached per expansion point inside the shared realization; with
-// opt.Parallel the per-point and per-order generators run concurrently
-// (they are independent Krylov chains — §2.3's "can be computed in
-// parallel" remark) while the candidate ordering stays deterministic.
-func Reduce(sys *qldae.System, opt Options) (*ROM, error) {
-	return ReduceContext(context.Background(), sys, opt)
-}
-
-// ReduceContext is Reduce with cooperative cancellation: ctx is
-// threaded through every moment chain, Arnoldi step, and shifted
-// factorization (including the sparse-LU column loop), so a canceled
-// reduction returns within one Krylov step's worth of work.
+// ReduceContext runs the proposed associated-transform NMOR. All
+// shift-invert factorizations route through the backend named by
+// opt.Solver and are cached per expansion point inside the shared
+// realization; with opt.Parallel the per-point and per-order generators
+// run concurrently (they are independent Krylov chains — §2.3's "can be
+// computed in parallel" remark) while the candidate ordering stays
+// deterministic. ctx is threaded through every moment chain, Arnoldi
+// step, and shifted factorization (including the sparse-LU column
+// loop), so a canceled reduction returns within one Krylov step's worth
+// of work.
 func ReduceContext(ctx context.Context, sys *qldae.System, opt Options) (*ROM, error) {
 	start := time.Now() //avtmorlint:ignore detrom wall-clock feeds Stats.Build only, a build-report field that is never serialized; the numerics and the cache key never read it
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -46,7 +47,7 @@ func cubicSystem(rng *rand.Rand, n int) *qldae.System {
 func TestReduceBasicShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	sys := testSystem(rng, 12, true)
-	rom, err := Reduce(sys, Options{K1: 3, K2: 2, K3: 1})
+	rom, err := ReduceContext(context.Background(), sys, Options{K1: 3, K2: 2, K3: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func checkTransferMatch(t *testing.T, rom *ROM, withH3 bool) {
 func TestReduceMatchesMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	sys := testSystem(rng, 14, true)
-	rom, err := Reduce(sys, Options{K1: 5, K2: 3, K3: 2})
+	rom, err := ReduceContext(context.Background(), sys, Options{K1: 5, K2: 3, K3: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestReduceMatchesMoments(t *testing.T) {
 func TestReduceNoD1(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sys := testSystem(rng, 12, false)
-	rom, err := Reduce(sys, Options{K1: 4, K2: 2, K3: 1})
+	rom, err := ReduceContext(context.Background(), sys, Options{K1: 4, K2: 2, K3: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestReduceNoD1(t *testing.T) {
 func TestReduceNORMMatchesMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	sys := testSystem(rng, 14, true)
-	rom, err := ReduceNORM(sys, Options{K1: 5, K2: 3, K3: 2})
+	rom, err := ReduceNORMContext(context.Background(), sys, Options{K1: 5, K2: 3, K3: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +136,11 @@ func TestSubspaceGrowthContrast(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sys := testSystem(rng, 30, true)
 	opt := Options{K1: 4, K2: 3, K3: 2}
-	a, err := Reduce(sys, opt)
+	a, err := ReduceContext(context.Background(), sys, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nm, err := ReduceNORM(sys, opt)
+	nm, err := ReduceNORMContext(context.Background(), sys, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestSubspaceGrowthContrast(t *testing.T) {
 func TestReduceCubic(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	sys := cubicSystem(rng, 10)
-	rom, err := Reduce(sys, Options{K1: 4, K3: 2})
+	rom, err := ReduceContext(context.Background(), sys, Options{K1: 4, K3: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestReduceCubic(t *testing.T) {
 func TestReduceNORMCubic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sys := cubicSystem(rng, 10)
-	rom, err := ReduceNORM(sys, Options{K1: 4, K3: 2})
+	rom, err := ReduceNORMContext(context.Background(), sys, Options{K1: 4, K3: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestReduceMISO(t *testing.T) {
 	n := 16
 	sys := testSystem(rng, n, false)
 	sys.B = mat.RandDense(rng, n, 2)
-	rom, err := Reduce(sys, Options{K1: 3, K2: 2})
+	rom, err := ReduceContext(context.Background(), sys, Options{K1: 3, K2: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,10 +212,10 @@ func TestReduceMISO(t *testing.T) {
 func TestReduceRejectsEmptyOptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	sys := testSystem(rng, 6, false)
-	if _, err := Reduce(sys, Options{}); err == nil {
+	if _, err := ReduceContext(context.Background(), sys, Options{}); err == nil {
 		t.Fatal("expected error for zero moment counts")
 	}
-	if _, err := ReduceNORM(sys, Options{}); err == nil {
+	if _, err := ReduceNORMContext(context.Background(), sys, Options{}); err == nil {
 		t.Fatal("expected error for zero moment counts")
 	}
 }
@@ -223,7 +224,7 @@ func TestReduceNonzeroExpansion(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	sys := testSystem(rng, 12, true)
 	s0 := -0.4
-	rom, err := Reduce(sys, Options{K1: 4, K2: 2, K3: 1, S0: s0})
+	rom, err := ReduceContext(context.Background(), sys, Options{K1: 4, K2: 2, K3: 1, S0: s0})
 	if err != nil {
 		t.Fatal(err)
 	}

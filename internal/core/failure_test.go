@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func TestReduceSingularG1AtDC(t *testing.T) {
 	// The exactly quadratic-linearized line has a singular G1; expanding
 	// at DC must produce an actionable error, not garbage.
 	w := circuits.NTLVoltage(6)
-	_, err := Reduce(w.Sys, Options{K1: 2, K2: 1, S0: 0})
+	_, err := ReduceContext(context.Background(), w.Sys, Options{K1: 2, K2: 1, S0: 0})
 	if err == nil {
 		t.Fatal("expected singular-shift error at s0 = 0")
 	}
@@ -27,27 +28,27 @@ func TestReduceSingularG1AtDC(t *testing.T) {
 		t.Fatalf("unhelpful error: %v", err)
 	}
 	// The documented workaround (non-DC expansion) must work.
-	if _, err := Reduce(w.Sys, Options{K1: 2, K2: 1, S0: w.S0}); err != nil {
+	if _, err := ReduceContext(context.Background(), w.Sys, Options{K1: 2, K2: 1, S0: w.S0}); err != nil {
 		t.Fatalf("non-DC expansion should succeed: %v", err)
 	}
 }
 
 func TestReduceNORMSingularG1AtDC(t *testing.T) {
 	w := circuits.NTLVoltage(6)
-	if _, err := ReduceNORM(w.Sys, Options{K1: 2, K2: 1, S0: 0}); err == nil {
+	if _, err := ReduceNORMContext(context.Background(), w.Sys, Options{K1: 2, K2: 1, S0: 0}); err == nil {
 		t.Fatal("expected singular-shift error")
 	}
-	if _, err := ReduceNORM(w.Sys, Options{K1: 2, K2: 1, S0: w.S0}); err != nil {
+	if _, err := ReduceNORMContext(context.Background(), w.Sys, Options{K1: 2, K2: 1, S0: w.S0}); err != nil {
 		t.Fatalf("non-DC NORM should succeed: %v", err)
 	}
 }
 
 func TestReduceInvalidSystem(t *testing.T) {
 	bad := &qldae.System{N: 4, G1: mat.NewDense(3, 3)}
-	if _, err := Reduce(bad, Options{K1: 1}); err == nil {
+	if _, err := ReduceContext(context.Background(), bad, Options{K1: 1}); err == nil {
 		t.Fatal("invalid system must be rejected")
 	}
-	if _, err := ReduceNORM(bad, Options{K1: 1}); err == nil {
+	if _, err := ReduceNORMContext(context.Background(), bad, Options{K1: 1}); err == nil {
 		t.Fatal("invalid system must be rejected by NORM too")
 	}
 }
@@ -64,7 +65,7 @@ func TestReduceResonantShiftCollision(t *testing.T) {
 	g2b := sparse.NewBuilder(2, 4)
 	g2b.Add(0, 0, 0.1)
 	sys.G2 = g2b.Build()
-	if _, err := Reduce(sys, Options{K1: 2, K2: 1, S0: -1}); err == nil {
+	if _, err := ReduceContext(context.Background(), sys, Options{K1: 2, K2: 1, S0: -1}); err == nil {
 		t.Fatal("expected failure for s0 at an eigenvalue")
 	}
 }
@@ -73,7 +74,7 @@ func TestH3ErrorRejectsMIMO(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	sys := testSystem(rng, 8, false)
 	sys.B = mat.RandDense(rng, 8, 2)
-	rom, err := Reduce(sys, Options{K1: 2, K2: 1})
+	rom, err := ReduceContext(context.Background(), sys, Options{K1: 2, K2: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestAllCandidatesDeflated(t *testing.T) {
 		B:  mat.NewDense(3, 1), // zero input map
 		L:  mat.FromRows([][]float64{{1, 0, 0}}),
 	}
-	if _, err := Reduce(sys, Options{K1: 2}); err == nil {
+	if _, err := ReduceContext(context.Background(), sys, Options{K1: 2}); err == nil {
 		t.Fatal("expected 'all candidates deflated' error")
 	}
 }

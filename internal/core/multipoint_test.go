@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -12,11 +13,11 @@ import (
 func TestMultipointMatchesBothPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	sys := testSystem(rng, 24, true)
-	multi, err := Reduce(sys, Options{K1: 3, K2: 1, ExtraPoints: []float64{1.0}})
+	multi, err := ReduceContext(context.Background(), sys, Options{K1: 3, K2: 1, ExtraPoints: []float64{1.0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := Reduce(sys, Options{K1: 6, K2: 2})
+	single, err := ReduceContext(context.Background(), sys, Options{K1: 6, K2: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestMultipointMatchesBothPoints(t *testing.T) {
 func TestMultipointOrdersAdditive(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	sys := testSystem(rng, 20, false)
-	rom, err := Reduce(sys, Options{K1: 2, K2: 1, ExtraPoints: []float64{0.5, 1.5}})
+	rom, err := ReduceContext(context.Background(), sys, Options{K1: 2, K2: 1, ExtraPoints: []float64{0.5, 1.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +69,11 @@ func TestMultipointOrdersAdditive(t *testing.T) {
 func TestMultipointDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	sys := testSystem(rng, 15, false)
-	a, err := Reduce(sys, Options{K1: 3, K2: 1})
+	a, err := ReduceContext(context.Background(), sys, Options{K1: 3, K2: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Reduce(sys, Options{K1: 3, K2: 1, ExtraPoints: []float64{0}})
+	b, err := ReduceContext(context.Background(), sys, Options{K1: 3, K2: 1, ExtraPoints: []float64{0}})
 	if err != nil {
 		t.Fatal(err)
 	}

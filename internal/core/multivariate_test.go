@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestNORMMatchesMultivariateExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	sys := testSystem(rng, 14, true)
 	opt := Options{K1: 4, K2: 3}
-	nm, err := ReduceNORM(sys, opt)
+	nm, err := ReduceNORMContext(context.Background(), sys, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestNORMMatchesMultivariateExactly(t *testing.T) {
 	if e := multiH2OutErr(t, nm, s1, s2); e > 1e-6 {
 		t.Fatalf("NORM multivariate H2 near-error %g, want rounding level", e)
 	}
-	pr, err := Reduce(sys, opt)
+	pr, err := ReduceContext(context.Background(), sys, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +66,11 @@ func TestNORMMatchesMultivariateExactly(t *testing.T) {
 func TestAccuracyImprovesWithMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	sys := testSystem(rng, 20, true)
-	lo, err := Reduce(sys, Options{K1: 2, K2: 1})
+	lo, err := ReduceContext(context.Background(), sys, Options{K1: 2, K2: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Reduce(sys, Options{K1: 6, K2: 4, K3: 2})
+	hi, err := ReduceContext(context.Background(), sys, Options{K1: 6, K2: 4, K3: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestAccuracyImprovesWithMoments(t *testing.T) {
 func TestProjectionBasisContainsKrylov(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	sys := testSystem(rng, 10, false)
-	rom, err := Reduce(sys, Options{K1: 3, K2: 1})
+	rom, err := ReduceContext(context.Background(), sys, Options{K1: 3, K2: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

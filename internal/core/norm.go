@@ -12,7 +12,7 @@ import (
 	"avtmor/internal/solver"
 )
 
-// ReduceNORM is the classical Krylov NMOR baseline (NORM, Li & Pileggi
+// ReduceNORMContext is the classical Krylov NMOR baseline (NORM, Li & Pileggi
 // DAC'03/TCAD'05): it moment-matches the multivariate transfer functions
 // H2(s1,s2) and H3(s1,s2,s3) about (s0, …, s0) directly. Because every
 // combination of per-axis moment indices generates a subspace vector, the
@@ -29,13 +29,8 @@ import (
 //	     M3^{−(e+1)}·G3(h_a⊗h_b⊗h_c)                        a+b+c+e < k3
 //
 // with Mr = G1 − r·s0·I and w ranging over the H2 state-moment generators.
-func ReduceNORM(sys *qldae.System, opt Options) (*ROM, error) {
-	return ReduceNORMContext(context.Background(), sys, opt)
-}
-
-// ReduceNORMContext is ReduceNORM with cooperative cancellation: the
-// multivariate generator loops poll ctx per moment chain, which is what
-// bounds NORM's O(k2³)/O(k3⁴) blow-up when the caller gives up.
+// The multivariate generator loops poll ctx per moment chain, which is
+// what bounds NORM's O(k2³)/O(k3⁴) blow-up when the caller gives up.
 func ReduceNORMContext(ctx context.Context, sys *qldae.System, opt Options) (*ROM, error) {
 	start := time.Now() //avtmorlint:ignore detrom wall-clock feeds Stats.Build only, a build-report field that is never serialized; the numerics and the cache key never read it
 

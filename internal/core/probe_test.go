@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -17,7 +18,7 @@ func TestProbeMultivariateConvergence(t *testing.T) {
 	sys := testSystem(rng, 14, true)
 	s1, s2 := complex(0.01, 0.008), complex(0.012, -0.006)
 	for _, k := range [][3]int{{2, 1, 0}, {4, 3, 0}, {4, 3, 2}, {6, 4, 3}, {8, 6, 4}, {10, 8, 5}} {
-		rom, err := Reduce(sys, Options{K1: k[0], K2: k[1], K3: k[2]})
+		rom, err := ReduceContext(context.Background(), sys, Options{K1: k[0], K2: k[1], K3: k[2]})
 		if err != nil {
 			t.Fatal(err)
 		}

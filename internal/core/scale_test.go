@@ -4,6 +4,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"avtmor/internal/circuits"
@@ -56,16 +57,16 @@ func TestScaleCSROnlyReduceAndSimulate(t *testing.T) {
 	if w.Sys.G1 != nil {
 		t.Fatal("expected a CSR-only system beyond the dense mirror limit")
 	}
-	rom, err := core.Reduce(w.Sys, core.Options{K1: 8, Parallel: true})
+	rom, err := core.ReduceContext(context.Background(), w.Sys, core.Options{K1: 8, Parallel: true})
 	if err != nil {
 		t.Fatalf("CSR-only Reduce: %v", err)
 	}
 	x0 := make([]float64, w.Sys.N)
-	full, err := ode.TrapezoidalSolver(w.Sys, x0, w.U, 10, 400, solver.Sparse{})
+	full, err := ode.TrapezoidalSolverCtx(context.Background(), w.Sys, x0, w.U, 10, 400, solver.Sparse{})
 	if err != nil {
 		t.Fatalf("full sparse transient: %v", err)
 	}
-	red, err := ode.Trapezoidal(rom.Sys, make([]float64, rom.Sys.N), w.U, 10, 400)
+	red, err := ode.TrapezoidalSolverCtx(context.Background(), rom.Sys, make([]float64, rom.Sys.N), w.U, 10, 400, nil)
 	if err != nil {
 		t.Fatalf("ROM transient: %v", err)
 	}
@@ -79,12 +80,12 @@ func TestScaleCSROnlyReduceAndSimulate(t *testing.T) {
 func TestParallelReduceMatchesSerial(t *testing.T) {
 	w := circuits.NTLCurrent(40)
 	opt := core.Options{K1: 4, K2: 2, K3: 2, S0: w.S0, ExtraPoints: []float64{0.4, 0.9}}
-	serial, err := core.Reduce(w.Sys, opt)
+	serial, err := core.ReduceContext(context.Background(), w.Sys, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Parallel = true
-	par, err := core.Reduce(w.Sys, opt)
+	par, err := core.ReduceContext(context.Background(), w.Sys, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"context"
 	"testing"
 
 	"avtmor/internal/circuits"
@@ -38,11 +39,11 @@ func TestDiagnosticReductionProfile(t *testing.T) {
 			opt := tc.opt
 			opt.S0 = tc.w.S0
 			opt.DropTol = drop
-			p, err := core.Reduce(tc.w.Sys, opt)
+			p, err := core.ReduceContext(context.Background(), tc.w.Sys, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nm, err := core.ReduceNORM(tc.w.Sys, opt)
+			nm, err := core.ReduceNORMContext(context.Background(), tc.w.Sys, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

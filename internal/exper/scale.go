@@ -6,7 +6,10 @@ import (
 	"time"
 
 	"avtmor"
+	"avtmor/internal/circuits"
+	"avtmor/internal/core"
 	"avtmor/internal/mat"
+	"avtmor/internal/solver"
 )
 
 // Scale exercises the sparse-direct spine beyond the paper's circuit
@@ -37,7 +40,7 @@ func Scale() (*Report, error) {
 	big := avtmor.RLCLine(2000) // n = 3999, CSR-only
 	start := time.Now()
 	romBig, err := avtmor.Reduce(ctx, big.System,
-		avtmor.WithOrders(10, 0, 0), avtmor.WithSolver(avtmor.SolverSparse), avtmor.WithParallel())
+		avtmor.WithOrders(10, 0, 0), avtmor.WithParallel())
 	if err != nil {
 		return nil, fmt.Errorf("scale: CSR-only Reduce: %w", err)
 	}
@@ -85,52 +88,40 @@ var scaleFreqs = []complex128{0.02, 0.05i, 0.1 + 0.2i, 0.5i}
 // CompareBackends reduces an RLC line of the given size through the
 // dense and the sparse LU backends and measures times plus transfer
 // agreement. K1 = 8 keeps the tail of the Krylov chain well above
-// roundoff, so the two ROMs agree to ~1e-11 in transfer.
+// roundoff, so the two ROMs agree to ~1e-11 in transfer. It forces
+// each backend through core.Options.Solver, the one override of the
+// automatic routing.
 func CompareBackends(sections, k1 int) (*BackendComparison, error) {
 	ctx := context.Background()
-	w := avtmor.RLCLine(sections)
-	start := time.Now()
-	romD, err := avtmor.Reduce(ctx, w.System,
-		avtmor.WithOrders(k1, 0, 0), avtmor.WithSolver(avtmor.SolverDense))
-	if err != nil {
-		return nil, fmt.Errorf("scale: dense Reduce: %w", err)
+	sys := circuits.RLCLine(sections).Sys
+	reduce := func(kind solver.Kind) (*core.ROM, time.Duration, error) {
+		start := time.Now()
+		rom, err := core.ReduceContext(ctx, sys, core.Options{K1: k1, Solver: kind})
+		if err != nil {
+			return nil, 0, fmt.Errorf("scale: %s Reduce: %w", kind, err)
+		}
+		return rom, time.Since(start), nil
 	}
-	tDense := time.Since(start)
-	start = time.Now()
-	romS, err := avtmor.Reduce(ctx, w.System,
-		avtmor.WithOrders(k1, 0, 0), avtmor.WithSolver(avtmor.SolverSparse))
-	if err != nil {
-		return nil, fmt.Errorf("scale: sparse Reduce: %w", err)
-	}
-	tSparse := time.Since(start)
-	if romD.Order() != romS.Order() {
-		return nil, fmt.Errorf("scale: backend changed the ROM order: dense %d vs sparse %d", romD.Order(), romS.Order())
-	}
-	worst, err := ROMTransferMismatch(romD, romS, scaleFreqs)
+	romD, tDense, err := reduce(solver.KindDense)
 	if err != nil {
 		return nil, err
 	}
-	return &BackendComparison{
-		N: w.System.States(), Order: romD.Order(),
-		DenseTime: tDense, SparseTime: tSparse, Mismatch: worst,
-	}, nil
-}
-
-// ROMTransferMismatch evaluates the reduced H1 transfer of two ROMs at
-// the given frequencies and returns the worst relative deviation — the
-// backend-agreement check of the scale experiment and tests (both ROMs
-// are small, so the dense complex evaluation is cheap regardless of the
-// full-order size).
-func ROMTransferMismatch(a, b *avtmor.ROM, freqs []complex128) (float64, error) {
+	romS, tSparse, err := reduce(solver.KindSparse)
+	if err != nil {
+		return nil, err
+	}
+	if romD.Sys.N != romS.Sys.N {
+		return nil, fmt.Errorf("scale: backend changed the ROM order: dense %d vs sparse %d", romD.Sys.N, romS.Sys.N)
+	}
 	worst := 0.0
-	for _, s := range freqs {
-		ya, err := a.TransferH1(0, s)
+	for _, s := range scaleFreqs {
+		ya, err := romD.TransferH1(0, s)
 		if err != nil {
-			return 0, fmt.Errorf("exper: ROM transfer at s=%v: %w", s, err)
+			return nil, fmt.Errorf("scale: ROM transfer at s=%v: %w", s, err)
 		}
-		yb, err := b.TransferH1(0, s)
+		yb, err := romS.TransferH1(0, s)
 		if err != nil {
-			return 0, fmt.Errorf("exper: ROM transfer at s=%v: %w", s, err)
+			return nil, fmt.Errorf("scale: ROM transfer at s=%v: %w", s, err)
 		}
 		den := mat.CNorm2(ya)
 		if den == 0 {
@@ -144,5 +135,8 @@ func ROMTransferMismatch(a, b *avtmor.ROM, freqs []complex128) (float64, error) 
 			worst = d
 		}
 	}
-	return worst, nil
+	return &BackendComparison{
+		N: sys.N, Order: romD.Sys.N,
+		DenseTime: tDense, SparseTime: tSparse, Mismatch: worst,
+	}, nil
 }

@@ -61,9 +61,6 @@ type Diagnostic struct {
 	Message string
 }
 
-// Report records a diagnostic.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
-
 // Reportf records a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})

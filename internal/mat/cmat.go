@@ -150,10 +150,3 @@ func ImagPart(x []complex128) []float64 {
 	}
 	return y
 }
-
-// CZero clears x.
-func CZero(x []complex128) {
-	for i := range x {
-		x[i] = 0
-	}
-}

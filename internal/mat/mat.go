@@ -229,15 +229,6 @@ func (m *Dense) MaxAbs() float64 {
 	return mx
 }
 
-// FrobNorm returns the Frobenius norm.
-func (m *Dense) FrobNorm() float64 {
-	s := 0.0
-	for _, v := range m.A {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Norm1 returns the maximum absolute column sum.
 func (m *Dense) Norm1() float64 {
 	sums := make([]float64, m.C)
@@ -278,62 +269,4 @@ func (m *Dense) String() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// HStack concatenates matrices left to right (equal row counts).
-func HStack(ms ...*Dense) *Dense {
-	if len(ms) == 0 {
-		return NewDense(0, 0)
-	}
-	r := ms[0].R
-	c := 0
-	for _, m := range ms {
-		if m.R != r {
-			panic("mat: HStack row mismatch")
-		}
-		c += m.C
-	}
-	out := NewDense(r, c)
-	off := 0
-	for _, m := range ms {
-		for i := 0; i < r; i++ {
-			copy(out.A[i*c+off:i*c+off+m.C], m.Row(i))
-		}
-		off += m.C
-	}
-	return out
-}
-
-// VStack concatenates matrices top to bottom (equal column counts).
-func VStack(ms ...*Dense) *Dense {
-	if len(ms) == 0 {
-		return NewDense(0, 0)
-	}
-	c := ms[0].C
-	r := 0
-	for _, m := range ms {
-		if m.C != c {
-			panic("mat: VStack column mismatch")
-		}
-		r += m.R
-	}
-	out := NewDense(r, c)
-	row := 0
-	for _, m := range ms {
-		copy(out.A[row*c:(row+m.R)*c], m.A)
-		row += m.R
-	}
-	return out
-}
-
-// Slice returns a copy of the submatrix rows [r0,r1) × cols [c0,c1).
-func (m *Dense) Slice(r0, r1, c0, c1 int) *Dense {
-	if r0 < 0 || r1 > m.R || c0 < 0 || c1 > m.C || r0 > r1 || c0 > c1 {
-		panic("mat: Slice out of range")
-	}
-	out := NewDense(r1-r0, c1-c0)
-	for i := r0; i < r1; i++ {
-		copy(out.Row(i-r0), m.A[i*m.C+c0:i*m.C+c1])
-	}
-	return out
 }

@@ -83,26 +83,9 @@ func SubVec(dst, x, y []float64) {
 	}
 }
 
-// AddVec computes dst = x + y.
-func AddVec(dst, x, y []float64) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic("mat: AddVec length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] + y[i]
-	}
-}
-
 // Zero clears x.
 func Zero(x []float64) {
 	for i := range x {
 		x[i] = 0
 	}
-}
-
-// Basis returns the length-n unit vector e_i.
-func Basis(n, i int) []float64 {
-	v := make([]float64, n)
-	v[i] = 1
-	return v
 }

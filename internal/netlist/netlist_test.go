@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"context"
 	"errors"
 	"math"
 	"runtime"
@@ -137,7 +138,7 @@ func TestDiodeLinearizationMatchesRawODE(t *testing.T) {
 	}
 	// Raw ODE: v̇ = u − v − (e^{v/0.025} − 1), simulated with RK4.
 	u := func(tt float64) []float64 { return []float64{0.02 * math.Sin(tt)} }
-	res := ode.RK4(sys, make([]float64, 2), u, 5, 20000)
+	res, _ := ode.RK4Ctx(context.Background(), sys, make([]float64, 2), u, 5, 20000)
 	v := 0.0
 	h := 5.0 / 20000
 	rk := func(v float64, uu float64) float64 {

@@ -365,8 +365,8 @@ func TestReplaySkipsWork(t *testing.T) {
 func TestRelErrSeriesMatchesScan(t *testing.T) {
 	sys := linearScalar(-1.7)
 	u := func(t float64) []float64 { return []float64{math.Sin(5 * t)} }
-	uniform := RK4(sys, []float64{1}, u, 3, 700)
-	adaptive, err := Dopri5(sys, []float64{1}, u, 3, 1e-6, 1e-9)
+	uniform, _ := RK4Ctx(context.Background(), sys, []float64{1}, u, 3, 700)
+	adaptive, err := Dopri5Ctx(context.Background(), sys, []float64{1}, u, 3, 1e-6, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,16 +88,10 @@ func (r *Result) outputFrom(k int, t float64, ch int) (float64, int) {
 	return (1-w)*r.Y[k][ch] + w*r.Y[k+1][ch], k
 }
 
-// RK4 integrates with the classical fixed-step fourth-order Runge–Kutta
-// scheme from x0 over [0, tEnd] with nSteps steps, recording the output at
-// every step.
-func RK4(sys *qldae.System, x0 []float64, u Input, tEnd float64, nSteps int) *Result {
-	res, _ := RK4Ctx(context.Background(), sys, x0, u, tEnd, nSteps)
-	return res
-}
-
-// RK4Ctx is RK4 with cooperative cancellation: ctx is polled once per
-// step and the partial trajectory is discarded on abort.
+// RK4Ctx integrates with the classical fixed-step fourth-order
+// Runge–Kutta scheme from x0 over [0, tEnd] with nSteps steps, recording
+// the output at every step. ctx is polled once per step and the partial
+// trajectory is discarded on abort.
 func RK4Ctx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tEnd float64, nSteps int) (*Result, error) {
 	n := sys.N
 	if len(x0) != n {
@@ -163,14 +157,9 @@ var (
 	}
 )
 
-// Dopri5 integrates with the adaptive Dormand–Prince 5(4) pair. rtol/atol
-// control the local error; outputs are recorded at every accepted step.
-func Dopri5(sys *qldae.System, x0 []float64, u Input, tEnd, rtol, atol float64) (*Result, error) {
-	return Dopri5Ctx(context.Background(), sys, x0, u, tEnd, rtol, atol)
-}
-
-// Dopri5Ctx is Dopri5 with cooperative cancellation (polled once per
-// attempted step).
+// Dopri5Ctx integrates with the adaptive Dormand–Prince 5(4) pair.
+// rtol/atol control the local error; outputs are recorded at every
+// accepted step. ctx is polled once per attempted step.
 func Dopri5Ctx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tEnd, rtol, atol float64) (*Result, error) {
 	n := sys.N
 	x := mat.CopyVec(x0)
@@ -252,14 +241,6 @@ func Dopri5Ctx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tE
 	return res, nil
 }
 
-// Trapezoidal integrates with the implicit trapezoidal rule and Newton
-// iteration. Suitable for the stiff varistor surge of §3.4 where explicit
-// methods need punishing step sizes. Equivalent to TrapezoidalSolver with
-// the auto-routed backend.
-func Trapezoidal(sys *qldae.System, x0 []float64, u Input, tEnd float64, nSteps int) (*Result, error) {
-	return TrapezoidalSolverCtx(context.Background(), sys, x0, u, tEnd, nSteps, nil)
-}
-
 // newtonRefresh is the modified-Newton refactorization cadence: the
 // step's Jacobian is factored once at the predictor state and reused;
 // while the iteration has not converged, it is refactored at the
@@ -268,25 +249,21 @@ func Trapezoidal(sys *qldae.System, x0 []float64, u Input, tEnd float64, nSteps 
 // Newton matrix never changes, so it is factored once per run instead.
 const newtonRefresh = 6
 
-// TrapezoidalSolver is Trapezoidal with an explicit linear-solver
-// backend (nil selects solver.Auto). The Newton matrix I − h/2·∂f/∂x is
-// factored through the LinearSolver interface — in CSR form for systems
-// carrying a sparse G1 mirror beyond the dense routing cutoff — once
-// per step, or once per run when the Jacobian is G1 alone
+// TrapezoidalSolverCtx integrates with the implicit trapezoidal rule
+// and Newton iteration, suitable for the stiff varistor surge of §3.4
+// where explicit methods need punishing step sizes. ls is the
+// linear-solver backend (nil selects solver.Auto). The Newton matrix
+// I − h/2·∂f/∂x is factored through the LinearSolver interface — in CSR
+// form for systems carrying a sparse G1 mirror beyond the dense routing
+// cutoff — once per step, or once per run when the Jacobian is G1 alone
 // (qldae.System.Linear), since the fixed step then makes every Newton
 // matrix identical. Large circuits thus pay O(nnz·fill) per factor, not
 // O(n³) per Newton iteration, and a linear one pays it once. A
 // nonlinear run on the dense LU records its first factorization's
 // pivot sequence and fill, and replays that record on the nonzeros
-// alone at every later step.
-func TrapezoidalSolver(sys *qldae.System, x0 []float64, u Input, tEnd float64, nSteps int, ls solver.LinearSolver) (*Result, error) {
-	return TrapezoidalSolverCtx(context.Background(), sys, x0, u, tEnd, nSteps, ls)
-}
-
-// TrapezoidalSolverCtx is TrapezoidalSolver with cooperative
-// cancellation: ctx is polled once per step and inside the Newton
-// refactorization, so even a stiff large-system run aborts within one
-// factor-plus-a-few-solves of the cancel.
+// alone at every later step. ctx is polled once per step and inside the
+// Newton refactorization, so even a stiff large-system run aborts
+// within one factor-plus-a-few-solves of the cancel.
 func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tEnd float64, nSteps int, ls solver.LinearSolver) (*Result, error) {
 	n := sys.N
 	if ls == nil {

@@ -30,7 +30,7 @@ func linearScalar(a float64) *qldae.System {
 
 func TestRK4ExponentialDecay(t *testing.T) {
 	sys := linearScalar(-2)
-	res := RK4(sys, []float64{1}, Const([]float64{0}), 1, 200)
+	res, _ := RK4Ctx(context.Background(), sys, []float64{1}, Const([]float64{0}), 1, 200)
 	want := math.Exp(-2)
 	got := res.Y[len(res.Y)-1][0]
 	if math.Abs(got-want) > 1e-8 {
@@ -45,8 +45,10 @@ func TestRK4ConvergenceOrder(t *testing.T) {
 	// Halving h must cut the error by ~2⁴.
 	sys := linearScalar(-1.3)
 	exact := math.Exp(-1.3)
-	err1 := math.Abs(RK4(sys, []float64{1}, Const([]float64{0}), 1, 10).Y[10][0] - exact)
-	err2 := math.Abs(RK4(sys, []float64{1}, Const([]float64{0}), 1, 20).Y[20][0] - exact)
+	coarse, _ := RK4Ctx(context.Background(), sys, []float64{1}, Const([]float64{0}), 1, 10)
+	fine, _ := RK4Ctx(context.Background(), sys, []float64{1}, Const([]float64{0}), 1, 20)
+	err1 := math.Abs(coarse.Y[10][0] - exact)
+	err2 := math.Abs(fine.Y[20][0] - exact)
 	ratio := err1 / err2
 	if ratio < 12 || ratio > 20 {
 		t.Fatalf("RK4 order ratio %v, want ≈16", ratio)
@@ -69,8 +71,8 @@ func TestDopri5MatchesRK4(t *testing.T) {
 	}
 	u := func(t float64) []float64 { return []float64{0.5 * math.Sin(2*t) * math.Exp(-0.3*t)} }
 	x0 := make([]float64, n)
-	ref := RK4(sys, x0, u, 5, 20000)
-	got, err := Dopri5(sys, x0, u, 5, 1e-9, 1e-12)
+	ref, _ := RK4Ctx(context.Background(), sys, x0, u, 5, 20000)
+	got, err := Dopri5Ctx(context.Background(), sys, x0, u, 5, 1e-9, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +89,11 @@ func TestDopri5MatchesRK4(t *testing.T) {
 
 func TestDopri5AdaptsToTolerance(t *testing.T) {
 	sys := linearScalar(-1)
-	loose, err := Dopri5(sys, []float64{1}, Const([]float64{0}), 2, 1e-3, 1e-6)
+	loose, err := Dopri5Ctx(context.Background(), sys, []float64{1}, Const([]float64{0}), 2, 1e-3, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := Dopri5(sys, []float64{1}, Const([]float64{0}), 2, 1e-10, 1e-13)
+	tight, err := Dopri5Ctx(context.Background(), sys, []float64{1}, Const([]float64{0}), 2, 1e-10, 1e-13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestTrapezoidalStiffDecay(t *testing.T) {
 	// λ = −10⁴: explicit RK4 with 100 steps over [0,1] would explode;
 	// trapezoidal stays stable and accurate at the resolved scale.
 	sys := linearScalar(-1e4)
-	res, err := Trapezoidal(sys, []float64{1}, Const([]float64{0}), 1, 400)
+	res, err := TrapezoidalSolverCtx(context.Background(), sys, []float64{1}, Const([]float64{0}), 1, 400, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +161,8 @@ func TestTrapezoidalMatchesRK4OnNonlinear(t *testing.T) {
 	}
 	u := func(t float64) []float64 { return []float64{0.4 * math.Cos(3*t)} }
 	x0 := make([]float64, n)
-	ref := RK4(sys, x0, u, 3, 30000)
-	got, err := Trapezoidal(sys, x0, u, 3, 3000)
+	ref, _ := RK4Ctx(context.Background(), sys, x0, u, 3, 30000)
+	got, err := TrapezoidalSolverCtx(context.Background(), sys, x0, u, 3, 3000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +222,7 @@ func TestVolterraSecondOrderResponse(t *testing.T) {
 	x0 := mat.CopyVec(b)
 	mat.ScaleVec(eps, x0)
 	tEnd := 1.2
-	res := RK4(sys, x0, Const([]float64{0}), tEnd, 4000)
+	res, _ := RK4Ctx(context.Background(), sys, x0, Const([]float64{0}), tEnd, 4000)
 	// h1(t) = e^{G1·t}·b via Expm; h2(t,t) = c̃2·e^{G̃2·t}·b̃2.
 	n2 := n + n*n
 	gt2 := mat.NewDense(n2, n2)

@@ -1,6 +1,7 @@
 package ode_test
 
 import (
+	"context"
 	"testing"
 
 	"avtmor/internal/circuits"
@@ -32,7 +33,7 @@ func TestPaperTransientsRecordOnce(t *testing.T) {
 		{"§3.4", circuits.Varistor(), core.Options{K1: 7, K3: 2}, true},
 	}
 	for _, tc := range cases {
-		full, err := ode.Trapezoidal(tc.w.Sys, make([]float64, tc.w.Sys.N), tc.w.U, tc.w.TEnd, tc.w.Steps)
+		full, err := ode.TrapezoidalSolverCtx(context.Background(), tc.w.Sys, make([]float64, tc.w.Sys.N), tc.w.U, tc.w.TEnd, tc.w.Steps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,16 +47,16 @@ func TestPaperTransientsRecordOnce(t *testing.T) {
 	}
 	for _, tc := range cases {
 		tc.opt.S0 = tc.w.S0
-		roms := []func() (*core.ROM, error){func() (*core.ROM, error) { return core.Reduce(tc.w.Sys, tc.opt) }}
+		roms := []func() (*core.ROM, error){func() (*core.ROM, error) { return core.ReduceContext(context.Background(), tc.w.Sys, tc.opt) }}
 		if !tc.noNORM {
-			roms = append(roms, func() (*core.ROM, error) { return core.ReduceNORM(tc.w.Sys, tc.opt) })
+			roms = append(roms, func() (*core.ROM, error) { return core.ReduceNORMContext(context.Background(), tc.w.Sys, tc.opt) })
 		}
 		for i, reduce := range roms {
 			rom, err := reduce()
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := ode.Trapezoidal(rom.Sys, make([]float64, rom.Sys.N), tc.w.U, tc.w.TEnd, tc.w.Steps)
+			res, err := ode.TrapezoidalSolverCtx(context.Background(), rom.Sys, make([]float64, rom.Sys.N), tc.w.U, tc.w.TEnd, tc.w.Steps, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,7 +17,7 @@ func FuzzParse(f *testing.F) {
 	r := NewRegistry()
 	r.Counter("avtmor_fuzz_total", "a counter").Add(3)
 	r.Counter("avtmor_fuzz_peer_total", "a labelled counter",
-		Label{Name: "peer", Value: "node-a:9/\\\"x\"\n"}).Inc()
+		Label{Name: "peer", Value: "node-a:9/\\\"x\"\n"}).Add(1)
 	r.GaugeFunc("avtmor_fuzz_depth", "a gauge func", func() float64 { return 2.5 })
 	h := r.Histogram("avtmor_fuzz_seconds", "a histogram", []float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.5, 5, 50} {

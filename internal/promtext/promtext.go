@@ -130,9 +130,6 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
@@ -221,15 +218,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	var total int64
-	for i := range h.counts {
-		total += h.counts[i].Load()
-	}
-	return total + h.inf.Load()
 }
 
 func (h *Histogram) labels() []Label { return h.ls }

@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// Count returns the total number of observations: what a concurrent
+// writer test checks against the observations it made.
+func (h *Histogram) Count() int64 {
+	var total int64
+	for i := range h.counts {
+		total += h.counts[i].Load()
+	}
+	return total + h.inf.Load()
+}
+
 // TestWriterRoundTrip renders a registry with all three kinds and
 // re-reads it through Parse: the writer's output must satisfy the
 // reader's validation, and values must survive.
@@ -13,7 +23,7 @@ func TestWriterRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("avtmor_test_total", "a counter")
 	c.Add(41)
-	c.Inc()
+	c.Add(1)
 	r.GaugeFunc("avtmor_test_depth", "a gauge", func() float64 { return 3.5 })
 	r.CounterFunc("avtmor_test_peer_total", "per-peer counter",
 		func() float64 { return 7 }, Label{Name: "peer", Value: "node-b:9/\\\"x\""})

@@ -19,6 +19,14 @@ import (
 	"avtmor/internal/sparse"
 )
 
+// DenseMirrorLimit bounds the state count up to which a circuit builder
+// (the facade's SystemBuilder, circuits.RLCLine) also materializes the
+// dense G1 next to its CSR form, for dense-vs-sparse comparisons and
+// the Schur-based H2/H3 solves. Beyond it the system is CSR-only:
+// linear (K1) reductions and sparse-Newton transients work, the H2/H3
+// machinery reports an error.
+const DenseMirrorLimit = 2500
+
 // System is a (regularized) QLDAE in the trimmed form (2): x' = G1 x +
 // G2 (x⊗x) + G3 (x⊗x⊗x) + Σ D1_i x u_i + B u, y = L x. Any of G2, G3,
 // D1 may be nil.
@@ -188,7 +196,7 @@ func (p *Prepared) Eval(dst, x, u []float64) {
 }
 
 // JacobianInto writes ∂RHS/∂x at (x, u) into the n×n matrix j,
-// overwriting all of it: the Newton loop of ode.Trapezoidal assembles
+// overwriting all of it: the Newton loop of ode.TrapezoidalSolverCtx assembles
 // every dense Newton matrix of a transient into one buffer. The D1
 // terms add only the blocks' nonzeros, which leaves every entry as the
 // dense j += u·D1 would, except that a −0 entry stays −0 where the
@@ -313,7 +321,7 @@ func (p *Prepared) NewtonInto(j *mat.Dense, pat *NewtonPattern, x, u []float64, 
 // never touching n² dense entries: G1 nonzeros (CSR mirror preferred),
 // the quadratic/cubic Jacobian triplets, and the nonzeros of any active
 // D1 blocks. This is the operand the sparse-direct Newton path of
-// ode.Trapezoidal factors once per step. It assembles through a
+// ode.TrapezoidalSolverCtx factors once per step. It assembles through a
 // caller-owned builder (Reset here before use): the Newton loop
 // assembles a same-structure Jacobian thousands of times per transient,
 // and reusing one triplet slab keeps that path from regrowing COO

@@ -80,7 +80,6 @@ func System(body []byte) (*avtmor.System, error) {
 //	             default when no k1/k2/k3 is given either
 //	s0           real expansion frequency, xp=f1,f2,… extra points
 //	droptol      deflation tolerance
-//	solver       auto|dense|sparse
 //	parallel     1/true fans moment generation out over goroutines
 //	method       assoc (default) | norm
 //	timeout      per-request deadline (Go duration, e.g. 30s)
@@ -193,15 +192,6 @@ func Parse(q url.Values) (*Request, error) {
 	} else if par {
 		req.Opts = append(req.Opts, avtmor.WithParallel())
 	}
-	switch v := q.Get("solver"); v {
-	case "", "auto":
-	case "dense":
-		req.Opts = append(req.Opts, avtmor.WithSolver(avtmor.SolverDense))
-	case "sparse":
-		req.Opts = append(req.Opts, avtmor.WithSolver(avtmor.SolverSparse))
-	default:
-		return nil, errf("parameter solver: want auto, dense, or sparse, got %q", v)
-	}
 	switch v := q.Get("method"); v {
 	case "", "assoc":
 	case "norm":
@@ -220,7 +210,7 @@ func Parse(q url.Values) (*Request, error) {
 }
 
 // paramNames are the parameters Parse reads.
-var paramNames = []string{"k1", "k2", "k3", "auto", "s0", "xp", "droptol", "solver", "parallel", "method", "timeout"}
+var paramNames = []string{"k1", "k2", "k3", "auto", "s0", "xp", "droptol", "parallel", "method", "timeout"}
 
 // parseFinite parses a float parameter and refuses NaN and ±Inf, which
 // strconv.ParseFloat accepts and no reduction option gives a meaning.

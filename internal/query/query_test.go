@@ -42,9 +42,6 @@ func TestParseKeys(t *testing.T) {
 		{query: "k1=2&s0=0.4&xp=0.9,1.5", opts: []avtmor.Option{k2, avtmor.WithExpansion(0.4, 0.9, 1.5)}},
 		{query: "k1=2&xp=0.9", opts: []avtmor.Option{k2, avtmor.WithExpansion(0, 0.9)}},
 		{query: "k1=2&droptol=1e-10", opts: []avtmor.Option{k2, avtmor.WithDropTol(1e-10)}},
-		{query: "k1=2&solver=auto", opts: []avtmor.Option{k2, avtmor.WithSolver(avtmor.SolverAuto)}},
-		{query: "k1=2&solver=dense", opts: []avtmor.Option{k2, avtmor.WithSolver(avtmor.SolverDense)}},
-		{query: "k1=2&solver=sparse", opts: []avtmor.Option{k2, avtmor.WithSolver(avtmor.SolverSparse)}},
 		{query: "k1=2&parallel=1", opts: []avtmor.Option{k2, avtmor.WithParallel()}},
 		{query: "k1=2&method=assoc", opts: []avtmor.Option{k2}},
 		{query: "k1=2&method=norm", norm: true, opts: []avtmor.Option{k2}},
@@ -93,7 +90,10 @@ func TestParseErrors(t *testing.T) {
 		{"k1=2&droptol=%2BInf", "finite"},
 		{"auto=NaN", "finite"},
 		{"auto=Inf", "finite"},
-		{"k1=2&solver=magic", "parameter solver"},
+		{"k1=2&solver=magic", `unknown parameter "solver"`},
+		{"k1=2&solver=auto", `unknown parameter "solver"`},
+		{"k1=2&solver=dense", `unknown parameter "solver"`},
+		{"k1=2&solver=sparse", `unknown parameter "solver"`},
 		{"k1=2&method=magic", "parameter method"},
 		{"k1=2&timeout=abc", "parameter timeout"},
 		{"k1=2&timeout=0s", "parameter timeout"},

@@ -77,17 +77,6 @@ func (l *Limiter) SetClock(now func() time.Time) {
 	l.now = now
 }
 
-// Configured reports whether any bucket exists — a nil or empty
-// limiter enforces nothing.
-func (l *Limiter) Configured() bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buckets) > 0
-}
-
 // Allow charges n tokens against key's bucket. Charges larger than the
 // bucket's burst are clamped to the burst, so an oversized request is
 // rate-limited rather than permanently unadmittable. When the charge

@@ -27,11 +27,15 @@ type ShiftedCache struct {
 	g, c *Matrix // c == nil means identity
 	ls   LinearSolver
 
-	// sym holds the one symbolic analysis all shifts share: for σ ≠ 0 the
+	// sym holds the symbolic analysis the shifts share: for σ ≠ 0 the
 	// shifted pencil is assembled as the union pattern of G and C (exact
 	// cancellations keep their explicit slots — see sparse.Add), so every
-	// expansion point presents the identical sparsity pattern and a cache
-	// miss pays only the numeric phase after the first factorization.
+	// expansion point presents the identical sparsity pattern. A cache
+	// miss pays only the numeric phase while threshold pivoting keeps the
+	// recorded pivot sequence; a rejected replay pays a fresh
+	// factorization and re-records. Widely spaced shifts (s0 = 0, 0.4,
+	// 0.9 on an RLC line) are rejected every time; closely spaced ones
+	// mostly refactor.
 	sym SymbolicCache
 
 	factorizations atomic.Int64 // completed factor steps

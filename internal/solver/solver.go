@@ -12,7 +12,7 @@
 // LU over CSR with a fill-reducing RCM preorder and threshold/Markowitz
 // pivoting (O(nnz·fill) factor, O(nnz(L+U)) solve). Auto picks by
 // dimension and nonzero density, which is what every layer above — the
-// associated-transform realizations, NORM, and ode.Trapezoidal —
+// associated-transform realizations, NORM, and ode.TrapezoidalSolverCtx —
 // consumes by default.
 package solver
 

@@ -220,7 +220,7 @@ func (s *symbolicLU) refactorStep(f *spLU, vals []float64, scale float64, k int,
 // SymbolicCache holds one symbolic analysis and serves numeric-only
 // refactorizations against it. It is the reuse unit the layers above
 // hold per system: ShiftedCache keeps one for G + σ·C across all
-// shifts, ode.Trapezoidal one across all Newton matrices of a
+// shifts, ode.TrapezoidalSolverCtx one across all Newton matrices of a
 // transient. The zero value is ready to use; a nil *SymbolicCache
 // degrades to plain backend factorization.
 type SymbolicCache struct {

@@ -345,40 +345,7 @@ func (s *Store) drop(digest string) {
 // write; an artifact already present under the same address is left
 // untouched (same key, same bytes). It implements avtmor.ROMStore.
 func (s *Store) Store(key string, rom *avtmor.ROM) error {
-	digest := Digest(key)
-	s.mu.Lock()
-	present := s.index[digest]
-	s.mu.Unlock()
-	if present {
-		return nil
-	}
-	f, err := os.CreateTemp(s.dir, tmpPrefix+"*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	bw := bufio.NewWriter(f)
-	_, err = rom.WriteTo(bw)
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(s.dir, digest+romExt))
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	s.mu.Lock()
-	s.index[digest] = true
-	s.mu.Unlock()
-	return nil
+	return s.write(Digest(key), rom)
 }
 
 // PutRaw persists an already-serialized artifact under its content
@@ -398,6 +365,13 @@ func (s *Store) PutRaw(digest string, raw []byte) error {
 	if _, err := avtmor.ReadROM(bufio.NewReader(bytes.NewReader(raw))); err != nil {
 		return err
 	}
+	return s.write(digest, bytes.NewReader(raw))
+}
+
+// write is the one artifact write of the store: src goes to a temp
+// file, which is synced, renamed onto the content address and indexed.
+// An artifact already present is left untouched.
+func (s *Store) write(digest string, src io.WriterTo) error {
 	s.mu.Lock()
 	present := s.index[digest]
 	s.mu.Unlock()
@@ -409,7 +383,11 @@ func (s *Store) PutRaw(digest string, raw []byte) error {
 		return err
 	}
 	tmp := f.Name()
-	_, err = f.Write(raw)
+	bw := bufio.NewWriter(f)
+	_, err = src.WriteTo(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
 	if err == nil {
 		err = f.Sync()
 	}

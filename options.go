@@ -6,37 +6,7 @@ import (
 	"strings"
 
 	"avtmor/internal/core"
-	"avtmor/internal/solver"
 )
-
-// SolverKind selects the linear-solver backend for every shift-invert
-// factorization of a reduction.
-type SolverKind int
-
-const (
-	// SolverAuto routes each matrix to dense or sparse LU by dimension
-	// and nonzero density (the default).
-	SolverAuto SolverKind = iota
-	// SolverDense forces the dense LU with partial pivoting.
-	SolverDense
-	// SolverSparse forces the sparse LU (RCM preorder,
-	// threshold/Markowitz pivoting).
-	SolverSparse
-)
-
-// String names the kind ("auto", "dense", "sparse").
-func (k SolverKind) String() string { return k.kind().String() }
-
-func (k SolverKind) kind() solver.Kind {
-	switch k {
-	case SolverDense:
-		return solver.KindDense
-	case SolverSparse:
-		return solver.KindSparse
-	default:
-		return solver.KindAuto
-	}
-}
 
 // config is the resolved option set of one Reduce call.
 type config struct {
@@ -81,11 +51,6 @@ func WithExpansion(s0 float64, extra ...float64) Option {
 	return func(c *config) { c.opt.S0, c.opt.ExtraPoints = s0, extra }
 }
 
-// WithSolver forces the linear-solver backend (default SolverAuto).
-func WithSolver(k SolverKind) Option {
-	return func(c *config) { c.opt.Solver = k.kind() }
-}
-
 // WithParallel fans the independent moment generators out over
 // goroutines — one per expansion point plus one per Volterra-3 branch.
 // The candidate ordering, and therefore the ROM, is identical to the
@@ -124,10 +89,10 @@ const artifactEpoch = 2
 // changes wall-clock, never the artifact. Float options are keyed by their exact bit patterns.
 func (c *config) cacheKey(sys *System, method string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "e=%d|fp=%016x|m=%s|k=%d,%d,%d|auto=%016x|s0=%016x|drop=%016x|solver=%s|xp=",
+	fmt.Fprintf(&b, "e=%d|fp=%016x|m=%s|k=%d,%d,%d|auto=%016x|s0=%016x|drop=%016x|xp=",
 		artifactEpoch, sys.Fingerprint(), method, c.opt.K1, c.opt.K2, c.opt.K3,
 		math.Float64bits(c.autoTol), math.Float64bits(c.opt.S0),
-		math.Float64bits(c.opt.DropTol), c.opt.Solver)
+		math.Float64bits(c.opt.DropTol))
 	for _, p := range c.opt.ExtraPoints {
 		fmt.Fprintf(&b, "%016x,", math.Float64bits(p))
 	}

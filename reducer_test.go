@@ -135,7 +135,7 @@ func TestReducerWaiterCancellation(t *testing.T) {
 	}
 	rd := avtmor.NewReducer()
 	w := avtmor.RLCLine(2000)
-	opts := []avtmor.Option{avtmor.WithOrders(200, 0, 0), avtmor.WithSolver(avtmor.SolverSparse)}
+	opts := []avtmor.Option{avtmor.WithOrders(200, 0, 0)}
 
 	impatient, cancelImpatient := context.WithCancel(context.Background())
 	patientDone := make(chan error, 1)
@@ -165,7 +165,7 @@ func TestReducerWaiterCancellation(t *testing.T) {
 	// cached under that key. A longer Krylov chain keeps the flight
 	// safely mid-generation when the cancel lands.
 	rd2 := avtmor.NewReducer()
-	longOpts := []avtmor.Option{avtmor.WithOrders(800, 0, 0), avtmor.WithSolver(avtmor.SolverSparse)}
+	longOpts := []avtmor.Option{avtmor.WithOrders(800, 0, 0)}
 	solo, cancelSolo := context.WithCancel(context.Background())
 	soloDone := make(chan error, 1)
 	go func() {

@@ -36,11 +36,11 @@ type Stats struct {
 	// Build is the wall-clock time of subspace construction plus
 	// projection.
 	Build time.Duration
-	// Backend names the linear-solver backend that actually factored
-	// the shifted pencils ("dense" or "sparse"; SolverAuto is resolved
-	// to its routing decision); Factorizations counts the factor steps
-	// paid, SolveCacheHits the factor requests answered by the shared
-	// cache instead.
+	// Backend names the linear-solver backend that factored the shifted
+	// pencils ("dense" or "sparse", routed from the operand's size and
+	// density); Factorizations counts the factor steps paid,
+	// SolveCacheHits the factor requests answered by the shared cache
+	// instead.
 	Backend        string
 	Factorizations int64
 	SolveCacheHits int64
@@ -56,10 +56,11 @@ type Stats struct {
 	// SymbolicAnalyses counts the sparse factor steps that paid a full
 	// symbolic analysis (fill-pattern DFS, RCM preorder, CSC conversion)
 	// and NumericRefactors those served numeric-only from the pencil's
-	// cached symbolic object: all expansion shifts of a reduction share
-	// one sparsity pattern, so after the first factorization the rest
-	// refill values into a precomputed structure. Dense-backend builds
-	// report zero for both.
+	// recorded symbolic object. Every expansion shift of a reduction
+	// presents one sparsity pattern, but a later shift refactors only
+	// while threshold pivoting keeps the recorded pivot sequence;
+	// otherwise it pays a fresh analysis. Widely spaced shifts usually
+	// do. Dense-backend builds report zero for both.
 	SymbolicAnalyses int64
 	NumericRefactors int64
 }

@@ -110,7 +110,7 @@ func TestROMSerializationCSRMirroredSystem(t *testing.T) {
 		t.Fatal("expected a CSR-only workload")
 	}
 	rom, err := avtmor.Reduce(ctx, w.System,
-		avtmor.WithOrders(6, 0, 0), avtmor.WithSolver(avtmor.SolverSparse), avtmor.WithParallel())
+		avtmor.WithOrders(6, 0, 0), avtmor.WithParallel())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -178,16 +177,6 @@ func (a *admission) admit(ctx context.Context, cost int64) (release func(), err 
 	}
 }
 
-// tryAdmit reserves cost units only if they fit right now.
-func (a *admission) tryAdmit(cost int64) (release func(), ok bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.closed || !a.fits(cost) {
-		return nil, false
-	}
-	return a.reserve(cost), true
-}
-
 // used returns the units currently reserved (the admission gauge).
 func (a *admission) used() int64 {
 	a.mu.Lock()
@@ -217,7 +206,7 @@ const admitWindow = 2 * time.Second
 // the first of ctx (the client's connection and the request's own
 // deadline) and admitWindow ends. It fails with errOverBudget when the
 // window ends first, errClosed during shutdown, or ctx's error;
-// admitStatus maps each to its status. The wait of every admitted
+// errStatus maps each to its status. The wait of every admitted
 // request lands in avtmor_queue_wait_seconds.
 func (s *Server) admit(ctx context.Context, cost int64) (release func(), err error) {
 	start := time.Now()
@@ -236,43 +225,6 @@ func (s *Server) admit(ctx context.Context, cost int64) (release func(), err err
 		err = errOverBudget
 	}
 	return release, err
-}
-
-// admitStatus maps an admission failure of a request of the given cost
-// to its status: over budget → 429, shutdown → 503, the request's own
-// deadline → 504, client gone → 499 (nginx's convention; the client
-// never sees it). It is the one taxonomy both the single-request and
-// the per-item batch paths speak.
-func (s *Server) admitStatus(err error, cost int64) (int, string) {
-	switch {
-	case errors.Is(err, errOverBudget):
-		return http.StatusTooManyRequests,
-			fmt.Sprintf("admission budget exhausted (request cost %d of %d), retry later", cost, s.adm.budget)
-	case errors.Is(err, errClosed):
-		return http.StatusServiceUnavailable, "shutting down"
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "deadline exceeded"
-	default:
-		return 499, "client canceled"
-	}
-}
-
-// admitted is admit for a single request: on failure it answers the
-// status itself — a 429 carries a Retry-After scaled by the request's
-// share of the budget — and returns a nil release.
-func (s *Server) admitted(ctx context.Context, w http.ResponseWriter, cost int64) (release func(), ok bool) {
-	release, err := s.admit(ctx, cost)
-	if err == nil {
-		return release, true
-	}
-	code, msg := s.admitStatus(err, cost)
-	if code == http.StatusTooManyRequests {
-		// A clipper retries in a second, a fleet-filling multipoint
-		// reduce backs off harder.
-		w.Header().Set("Retry-After", strconv.FormatInt(1+4*cost/s.adm.budget, 10))
-	}
-	s.httpError(w, code, "%s", msg)
-	return nil, false
 }
 
 // checkQuota charges the request's API key n tokens, answering 429

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -187,32 +186,16 @@ type batchItem struct {
 	cost   int64
 }
 
-// batchItemLocal admits and reduces one item, mapping failures through
-// the same status taxonomy as single requests. Each item is admitted
-// against the cost budget individually, so a batch of heavy items
-// self-paces instead of reserving the fleet in one gulp.
+// batchItemLocal reduces one item through reduceLocal, mapping
+// failures through the same status taxonomy as single requests. Each
+// item is admitted against the cost budget individually, so a batch of
+// heavy items self-paces instead of reserving the fleet in one gulp.
 func (s *Server) batchItemLocal(ctx context.Context, it *batchItem, req *query.Request) wire.Result {
-	reduce := s.reducer.Reduce
-	if req.Norm {
-		reduce = s.reducer.ReduceNORM
-	}
-	release, err := s.admit(ctx, it.cost)
+	rom, err := s.reduceLocal(ctx, it.sys, req, it.digest, it.cost)
 	if err != nil {
-		code, msg := s.admitStatus(err, it.cost)
+		code, msg := s.errStatus("reduction", err, it.cost)
 		s.countError(code)
 		return wire.Result{Status: code, Key: it.digest, Body: []byte(msg)}
-	}
-	defer release()
-	had := s.hasLocal(it.digest)
-	rom, err := reduce(ctx, it.sys, req.Opts...)
-	if err != nil {
-		code, msg := opStatus("reduction", err)
-		s.countError(code)
-		return wire.Result{Status: code, Key: it.digest, Body: []byte(msg)}
-	}
-	s.remember(it.digest, rom)
-	if !had {
-		s.afterWrite(ctx, it.digest, rom)
 	}
 	return romResult(it.digest, rom)
 }
@@ -231,41 +214,24 @@ func romResult(digest string, rom *avtmor.ROM) wire.Result {
 // non-200 answer, or malformed frame is returned as an error so the
 // caller degrades to local compute for the group.
 func (s *Server) relayBatch(ctx context.Context, owner, rawQuery string, bodies [][]byte) ([]wire.Result, error) {
-	cs := s.cluster
-	pv := cs.peerVar(owner)
+	pv := s.cluster.peerVar(owner)
 	pv.forwards.Add(1)
 	var frame bytes.Buffer
 	if err := wire.WriteBatchRequest(&frame, bodies); err != nil {
 		pv.forwardErrors.Add(1)
 		return nil, err
 	}
-	u := "http://" + owner + "/v1/reduce/batch"
+	path := "/v1/reduce/batch"
 	if rawQuery != "" {
-		u += "?" + rawQuery
+		path += "?" + rawQuery
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(frame.Bytes()))
-	if err != nil {
-		pv.forwardErrors.Add(1)
-		return nil, err
-	}
-	req.Header.Set(HeaderForwarded, cs.self)
-	req.Header.Set(HeaderEpoch, strconv.FormatUint(cs.state.Epoch(), 10))
-	req.Header.Set("Content-Type", wire.BatchContentType)
-	if rid := requestID(ctx); rid != "" {
-		req.Header.Set(HeaderRequestID, rid)
-	}
-	resp, err := cs.hc.Do(req)
+	resp, err := s.peerDo(ctx, http.MethodPost, owner, path, frame.Bytes(),
+		http.Header{"Content-Type": {wire.BatchContentType}}, http.StatusOK)
 	if err != nil {
 		pv.forwardErrors.Add(1)
 		return nil, err
 	}
 	defer resp.Body.Close()
-	s.noteEpoch(owner, resp.Header.Get(HeaderEpoch))
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		pv.forwardErrors.Add(1)
-		return nil, fmt.Errorf("peer %s answered %d", owner, resp.StatusCode)
-	}
 	res, err := wire.ReadBatchResponse(resp.Body, s.cfg.MaxBodyBytes)
 	if err != nil {
 		pv.forwardErrors.Add(1)

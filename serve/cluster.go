@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -17,15 +18,16 @@ import (
 	"avtmor/internal/replica"
 )
 
-// HeaderForwarded marks a request that already crossed one peer hop.
-// Its value is the forwarding node's address. A server that receives
-// it always answers locally — never re-forwards — so divergent ring
-// views (a fleet mid-membership-transition) degrade to one extra hop
-// instead of a forwarding loop.
+// HeaderForwarded marks a request that already crossed one peer hop;
+// every peer request carries it (peerDo). Its value is the sending
+// node's address. A server that receives it always answers locally —
+// never re-forwards — so divergent ring views (a fleet
+// mid-membership-transition) degrade to one extra hop instead of a
+// forwarding loop.
 const HeaderForwarded = "X-Avtmor-Forwarded"
 
 // HeaderEpoch carries a node's membership epoch: stamped on every
-// response and on every forwarded request. A mismatch is how divergent
+// response and on every peer request. A mismatch is how divergent
 // views detect each other mid-transition — the behind node refreshes
 // its membership from the ahead one instead of routing blind until the
 // next anti-entropy sweep.
@@ -194,42 +196,55 @@ func (s *Server) hasLocal(digest string) bool {
 	return s.mem[digest] != nil
 }
 
+// forward is the owner walk of the by-key handlers (reduce, GET,
+// simulate). When route assigns the request to other nodes and have()
+// reports the artifact absent here, it relays the request with body to
+// the replicas in ring order and returns true once one of them
+// answered. Otherwise this node serves the request and forward returns
+// false: it is a replica, the request already crossed a hop, the
+// artifact is already here (counted in localHits: content addressing
+// makes every copy identical), or no owner was reachable (counted in
+// fallbackLocal).
+func (s *Server) forward(w http.ResponseWriter, r *http.Request, digest string, body []byte, have func() bool) bool {
+	owners := s.route(r, digest)
+	if owners == nil {
+		return false
+	}
+	if have() {
+		s.cluster.localHits.Add(1)
+		return false
+	}
+	for _, owner := range owners {
+		if s.relay(w, r, owner, body) {
+			return true
+		}
+	}
+	s.cluster.fallbackLocal.Add(1)
+	return false
+}
+
 // relay forwards the request to owner and streams the owner's
 // response back verbatim. It returns false — having written nothing —
 // when the owner is unreachable or draining (connect error, 503), so
 // the caller can try the next replica or fall back to serving locally;
 // any other owner response, including client errors and backpressure,
 // is the answer and is relayed as-is.
-func (s *Server) relay(w http.ResponseWriter, r *http.Request, owner string, body io.Reader) bool {
-	cs := s.cluster
-	pv := cs.peerVar(owner)
+func (s *Server) relay(w http.ResponseWriter, r *http.Request, owner string, body []byte) bool {
+	pv := s.cluster.peerVar(owner)
 	pv.forwards.Add(1)
-	u := *r.URL
-	u.Scheme = "http"
-	u.Host = owner
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, u.String(), body)
-	if err != nil {
-		pv.forwardErrors.Add(1)
-		return false
-	}
-	req.Header.Set(HeaderForwarded, cs.self)
-	req.Header.Set(HeaderEpoch, strconv.FormatUint(cs.state.Epoch(), 10))
-	if rid := requestID(r.Context()); rid != "" {
-		req.Header.Set(HeaderRequestID, rid)
-	}
+	hdr := http.Header{}
 	for _, h := range []string{"Content-Type", "Accept", "If-None-Match", "If-Modified-Since", HeaderAPIKey} {
 		if v := r.Header.Get(h); v != "" {
-			req.Header.Set(h, v)
+			hdr.Set(h, v)
 		}
 	}
 	start := time.Now()
-	resp, err := cs.hc.Do(req)
+	resp, err := s.peerDo(r.Context(), r.Method, owner, r.URL.RequestURI(), body, hdr, 0)
 	if err != nil {
 		pv.forwardErrors.Add(1)
 		return false
 	}
 	defer resp.Body.Close()
-	s.noteEpoch(owner, resp.Header.Get(HeaderEpoch))
 	if resp.StatusCode == http.StatusServiceUnavailable {
 		// The owner is draining (or shedding its shutdown): treat it as
 		// down and let this node degrade to the next replica or local
@@ -253,6 +268,44 @@ func (s *Server) relay(w http.ResponseWriter, r *http.Request, owner string, bod
 		s.forwardLatency.Observe(time.Since(start).Seconds())
 	}
 	return true
+}
+
+// peerDo sends one node-to-node request and is the only place serve
+// calls a peer. It stamps X-Avtmor-Forwarded with this node (the peer
+// answers locally, never re-forwards, and reads the epoch next to it),
+// X-Avtmor-Epoch and the request ID ctx carries, and passes the
+// answer's epoch through noteEpoch. With want ≠ 0, an answer of any
+// other status is drained and returned as an error. The caller closes
+// the body of every answer it gets.
+func (s *Server) peerDo(ctx context.Context, method, peer, path string, body []byte, hdr http.Header, want int) (*http.Response, error) {
+	cs := s.cluster
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+peer+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if hdr != nil {
+		req.Header = hdr
+	}
+	req.Header.Set(HeaderForwarded, cs.self)
+	req.Header.Set(HeaderEpoch, strconv.FormatUint(cs.state.Epoch(), 10))
+	if rid := requestID(ctx); rid != "" {
+		req.Header.Set(HeaderRequestID, rid)
+	}
+	resp, err := cs.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	s.noteEpoch(peer, resp.Header.Get(HeaderEpoch))
+	if want != 0 && resp.StatusCode != want {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return nil, fmt.Errorf("serve: peer %s answered %d to %s %s", peer, resp.StatusCode, method, path)
+	}
+	return resp, nil
 }
 
 // noteEpoch compares a peer's advertised epoch against the local one

@@ -22,6 +22,17 @@ import (
 	"avtmor/internal/replica"
 )
 
+// tryAdmit reserves cost units only if they fit right now: the tests'
+// way to fill the budget without a waiting goroutine.
+func (a *admission) tryAdmit(cost int64) (release func(), ok bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.closed || !a.fits(cost) {
+		return nil, false
+	}
+	return a.reserve(cost), true
+}
+
 // TestAdmissionFairness pins the heavy-lane cap: a heavy request
 // (cost > budget/8) may hold at most 7/8 of the budget, so cheap
 // traffic always has a slice, while an idle server admits anything.

@@ -23,11 +23,16 @@ import (
 // content address in X-Avtmor-Rom-Key for later GET/simulate calls.
 //
 // Query parameters are documented on query.Parse (k1/k2/k3, auto, s0,
-// xp, droptol, solver, parallel, method, timeout).
+// xp, droptol, parallel, method, timeout).
 func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 	s.reduceReqs.Add(1)
 	start := time.Now()
 	if !s.checkQuota(w, r, 1) {
+		return
+	}
+	req, err := query.Parse(r.URL.Query())
+	if err != nil {
+		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	body, ok := s.readBody(w, r)
@@ -39,11 +44,6 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "parsing system: %v", err)
 		return
 	}
-	req, err := query.Parse(r.URL.Query())
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	cost := estimateCost(sys, req)
 	setCost(w, cost)
 	ctx := r.Context()
@@ -53,51 +53,49 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	key := req.Key(sys)
-	reduce := s.reducer.Reduce
-	if req.Norm {
-		reduce = s.reducer.ReduceNORM
-	}
 	digest := store.Digest(key)
-	if owners := s.route(r, digest); owners != nil {
-		// Other nodes own this key. If the artifact somehow already
-		// lives here (pre-cluster history, an earlier owner-down
-		// fallback), answer from the local tiers — content addressing
-		// makes every copy identical. Otherwise forward the original
-		// body bytes to the replicas in ring order, and degrade to
-		// computing locally only when every one is unreachable or
-		// draining.
-		if cached, err := s.reducer.Lookup(key); err == nil && cached != nil {
-			s.cluster.localHits.Add(1)
-			s.remember(digest, cached)
-			writeROM(w, digest, cached)
-			return
-		}
-		for _, owner := range owners {
-			if s.relay(w, r, owner, bytes.NewReader(body)) {
-				return
-			}
-		}
-		s.cluster.fallbackLocal.Add(1)
+	// A peer-owned key is forwarded with the original body bytes,
+	// unless the artifact is already in this node's local tiers.
+	var rom *avtmor.ROM
+	if s.forward(w, r, digest, body, func() bool {
+		rom, _ = s.reducer.Lookup(key)
+		return rom != nil
+	}) {
+		return
 	}
 	// Cache and store hits cost no compute: answer them without
 	// touching the admission budget, so a warm key is never queued
 	// behind an expensive burst.
-	if cached, err := s.reducer.Lookup(key); err == nil && cached != nil {
-		s.remember(digest, cached)
-		s.reduceLatency.Observe(time.Since(start).Seconds())
-		writeROM(w, digest, cached)
+	if rom == nil {
+		rom, _ = s.reducer.Lookup(key)
+	}
+	if rom != nil {
+		s.remember(digest, rom)
+	} else if rom, err = s.reduceLocal(ctx, sys, req, digest, cost); err != nil {
+		s.opError(w, "reduction", err, cost)
 		return
 	}
-	release, admitted := s.admitted(ctx, w, cost)
-	if !admitted {
-		return
+	s.reduceLatency.Observe(time.Since(start).Seconds())
+	writeROM(w, digest, rom)
+}
+
+// reduceLocal is the one local reduction of a reduce request or batch
+// item: admit its cost, reduce, and record the artifact (remember, and
+// afterWrite when it is new on this node). errStatus maps its errors.
+func (s *Server) reduceLocal(ctx context.Context, sys *avtmor.System, req *query.Request, digest string, cost int64) (*avtmor.ROM, error) {
+	release, err := s.admit(ctx, cost)
+	if err != nil {
+		return nil, err
 	}
 	defer release()
+	reduce := s.reducer.Reduce
+	if req.Norm {
+		reduce = s.reducer.ReduceNORM
+	}
 	had := s.hasLocal(digest)
 	rom, err := reduce(ctx, sys, req.Opts...)
 	if err != nil {
-		s.opError(w, "reduction", err)
-		return
+		return nil, err
 	}
 	s.remember(digest, rom)
 	if !had {
@@ -105,8 +103,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		// for handoff if this was an owner-down fallback).
 		s.afterWrite(ctx, digest, rom)
 	}
-	s.reduceLatency.Observe(time.Since(start).Seconds())
-	writeROM(w, digest, rom)
+	return rom, nil
 }
 
 // readBody reads the bounded request body, answering 413/400 itself
@@ -185,24 +182,15 @@ func (s *Server) handleGetROM(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	if owners := s.route(r, digest); owners != nil {
-		if s.hasLocal(digest) {
-			s.cluster.localHits.Add(1)
-		} else {
-			for _, owner := range owners {
-				if s.relay(w, r, owner, nil) {
-					return
-				}
-			}
-			s.cluster.fallbackLocal.Add(1)
-		}
-	} else if s.cluster != nil && !s.hasLocal(digest) {
-		// This node is a replica for the address but is missing its
-		// copy (crash recovery, a write-through push that never
-		// arrived): read-repair from a co-replica before answering, so
-		// the GET is served and the replica count is restored in one
-		// round trip.
-		s.readRepair(r.Context(), digest)
+	if s.forward(w, r, digest, nil, func() bool { return s.hasLocal(digest) }) {
+		return
+	}
+	if s.cluster != nil && !s.hasLocal(digest) {
+		// A replica for the address that is missing its copy (crash
+		// recovery, a write-through push that never arrived) repairs
+		// it from a co-replica before answering, so the GET is served
+		// and the replica count is restored in one round trip.
+		s.readRepair(r, digest)
 	}
 	if s.st != nil {
 		f, fi, err := s.st.OpenRaw(digest)
@@ -250,12 +238,20 @@ func etagMatches(inm, digest string) bool {
 	return false
 }
 
-// opStatus maps engine failures of op ("reduction"/"simulation"):
-// context expiry → 504, anything else (singular expansion point,
-// order too large, diverged Newton, …) is the client's request
-// meeting this system → 422.
-func opStatus(op string, err error) (int, string) {
+// errStatus maps a failure of op ("reduction"/"simulation") or of its
+// admission to a status: over budget → 429, shutdown → 503, the
+// request's own deadline → 504, client gone → 499 (nginx's convention;
+// the client never sees it), and anything else (singular expansion
+// point, order too large, diverged Newton, …) is the client's request
+// meeting this system → 422. It is the one taxonomy the single-request
+// and the per-item batch paths speak.
+func (s *Server) errStatus(op string, err error, cost int64) (int, string) {
 	switch {
+	case errors.Is(err, errOverBudget):
+		return http.StatusTooManyRequests,
+			fmt.Sprintf("admission budget exhausted (request cost %d of %d), retry later", cost, s.adm.budget)
+	case errors.Is(err, errClosed):
+		return http.StatusServiceUnavailable, "shutting down"
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, op + " deadline exceeded"
 	case errors.Is(err, context.Canceled):
@@ -265,8 +261,14 @@ func opStatus(op string, err error) (int, string) {
 	}
 }
 
-// opError answers an engine failure over HTTP.
-func (s *Server) opError(w http.ResponseWriter, op string, err error) {
-	code, msg := opStatus(op, err)
+// opError answers a failure of op or of its admission over HTTP. A 429
+// carries a Retry-After scaled by the request's share of the budget: a
+// clipper retries in a second, a fleet-filling multipoint reduce backs
+// off harder.
+func (s *Server) opError(w http.ResponseWriter, op string, err error, cost int64) {
+	code, msg := s.errStatus(op, err, cost)
+	if code == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", strconv.FormatInt(1+4*cost/s.adm.budget, 10))
+	}
 	s.httpError(w, code, "%s", msg)
 }

@@ -41,9 +41,9 @@ const maxPullBytes = 64 << 20
 // backstops any push that fails. On a non-replica (owner-down
 // fallback), the local copy is tagged as an orphan so the sweep hands
 // it to the real owners and reclaims the space, instead of leaving
-// dead weight that never serves a request. ctx contributes only the
-// request ID, so the originating request is greppable on the
-// co-replica's access log; the pushes themselves outlive the request.
+// dead weight that never serves a request. ctx contributes only its
+// values (the request ID, so the originating request is greppable on
+// the co-replica's access log); the pushes outlive the request.
 func (s *Server) afterWrite(ctx context.Context, digest string, rom *avtmor.ROM) {
 	cs := s.cluster
 	if cs == nil {
@@ -56,20 +56,20 @@ func (s *Server) afterWrite(ctx context.Context, digest string, rom *avtmor.ROM)
 		}
 		return
 	}
-	rid := requestID(ctx)
+	ctx = context.WithoutCancel(ctx)
 	for _, o := range owners {
 		if o == cs.self {
 			continue
 		}
 		s.repWG.Add(1)
-		go s.pushReplica(o, digest, rid, rom)
+		go s.pushReplica(ctx, o, digest, rom)
 	}
 }
 
 // pushReplica uploads one artifact copy to a co-replica. It runs
 // detached from any request: the client's response never waits on
 // follower writes.
-func (s *Server) pushReplica(owner, digest, rid string, rom *avtmor.ROM) {
+func (s *Server) pushReplica(ctx context.Context, owner, digest string, rom *avtmor.ROM) {
 	defer s.repWG.Done()
 	cs := s.cluster
 	var buf bytes.Buffer
@@ -77,11 +77,8 @@ func (s *Server) pushReplica(owner, digest, rid string, rom *avtmor.ROM) {
 		cs.replicaPushErrors.Add(1)
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), peerOpTimeout)
+	ctx, cancel := context.WithTimeout(ctx, peerOpTimeout)
 	defer cancel()
-	if rid != "" {
-		ctx = context.WithValue(ctx, ridKey{}, rid)
-	}
 	start := time.Now()
 	if err := s.putReplica(ctx, owner, digest, buf.Bytes()); err != nil {
 		cs.replicaPushErrors.Add(1)
@@ -95,45 +92,34 @@ func (s *Server) pushReplica(owner, digest, rid string, rom *avtmor.ROM) {
 
 // putReplica PUTs raw artifact bytes to a peer's replica endpoint.
 func (s *Server) putReplica(ctx context.Context, peer, digest string, raw []byte) error {
-	cs := s.cluster
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		"http://"+peer+"/v1/cluster/roms/"+digest, bytes.NewReader(raw))
+	resp, err := s.peerDo(ctx, http.MethodPut, peer, "/v1/cluster/roms/"+digest, raw,
+		http.Header{"Content-Type": {"application/octet-stream"}}, http.StatusNoContent)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(HeaderEpoch, strconv.FormatUint(cs.state.Epoch(), 10))
-	if rid := requestID(ctx); rid != "" {
-		req.Header.Set(HeaderRequestID, rid)
-	}
-	resp, err := cs.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	s.noteEpoch(peer, resp.Header.Get(HeaderEpoch))
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("serve: peer %s answered %d to replica put", peer, resp.StatusCode)
-	}
+	resp.Body.Close()
 	return nil
 }
 
 // readRepair restores this node's missing copy of an artifact it owns
 // by pulling from a co-replica, synchronously (the requester is
-// waiting, and after the pull the GET is a local hit). Reports whether
-// a copy was restored.
-func (s *Server) readRepair(ctx context.Context, digest string) bool {
+// waiting, and after the pull the GET is a local hit). A GET that a
+// co-replica sent is that replica's own pull and is never repaired:
+// two owners that both lack the artifact would otherwise pull from
+// each other until the caller gives up. Reports whether a copy was
+// restored.
+func (s *Server) readRepair(r *http.Request, digest string) bool {
 	cs := s.cluster
 	owners := cs.ownersFor(digest)
-	if !slices.Contains(owners, cs.self) {
+	from := cluster.Normalize(r.Header.Get(HeaderForwarded))
+	if !slices.Contains(owners, cs.self) || slices.Contains(owners, from) {
 		return false
 	}
 	for _, o := range owners {
 		if o == cs.self {
 			continue
 		}
-		if err := (peerOps{s}).Pull(ctx, o, digest); err == nil {
+		if err := (peerOps{s}).Pull(r.Context(), o, digest); err == nil {
 			cs.readRepairs.Add(1)
 			return true
 		}
@@ -175,6 +161,25 @@ func (s *Server) localKeys() []string {
 	return slices.Clone(s.memOrder)
 }
 
+// putRaw validates and keeps an artifact copy received from a peer:
+// in the store (clearing any orphan tag — a copy placement sends here
+// belongs here), or in the by-address map without one.
+func (s *Server) putRaw(digest string, raw []byte) error {
+	if s.st != nil {
+		if err := s.st.PutRaw(digest, raw); err != nil {
+			return err
+		}
+		s.st.ClearOrphan(digest)
+		return nil
+	}
+	rom, err := avtmor.ReadROM(bufio.NewReader(bytes.NewReader(raw)))
+	if err != nil {
+		return err
+	}
+	s.remember(digest, rom)
+	return nil
+}
+
 // handlePutReplica is PUT /v1/cluster/roms/{key}: accept one replica
 // copy pushed by a peer (write-through follower write, or anti-entropy
 // orphan handoff). The bytes are validated as a ROM before they are
@@ -190,19 +195,9 @@ func (s *Server) handlePutReplica(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if s.st != nil {
-		if err := s.st.PutRaw(digest, raw); err != nil {
-			s.httpError(w, http.StatusUnprocessableEntity, "replica bytes rejected: %v", err)
-			return
-		}
-		s.st.ClearOrphan(digest)
-	} else {
-		rom, err := avtmor.ReadROM(bufio.NewReader(bytes.NewReader(raw)))
-		if err != nil {
-			s.httpError(w, http.StatusUnprocessableEntity, "replica bytes rejected: %v", err)
-			return
-		}
-		s.remember(digest, rom)
+	if err := s.putRaw(digest, raw); err != nil {
+		s.httpError(w, http.StatusUnprocessableEntity, "replica bytes rejected: %v", err)
+		return
 	}
 	s.cluster.replicaWrites.Add(1)
 	w.WriteHeader(http.StatusNoContent)
@@ -256,7 +251,7 @@ func (s *Server) handleTransition(w http.ResponseWriter, r *http.Request, apply 
 	before := s.cluster.state.Epoch()
 	m := apply(req.Node)
 	if m.Epoch != before {
-		s.broadcastMembership(m, cluster.Normalize(req.Node))
+		s.broadcastMembership(r.Context(), m, cluster.Normalize(req.Node))
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	replica.EncodeMembership(w, m)
@@ -265,27 +260,23 @@ func (s *Server) handleTransition(w http.ResponseWriter, r *http.Request, apply 
 // broadcastMembership pushes a freshly minted membership to every
 // other fleet member (skipping the transitioning node, which gets it
 // in the handshake response). Best-effort: a missed node converges on
-// the next epoch-stamped request or sweep.
-func (s *Server) broadcastMembership(m replica.Membership, skip string) {
-	cs := s.cluster
+// the next epoch-stamped request or sweep. Like afterWrite, it keeps
+// only ctx's values, so the pushes outlive the request.
+func (s *Server) broadcastMembership(ctx context.Context, m replica.Membership, skip string) {
+	var body bytes.Buffer
+	replica.EncodeMembership(&body, m)
+	ctx = context.WithoutCancel(ctx)
 	for _, p := range m.Peers {
-		if p == cs.self || p == skip {
+		if p == s.cluster.self || p == skip {
 			continue
 		}
 		s.repWG.Add(1)
 		go func(peer string) {
 			defer s.repWG.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), peerOpTimeout)
+			ctx, cancel := context.WithTimeout(ctx, peerOpTimeout)
 			defer cancel()
-			var body bytes.Buffer
-			replica.EncodeMembership(&body, m)
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-				"http://"+peer+"/v1/cluster/membership", &body)
-			if err != nil {
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			resp, err := cs.hc.Do(req)
+			resp, err := s.peerDo(ctx, http.MethodPost, peer, "/v1/cluster/membership", body.Bytes(),
+				http.Header{"Content-Type": {"application/json"}}, 0)
 			if err != nil {
 				return
 			}
@@ -350,24 +341,13 @@ func (s *Server) Leave(ctx context.Context) error {
 // transitionVia POSTs this node's join/leave request to peer and
 // decodes the membership it answers with.
 func (s *Server) transitionVia(ctx context.Context, peer, op string) (replica.Membership, error) {
-	cs := s.cluster
-	var body bytes.Buffer
-	fmt.Fprintf(&body, `{"node":%q}`, cs.self)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+peer+"/v1/cluster/"+op, &body)
-	if err != nil {
-		return replica.Membership{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := cs.hc.Do(req)
+	body := fmt.Appendf(nil, `{"node":%q}`, s.cluster.self)
+	resp, err := s.peerDo(ctx, http.MethodPost, peer, "/v1/cluster/"+op, body,
+		http.Header{"Content-Type": {"application/json"}}, http.StatusOK)
 	if err != nil {
 		return replica.Membership{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return replica.Membership{}, fmt.Errorf("serve: peer %s answered %d to %s", peer, resp.StatusCode, op)
-	}
 	return replica.DecodeMembership(io.LimitReader(resp.Body, 1<<20))
 }
 
@@ -376,21 +356,11 @@ func (s *Server) transitionVia(ctx context.Context, peer, op string) (replica.Me
 type peerOps struct{ s *Server }
 
 func (p peerOps) Keys(ctx context.Context, peer, shard string) ([]string, uint64, error) {
-	cs := p.s.cluster
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"http://"+peer+"/v1/cluster/keys?shard="+shard, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := cs.hc.Do(req)
+	resp, err := p.s.peerDo(ctx, http.MethodGet, peer, "/v1/cluster/keys?shard="+shard, nil, nil, http.StatusOK)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, 0, fmt.Errorf("serve: peer %s answered %d to key list", peer, resp.StatusCode)
-	}
 	epoch, _ := strconv.ParseUint(resp.Header.Get(HeaderEpoch), 10, 64)
 	keys, err := replica.ReadKeyList(resp.Body)
 	if err != nil {
@@ -399,41 +369,22 @@ func (p peerOps) Keys(ctx context.Context, peer, shard string) ([]string, uint64
 	return keys, epoch, nil
 }
 
-// Pull fetches one artifact from peer and stores it locally. The GET
-// carries the forwarded marker so the peer serves its local copy
-// instead of re-routing — a pull must never bounce around the ring.
+// Pull fetches one artifact from peer and stores it locally. Like
+// every peer request, the GET carries the forwarded marker, so the
+// peer serves its local copy instead of re-routing — a pull must never
+// bounce around the ring.
 func (p peerOps) Pull(ctx context.Context, peer, digest string) error {
 	s := p.s
-	cs := s.cluster
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"http://"+peer+"/v1/roms/"+digest, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set(HeaderForwarded, cs.self)
-	req.Header.Set(HeaderEpoch, strconv.FormatUint(cs.state.Epoch(), 10))
-	resp, err := cs.hc.Do(req)
+	resp, err := s.peerDo(ctx, http.MethodGet, peer, "/v1/roms/"+digest, nil, nil, http.StatusOK)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return fmt.Errorf("serve: peer %s answered %d to pull", peer, resp.StatusCode)
-	}
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxPullBytes))
 	if err != nil {
 		return err
 	}
-	if s.st != nil {
-		return s.st.PutRaw(digest, raw)
-	}
-	rom, err := avtmor.ReadROM(bufio.NewReader(bytes.NewReader(raw)))
-	if err != nil {
-		return err
-	}
-	s.remember(digest, rom)
-	return nil
+	return s.putRaw(digest, raw)
 }
 
 func (p peerOps) Push(ctx context.Context, peer, digest string) error {
@@ -449,21 +400,11 @@ func (p peerOps) Push(ctx context.Context, peer, digest string) error {
 }
 
 func (p peerOps) Membership(ctx context.Context, peer string) (replica.Membership, error) {
-	cs := p.s.cluster
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"http://"+peer+"/v1/cluster/membership", nil)
-	if err != nil {
-		return replica.Membership{}, err
-	}
-	resp, err := cs.hc.Do(req)
+	resp, err := p.s.peerDo(ctx, http.MethodGet, peer, "/v1/cluster/membership", nil, nil, http.StatusOK)
 	if err != nil {
 		return replica.Membership{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return replica.Membership{}, fmt.Errorf("serve: peer %s answered %d to membership", peer, resp.StatusCode)
-	}
 	return replica.DecodeMembership(io.LimitReader(resp.Body, 1<<20))
 }
 

@@ -27,9 +27,10 @@
 // or 504 for the deadline); an admitted request computes on its own
 // request goroutine. Cache and store hits cost no compute and skip
 // admission. Every request carries a trace ID (X-Avtmor-Request-Id,
-// minted at the entry node) that propagates across forwards, batch
-// fan-out, and replica pushes, and lands in the optional JSON access
-// log (Config.AccessLog). The operator-facing story is
+// minted at the entry node) that every peer request it causes carries
+// (forwards, batch fan-out, replica pushes, read-repair pulls,
+// membership broadcasts), and lands in the optional JSON access log
+// (Config.AccessLog). The operator-facing story is
 // docs/OPERATIONS.md.
 package serve
 

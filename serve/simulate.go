@@ -6,7 +6,6 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -70,24 +69,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	digest := r.PathValue("key")
-	if owners := s.route(r, digest); owners != nil {
-		if s.hasLocal(digest) {
-			s.cluster.localHits.Add(1)
-		} else {
-			// Forwarding needs the workload bytes twice (relay, then
-			// possibly the local fallback), so buffer them up front.
-			body, ok := s.readBody(w, r)
-			if !ok {
-				return
-			}
-			for _, owner := range owners {
-				if s.relay(w, r, owner, bytes.NewReader(body)) {
-					return
-				}
-			}
-			s.cluster.fallbackLocal.Add(1)
-			r.Body = io.NopCloser(bytes.NewReader(body))
-		}
+	// The workload is read up front: a forward may need it twice
+	// (relay, then the local fallback).
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	if s.forward(w, r, digest, body, func() bool { return s.hasLocal(digest) }) {
+		return
 	}
 	rom, err := s.lookup(digest)
 	if err != nil {
@@ -99,7 +88,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req simRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.httpError(w, http.StatusBadRequest, "decoding workload JSON: %v", err)
@@ -118,14 +107,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	cost := simulateCost(rom.Order(), req.Steps)
 	setCost(w, cost)
-	release, admitted := s.admitted(ctx, w, cost)
-	if !admitted {
+	release, err := s.admit(ctx, cost)
+	if err != nil {
+		s.opError(w, "simulation", err, cost)
 		return
 	}
 	defer release()
 	res, err := rom.Simulate(ctx, u, req.TEnd, opts...)
 	if err != nil {
-		s.opError(w, "simulation", err)
+		s.opError(w, "simulation", err, cost)
 		return
 	}
 	s.simLatency.Observe(time.Since(start).Seconds())

@@ -83,8 +83,8 @@ func (s *System) Description() string {
 // canonicalized reduction options it forms the Reducer cache key.
 // Covering the representation set is deliberate: a dense-only and a
 // CSR-mirrored copy of the same matrix can route to different solver
-// backends under SolverAuto and so may not produce bit-identical
-// ROMs — such systems must not alias one cache entry. Two systems
+// backends and so may not produce bit-identical ROMs — such systems
+// must not alias one cache entry. Two systems
 // built the same way with the same values always hash equal.
 func (s *System) Fingerprint() uint64 {
 	s.fpOnce.Do(func() {
@@ -161,12 +161,6 @@ func ParseNetlist(r io.Reader) (*System, error) {
 	}
 	return wrapSystem(sys, ckt.Summary()), nil
 }
-
-// denseMirrorLimit bounds the state count up to which SystemBuilder
-// also materializes the dense G1 alongside the CSR form. Beyond it the
-// system is CSR-only: linear (K1) reductions and sparse-Newton
-// transients work, the Schur-based H2/H3 machinery reports an error.
-const denseMirrorLimit = 2500
 
 // SystemBuilder accumulates matrix entries for a System. Duplicate
 // coordinates sum; out-of-range indices panic (they are programming
@@ -282,7 +276,7 @@ func (sb *SystemBuilder) Build() (*System, error) {
 		B:   sb.b,
 		L:   sb.l,
 	}
-	if sb.n <= denseMirrorLimit {
+	if sb.n <= qldae.DenseMirrorLimit {
 		sys.G1 = sys.G1S.Dense()
 	}
 	if sb.g2 != nil {
