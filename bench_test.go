@@ -201,6 +201,31 @@ func BenchmarkFig5VaristorODESolveOriginal(b *testing.B) {
 	benchODESolve(b, w, w.Sys)
 }
 
+// BenchmarkFig2NTLVoltageODESolveProposed is the §3.1 ROM transient of
+// Fig. 2: NTLVoltage(50) reduced at (7, 4, 2), under RK4. Its packed Ĝ2
+// is evaluated at every stage.
+func BenchmarkFig2NTLVoltageODESolveProposed(b *testing.B) {
+	w := circuits.NTLVoltage(50)
+	rom, err := core.ReduceContext(context.Background(), w.Sys, core.Options{K1: 7, K2: 4, K3: 2, S0: w.S0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchODESolve(b, w, rom.Sys)
+}
+
+// BenchmarkFig5VaristorODESolveProposed is the §3.4 ROM transient of
+// Fig. 5: the varistor reduced at (7, 0, 2), under the trapezoidal
+// rule. Its packed Ĝ3 is evaluated at every Newton iteration and
+// differentiated at every refactorization.
+func BenchmarkFig5VaristorODESolveProposed(b *testing.B) {
+	w := circuits.Varistor()
+	rom, err := core.ReduceContext(context.Background(), w.Sys, core.Options{K1: 7, K3: 2, S0: w.S0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchODESolve(b, w, rom.Sys)
+}
+
 // BenchmarkTrapezoidalRLCLine is the full-order stiff transient of the
 // 1999-state RLC line (RLCLine(1000)) over its workload's 4000
 // trapezoidal steps: a linear system on the sparse Newton route, whose

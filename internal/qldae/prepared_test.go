@@ -3,6 +3,7 @@ package qldae
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"avtmor/internal/mat"
@@ -12,13 +13,22 @@ import (
 
 // The dense-D1 transcriptions: the D1 terms of Eval, JacobianInto and
 // JacobianCSRInto as the dense products they were before the CSR form.
+// G2 and G3 go through p's packed forms where it has them, as Eval and
+// JacobianInto do; the D1 terms are the subject.
 
-func evalDenseD1(s *System, dst, x, u []float64) {
+func evalDenseD1(p *Prepared, dst, x, u []float64) {
+	s := p.System
 	s.MulG1(dst, x)
-	if s.G2 != nil {
+	switch {
+	case p.g2 != nil:
+		p.g2.AddApply(dst, 1, x)
+	case s.G2 != nil:
 		s.G2.QuadAddApply(dst, 1, x, x)
 	}
-	if s.G3 != nil {
+	switch {
+	case p.g3 != nil:
+		p.g3.AddApply(dst, 1, x)
+	case s.G3 != nil:
 		cube := make([]float64, s.N)
 		s.G3.CubeApply(cube, x)
 		mat.Axpy(1, cube, dst)
@@ -41,12 +51,19 @@ func evalDenseD1(s *System, dst, x, u []float64) {
 	}
 }
 
-func jacobianDenseD1(s *System, j *mat.Dense, x, u []float64) {
+func jacobianDenseD1(p *Prepared, j *mat.Dense, x, u []float64) {
+	s := p.System
 	copy(j.A, s.G1.A)
-	if s.G2 != nil {
+	switch {
+	case p.g2 != nil:
+		p.g2.Jacobian(j.A, 1, x)
+	case s.G2 != nil:
 		s.G2.QuadJacobian(j.A, 1, x)
 	}
-	if s.G3 != nil {
+	switch {
+	case p.g3 != nil:
+		p.g3.Jacobian(j.A, 1, x)
+	case s.G3 != nil:
 		s.G3.CubeJacobian(j.A, 1, x)
 	}
 	for i, d := range s.D1 {
@@ -142,6 +159,9 @@ func TestD1CSRMatchesDense(t *testing.T) {
 		t.Run(ns.name, func(t *testing.T) {
 			n, m := s.N, s.Inputs()
 			p := s.Prepare()
+			if packed := p.g2 != nil; packed != (ns.name == "dense-ROM-D1") {
+				t.Fatalf("G2 packed = %v", packed)
+			}
 			for trial := 0; trial < 6; trial++ {
 				x := mat.RandVec(rng, n)
 				for i := range x {
@@ -155,13 +175,13 @@ func TestD1CSRMatchesDense(t *testing.T) {
 				u := mat.RandVec(rng, m)
 				u[trial%m] = 0
 				want := make([]float64, n)
-				evalDenseD1(s, want, x, u)
+				evalDenseD1(p, want, x, u)
 				got := make([]float64, n)
 				p.Eval(got, x, u)
 				sameBitsVec(t, "Prepared.Eval", got, want)
 
 				wantJ := mat.NewDense(n, n)
-				jacobianDenseD1(s, wantJ, x, u)
+				jacobianDenseD1(p, wantJ, x, u)
 				gotJ := mat.NewDense(n, n)
 				p.JacobianInto(gotJ, x, u)
 				sameBitsVec(t, "Prepared.JacobianInto", gotJ.A, wantJ.A)
@@ -182,10 +202,54 @@ func TestD1CSRMatchesDense(t *testing.T) {
 	}
 }
 
+// packedSystems returns a ROM whose G2 and G3 are packed, and a 6-state
+// system with a tridiagonal G1 whose G2 and G3 pass the density rule
+// while naming only monomials of x_0…x_3: by their nonzeros alone,
+// columns 4 and 5 would lie off P, yet the packed Jacobian adds to them.
+func packedSystems(rng *rand.Rand) []namedSystem {
+	const n = 20
+	s := randSystem(rng, n, 2)
+	g3b := sparse.NewBuilder(n, n*n*n)
+	for i := 0; i < 2*n; i++ {
+		g3b.Add(rng.Intn(n), rng.Intn(n*n*n), 0.1*(2*rng.Float64()-1))
+	}
+	s.G3 = g3b.Build()
+	cols := make([][]float64, 6)
+	for i := range cols {
+		cols[i] = mat.RandVec(rng, n)
+	}
+	rom := s.Project(qr.Orthonormalize(cols, 1e-12))
+
+	const m = 6
+	holed := randSystem(rng, m, 2)
+	for i := range holed.G1.A {
+		if r, c := i/m, i%m; r-c > 1 || c-r > 1 {
+			holed.G1.A[i] = 0
+		}
+	}
+	for i := range holed.D1 {
+		holed.D1[i] = nil
+	}
+	g2b, g3b := sparse.NewBuilder(m, m*m), sparse.NewBuilder(m, m*m*m)
+	for r := 0; r < m; r++ {
+		for p := 0; p < 4; p++ {
+			for q := 0; q < 4; q++ {
+				g2b.Add(r, p*m+q, 0.3*(2*rng.Float64()-1))
+				for w := 0; w < 4; w++ {
+					g3b.Add(r, (p*m+q)*m+w, 0.1*(2*rng.Float64()-1))
+				}
+			}
+		}
+	}
+	holed.G2, holed.G3 = g2b.Build(), g3b.Build()
+	return []namedSystem{{"packed-ROM", rom}, {"packed-holed", holed}}
+}
+
 // TestNewtonIntoMatchesFullAssembly pins the pattern assembly of the
 // replayed Newton matrix to the full one (JacobianInto, scale by −h/2,
 // add the identity): the same bits on every cell of P, zeros on every
-// other cell of the full assembly, and no write off P.
+// other cell of the full assembly, and no write off P. The packed ROM
+// shows that P covers every cell a packed Jacobian writes.
 func TestNewtonIntoMatchesFullAssembly(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	systems := d1Systems(rng)
@@ -196,12 +260,21 @@ func TestNewtonIntoMatchesFullAssembly(t *testing.T) {
 	}
 	cubic.G3 = g3b.Build()
 	systems = append(systems, namedSystem{"cubic", cubic})
-	for _, ns := range systems {
+	packed := packedSystems(rng)
+	for _, ns := range append(systems, packed...) {
 		s := ns.sys
 		t.Run(ns.name, func(t *testing.T) {
 			n, m := s.N, s.Inputs()
 			p := s.Prepare()
 			pat := p.NewtonPattern()
+			if slices.ContainsFunc(packed, func(c namedSystem) bool { return c.sys == s }) {
+				if p.g2 == nil || p.g3 == nil {
+					t.Fatalf("packed G2 %v, packed G3 %v; want both", p.g2 != nil, p.g3 != nil)
+				}
+				if len(pat.ColIdx) != n*n {
+					t.Fatalf("P holds %d cells; a packed Jacobian adds to all %d", len(pat.ColIdx), n*n)
+				}
+			}
 			inP := make([]bool, n*n)
 			for r := 0; r < n; r++ {
 				for _, c := range pat.ColIdx[pat.RowPtr[r]:pat.RowPtr[r+1]] {
@@ -236,5 +309,63 @@ func TestNewtonIntoMatchesFullAssembly(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPrepareKeepsIndexedBelowRule: a G2 or G3 one entry short of the
+// density rule (sparse.TestPackRule pins its edge) is not packed, so
+// Eval and JacobianInto carry the indexed kernels' bits exactly.
+func TestPrepareKeepsIndexedBelowRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	const n = 5
+	for _, deg := range []int{2, 3} {
+		cols, slots := n*n, n*(n+1)/2
+		if deg == 3 {
+			cols, slots = n*n*n, n*(n+1)*(n+2)/6
+		}
+		b := sparse.NewBuilder(n, cols)
+		for k := 0; k < (n*slots+1)/2-1; k++ {
+			b.Add(k%n, k/n, 0.3*(2*rng.Float64()-1))
+		}
+		s := randSystem(rng, n, 2)
+		if deg == 3 {
+			s.G3 = b.Build()
+		} else {
+			s.G2 = b.Build()
+		}
+		p := s.Prepare()
+		if p.g2 != nil || p.g3 != nil {
+			t.Fatalf("deg %d: a coupling below the rule was packed", deg)
+		}
+		x, u := mat.RandVec(rng, n), mat.RandVec(rng, 2)
+		want := make([]float64, n)
+		s.MulG1(want, x)
+		s.G2.QuadAddApply(want, 1, x, x)
+		wantJ := mat.NewDense(n, n)
+		copy(wantJ.A, s.G1.A)
+		s.G2.QuadJacobian(wantJ.A, 1, x)
+		if s.G3 != nil {
+			cube := make([]float64, n)
+			s.G3.CubeApply(cube, x)
+			mat.Axpy(1, cube, want)
+			s.G3.CubeJacobian(wantJ.A, 1, x)
+		}
+		for i, d := range s.D1 {
+			tmp := make([]float64, n)
+			d.MulVec(tmp, x)
+			mat.Axpy(u[i], tmp, want)
+			wantJ.AddScaled(u[i], d)
+		}
+		for r := range want {
+			for i, ui := range u {
+				want[r] += s.B.At(r, i) * ui
+			}
+		}
+		got := make([]float64, n)
+		p.Eval(got, x, u)
+		sameBitsVec(t, "Eval", got, want)
+		gotJ := mat.NewDense(n, n)
+		p.JacobianInto(gotJ, x, u)
+		sameBitsVec(t, "JacobianInto", gotJ.A, wantJ.A)
 	}
 }

@@ -121,18 +121,31 @@ func (s *System) Linear() bool {
 }
 
 // Prepared is a System readied for the many evaluations of one
-// integration run: it carries the CSR form of every D1 block, derived
-// once here rather than per evaluation. The derived form lives only as
-// long as the run; the System stays a plain value that copies freely,
-// and the codecs never see it.
+// integration run: it carries the CSR form of every D1 block and the
+// packed symmetric form (sparse.Packed) of each dense enough G2 or G3,
+// derived once here rather than per evaluation. A ROM's projected
+// couplings store every monomial in every index order and are packed;
+// a circuit model's, with a few nonzeros per row, are not, and keep the
+// indexed kernels bit for bit. The derived forms live only as long as
+// the run, which uses them from one goroutine (a packed coupling's
+// Eval writes scratch the Packed owns); the System stays a plain value
+// that copies freely, and the codecs never see them.
 type Prepared struct {
 	*System
-	d1 []*sparse.CSR // CSR form of D1[i]; nil where D1[i] is nil
+	d1     []*sparse.CSR  // CSR form of D1[i]; nil where D1[i] is nil
+	g2, g3 *sparse.Packed // packed G2, G3; nil where absent or not packed
 }
 
 // Prepare derives s's integration-time forms.
 func (s *System) Prepare() *Prepared {
-	return &Prepared{System: s, d1: csrBlocks(s.D1)}
+	p := &Prepared{System: s, d1: csrBlocks(s.D1)}
+	if s.G2 != nil {
+		p.g2 = s.G2.Pack(s.N, 2)
+	}
+	if s.G3 != nil {
+		p.g3 = s.G3.Pack(s.N, 3)
+	}
+	return p
 }
 
 // csrBlocks returns the CSR form of each block (nil for nil blocks, and
@@ -154,17 +167,25 @@ func csrBlocks(blocks []*mat.Dense) []*sparse.CSR {
 // workspace pool, so the per-stage integrator loops (four Evals per RK4
 // step, one per Newton iteration) evaluate allocation-free. Each D1
 // product runs through the block's CSR form: by MulG1's argument it
-// has the bits of the dense product for finite x.
+// has the bits of the dense product for finite x. A packed G2 or G3
+// sums its monomials in another order than the indexed kernel, so it
+// moves the result in its last bits.
 func (p *Prepared) Eval(dst, x, u []float64) {
 	s := p.System
 	if len(x) != s.N || len(dst) != s.N || len(u) != s.Inputs() {
 		panic("qldae: Eval length mismatch")
 	}
 	s.MulG1(dst, x)
-	if s.G2 != nil {
+	switch {
+	case p.g2 != nil:
+		p.g2.AddApply(dst, 1, x)
+	case s.G2 != nil:
 		s.G2.QuadAddApply(dst, 1, x, x)
 	}
-	if s.G3 != nil {
+	switch {
+	case p.g3 != nil:
+		p.g3.AddApply(dst, 1, x)
+	case s.G3 != nil:
 		cube := mat.GetVec(s.N)
 		s.G3.CubeApply(cube, x)
 		mat.Axpy(1, cube, dst)
@@ -218,10 +239,16 @@ func (p *Prepared) JacobianInto(j *mat.Dense, x, u []float64) {
 // (x, u) to the dense j, in the order JacobianInto has always added
 // them.
 func (p *Prepared) addNonlinearJacobian(j *mat.Dense, x, u []float64) {
-	if p.G2 != nil {
+	switch {
+	case p.g2 != nil:
+		p.g2.Jacobian(j.A, 1, x)
+	case p.G2 != nil:
 		p.G2.QuadJacobian(j.A, 1, x)
 	}
-	if p.G3 != nil {
+	switch {
+	case p.g3 != nil:
+		p.g3.Jacobian(j.A, 1, x)
+	case p.G3 != nil:
 		p.G3.CubeJacobian(j.A, 1, x)
 	}
 	for i, d := range p.d1 {
@@ -239,9 +266,10 @@ func (p *Prepared) addNonlinearJacobian(j *mat.Dense, x, u []float64) {
 
 // NewtonPattern is P, the fixed sparsity pattern of every dense Newton
 // matrix I − h/2·J(x, u) of one transient: the nonzeros of G1, the
-// diagonal, every position the G2 and G3 Jacobians write, and the
-// nonzeros of every D1 block whether or not its input is on. No
-// state, input or step size puts a nonzero anywhere else.
+// diagonal, every position the G2 and G3 Jacobians write (every cell,
+// for a packed coupling), and the nonzeros of every D1 block whether
+// or not its input is on. No state, input or step size puts a nonzero
+// anywhere else.
 type NewtonPattern struct {
 	// RowPtr and ColIdx hold P in compressed-row form, columns
 	// ascending.
@@ -261,11 +289,20 @@ func (p *Prepared) NewtonPattern() *NewtonPattern {
 	for i := 0; i < n; i++ {
 		in[i*n+i] = true
 	}
-	if p.G2 != nil {
-		p.G2.QuadJacobianVisit(1, make([]float64, n), func(r, c int, _ float64) { in[r*n+c] = true })
-	}
-	if p.G3 != nil {
-		p.G3.CubeJacobianVisit(1, make([]float64, n), func(r, c int, _ float64) { in[r*n+c] = true })
+	mark := func(r, c int, _ float64) { in[r*n+c] = true }
+	switch {
+	case p.g2 != nil, p.g3 != nil:
+		// A packed Jacobian adds to every cell, zero coefficients too.
+		for c := range in {
+			in[c] = true
+		}
+	default:
+		if p.G2 != nil {
+			p.G2.QuadJacobianVisit(1, make([]float64, n), mark)
+		}
+		if p.G3 != nil {
+			p.G3.CubeJacobianVisit(1, make([]float64, n), mark)
+		}
 	}
 	for _, d := range p.d1 {
 		if d == nil {

@@ -356,12 +356,16 @@ func (s *Server) refreshMembership(peer string) {
 // and inspects the epoch a forwarding peer attached to its request; a
 // peer that is ahead triggers a membership refresh. The forwarded
 // request itself is still served (one-hop guard): mid-transition the
-// two views disagree about placement for at most that hop.
+// two views disagree about placement for at most that hop. A
+// membership push is not inspected: its body is the sender's view,
+// which handlePostMembership applies, so its newer epoch is no
+// mismatch and fetching the view back would repeat the push.
 func (s *Server) withEpoch(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		cs := s.cluster
 		w.Header().Set(HeaderEpoch, strconv.FormatUint(cs.state.Epoch(), 10))
-		if from := cluster.Normalize(r.Header.Get(HeaderForwarded)); from != "" {
+		push := r.Method == http.MethodPost && r.URL.Path == "/v1/cluster/membership"
+		if from := cluster.Normalize(r.Header.Get(HeaderForwarded)); from != "" && !push {
 			s.noteEpoch(from, r.Header.Get(HeaderEpoch))
 		}
 		next.ServeHTTP(w, r)

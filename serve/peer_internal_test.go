@@ -150,10 +150,11 @@ func TestPeerRequestsCarryHeaders(t *testing.T) {
 
 // fleetNode is one listening Server of an in-process fleet.
 type fleetNode struct {
-	s   *Server
-	url string
-	log *bytes.Buffer
-	mu  *sync.Mutex
+	s    *Server
+	url  string
+	log  *bytes.Buffer
+	mu   *sync.Mutex
+	hits map[string]int // requests by "METHOD path", counted on arrival; under mu
 }
 
 // accessLog is an io.Writer safe for the server's serialized writes and
@@ -170,7 +171,8 @@ func (l accessLog) Write(p []byte) (int, error) {
 }
 
 // startFleet boots n stored, replicated (R = n) nodes without
-// anti-entropy sweeps, each with an access log.
+// anti-entropy sweeps, each with an access log and a count of the
+// requests it receives.
 func startFleet(t *testing.T, n int) []*fleetNode {
 	t.Helper()
 	lns := make([]net.Listener, n)
@@ -184,7 +186,7 @@ func startFleet(t *testing.T, n int) []*fleetNode {
 	}
 	nodes := make([]*fleetNode, n)
 	for i := range nodes {
-		node := &fleetNode{url: "http://" + addrs[i], log: &bytes.Buffer{}, mu: &sync.Mutex{}}
+		node := &fleetNode{url: "http://" + addrs[i], log: &bytes.Buffer{}, mu: &sync.Mutex{}, hits: map[string]int{}}
 		s, err := New(Config{
 			StoreDir: t.TempDir(), Node: addrs[i], Peers: addrs, Replicas: n,
 			AntiEntropyInterval: -1, AccessLog: accessLog{node.mu, node.log},
@@ -193,7 +195,13 @@ func startFleet(t *testing.T, n int) []*fleetNode {
 			t.Fatal(err)
 		}
 		node.s = s
-		srv := &http.Server{Handler: s.Handler()}
+		h := s.Handler()
+		srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			node.mu.Lock()
+			node.hits[r.Method+" "+r.URL.Path]++
+			node.mu.Unlock()
+			h.ServeHTTP(w, r)
+		})}
 		go srv.Serve(lns[i])
 		t.Cleanup(func() {
 			srv.Close()
@@ -224,6 +232,62 @@ func (n *fleetNode) loggedIDs(t *testing.T, method, path string) []string {
 		}
 	}
 	return ids
+}
+
+// received returns how many method requests for path n has received.
+func (n *fleetNode) received(method, path string) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.hits[method+" "+path]
+}
+
+// TestMembershipPushNotesNoEpoch: a join's membership broadcast
+// carries the sender's newer epoch beside X-Avtmor-Forwarded, but its
+// body is the view itself. The receivers adopt it without counting an
+// epoch mismatch, and without fetching the view back from the sender.
+func TestMembershipPushNotesNoEpoch(t *testing.T) {
+	nodes := startFleet(t, 3)
+	seed := nodes[0].s.cluster.self
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	joiner, err := New(Config{StoreDir: t.TempDir(), Node: addr, Peers: []string{addr, seed}, Replicas: 3, AntiEntropyInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: joiner.Handler()}
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		srv.Close()
+		joiner.Close()
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := joiner.Join(ctx, seed); err != nil {
+		t.Fatal(err)
+	}
+	// The broadcast goroutines were started before the join answered, and
+	// a receiver starts any refresh before it answers the push.
+	nodes[0].s.repWG.Wait()
+	for _, n := range nodes[1:] {
+		n.s.repWG.Wait()
+		if e := n.s.cluster.state.Epoch(); e != 2 {
+			t.Fatalf("%s is at epoch %d after the broadcast, want 2", n.s.cluster.self, e)
+		}
+		if got := n.received(http.MethodPost, "/v1/cluster/membership"); got != 1 {
+			t.Fatalf("%s received %d membership pushes, want 1", n.s.cluster.self, got)
+		}
+		if m := n.s.cluster.epochMismatches.Value(); m != 0 {
+			t.Fatalf("%s counted %d epoch mismatches on the push that carried the view", n.s.cluster.self, m)
+		}
+	}
+	for _, n := range nodes {
+		if got := n.received(http.MethodGet, "/v1/cluster/membership"); got != 0 {
+			t.Fatalf("%s served %d membership GETs; the push already carried the view", n.s.cluster.self, got)
+		}
+	}
 }
 
 // TestReplicaPutNewerEpochRefreshes: a replica PUT from a node whose
