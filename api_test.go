@@ -2,6 +2,7 @@ package avtmor_test
 
 import (
 	"context"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -292,5 +293,55 @@ func TestROMProbesConcurrent(t *testing.T) {
 		if p.h1 != want.h1 || p.h2 != want.h2 || p.h3 != want.h3 || !slices.Equal(p.tf, want.tf) {
 			t.Errorf("goroutine %d: probes %v, %v, %v, %v; serial %v, %v, %v, %v", g, p.h1, p.h2, p.h3, p.tf, want.h1, want.h2, want.h3, want.tf)
 		}
+	}
+}
+
+// TestSection3ProbesPinned pins the error probes on the §3 ROMs at the
+// paper's orders to the values of the general complex ⊕²/⊕³ recurrence
+// they replaced. An error figure is a difference of nearly equal
+// outputs, so a 1e-13 change of an output moves it by about 1e-8
+// relative; 1e-6 leaves room for that and catches a wrong solve.
+func TestSection3ProbesPinned(t *testing.T) {
+	const tol = 1e-6
+	for _, tc := range []struct {
+		name         string
+		w            *avtmor.Workload
+		k1, k2, k3   int
+		h2, h3, h3lo float64 // H2Error(0,0,1i), H3Error(1i), H3Error(0.5i); 0: not probed
+	}{
+		{"s31", avtmor.NTLVoltage(50), 7, 4, 2, 1.3285170985781098e-4, 1.4179998352591182e-4, 9.5894160376674804e-5},
+		{"s32", avtmor.NTLCurrent(70), 6, 3, 2, 2.3749333818387516e-5, 3.2198984509883034e-5, 2.752471450499779e-5},
+		{"s33", avtmor.RFReceiver(), 4, 2, 0, 0.41659506400076735, 0, 0},
+		{"s34", avtmor.Varistor(), 7, 0, 2, 0, 6.9276922374312527e-3, 3.9941545711434509e-3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rom, err := avtmor.Reduce(context.Background(), tc.w.System,
+				avtmor.WithOrders(tc.k1, tc.k2, tc.k3), avtmor.WithExpansion(tc.w.S0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []struct {
+				what  string
+				want  float64
+				probe func() (float64, error)
+			}{
+				{"H2Error(0,0,1i)", tc.h2, func() (float64, error) { return rom.H2Error(0, 0, 1i) }},
+				{"H3Error(1i)", tc.h3, func() (float64, error) { return rom.H3Error(1i) }},
+				{"H3Error(0.5i)", tc.h3lo, func() (float64, error) { return rom.H3Error(0.5i) }},
+			} {
+				if p.want == 0 {
+					continue
+				}
+				got, err := p.probe()
+				if err != nil {
+					t.Fatalf("%s: %v", p.what, err)
+				}
+				if rel := math.Abs(got-p.want) / p.want; rel > tol {
+					t.Errorf("%s = %.17g, pinned %.17g (%.2g relative)", p.what, got, p.want, rel)
+				} else {
+					t.Logf("%s = %.17g (%.2g relative)", p.what, got, rel)
+				}
+			}
+		})
 	}
 }

@@ -262,6 +262,29 @@ func BenchmarkSolverKronSum2N70(b *testing.B) {
 	}
 }
 
+// BenchmarkH3ErrorVaristor is one H3Error(1i) probe on the §3.4 ROM at
+// (7, 0, 2). A warm-up probe first builds what later probes at 1i
+// reuse, both realizations' Schur forms of G1 and complex LUs of
+// G1 − 1i·I, so the loop times the cubic A3(H3) evaluation itself: one
+// complex symmetric ⊕³ solve and one G3 gather on each side.
+func BenchmarkH3ErrorVaristor(b *testing.B) {
+	w := avtmor.Varistor()
+	rom, err := avtmor.Reduce(context.Background(), w.System, avtmor.WithOrders(7, 0, 2), avtmor.WithExpansion(w.S0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := rom.H3Error(1i); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rom.H3Error(1i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Solver spine: dense vs sparse LU, serial vs parallel Reduce ---
 //
 // The RLC transmission line (≈2.5 nnz/row) is the canonical large-

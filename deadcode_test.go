@@ -16,11 +16,11 @@ import (
 // value names a test that uses the function. What an allowed function
 // calls is allowed too.
 var testOnlyAllowed = map[string]string{
-	"kron.SumDense":               "assoc.TestSolveKronAgainstDense",
+	"kron.SumDense":               "kron.TestSym3SolveSchurCAgainstDense",
 	"lint.RunFixture":             "lint.TestFixtures",
 	"lu.(*Record).NNZ":            "ode.TestReplaySkipsWork",
 	"lu.Solve":                    "assoc.TestH2OpAgainstDense",
-	"lu.SolveC":                   "assoc.TestSolveKronAgainstDense",
+	"lu.SolveC":                   "kron.TestSym3SolveSchurCAgainstDense",
 	"mat.(*CDense).MaxAbs":        "sylv.TestTrSylvTCComplex",
 	"mat.(*CDense).Mul":           "sylv.TestTrSylvTCComplex",
 	"mat.(*Dense).Equalish":       "kron.TestVecUnvecRoundTrip",

@@ -43,7 +43,6 @@ import (
 // distinct shifts factor concurrently.
 type Realization struct {
 	Sys *qldae.System
-	gt2 *Gt2
 	sc  *solver.ShiftedCache // cache: (G1 − τI) factorizations
 	ctx context.Context      // cancels the Krylov chains and factor steps
 
@@ -72,14 +71,12 @@ func NewWithSolverCtx(ctx context.Context, sys *qldae.System, ls solver.LinearSo
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := &Realization{
+	return &Realization{
 		Sys:    sys,
 		sc:     solver.NewShiftedCache(solver.Operand(sys.G1, sys.G1S), nil, ls),
 		ctx:    ctx,
 		luCplx: map[complex128]*lu.CLU{},
-	}
-	r.gt2 = &Gt2{r: r}
-	return r, nil
+	}, nil
 }
 
 // SetBlockSize does nothing: the moment generators push every column
@@ -191,48 +188,6 @@ func (r *Realization) btilde2(i, j int, bi, bj []float64) []float64 {
 	return out
 }
 
-// Gt2 solves (G̃2 − τI)·z = rhs for complex τ by block
-// back-substitution: w = (⊕²G1 − τI)⁻¹·g, then x = (G1 − τI)⁻¹·(f − G2·w).
-// It evaluates A2(H2) at complex frequencies; the H2 moment chain runs
-// the real-shift operator in Schur coordinates instead (h2Op).
-type Gt2 struct {
-	r *Realization
-}
-
-// SolveShiftedC computes (G̃2 − τI)⁻¹·rhs for complex τ.
-func (g *Gt2) SolveShiftedC(tau complex128, rhs []complex128) ([]complex128, error) {
-	n := g.r.Sys.N
-	if len(rhs) != n+n*n {
-		panic("assoc: Gt2 SolveShiftedC length mismatch")
-	}
-	s2, err := g.r.Sum2()
-	if err != nil {
-		return nil, err
-	}
-	w, err := s2.SolveC(tau, rhs[n:])
-	if err != nil {
-		return nil, err
-	}
-	f, err := g.r.shiftedCLU(tau)
-	if err != nil {
-		return nil, err
-	}
-	top := make([]complex128, n)
-	copy(top, rhs[:n])
-	if g.r.Sys.G2 != nil {
-		g2w := make([]complex128, n)
-		g.r.Sys.G2.MulVecC(g2w, w)
-		for i := range top {
-			top[i] -= g2w[i]
-		}
-	}
-	f.Solve(top, top)
-	out := make([]complex128, n+n*n)
-	copy(out[:n], top)
-	copy(out[n:], w)
-	return out, nil
-}
-
 // kronSchur is the H̃3 resolvent (G1⊕G̃2 − σI)⁻¹ in Schur coordinates.
 // With G1 = Q·R·Qᵀ and T = diag(Q, Q⊗Q),
 //
@@ -251,9 +206,9 @@ func (g *Gt2) SolveShiftedC(tau complex128, rhs []complex128) ([]complex128, err
 type kronSchur struct {
 	s3 *kron.SumSolver3
 	g2 *gather // nil when G2 = 0
-	// sym runs step's bottom recurrence on fully symmetric iterates
-	// (kron.Sym3), which H3Moments' powers of b⊗b̃2 are; stepC, which
-	// evaluates A3(H3) at a complex frequency, does not use it.
+	// sym runs the bottom recurrence on fully symmetric iterates, which
+	// the powers of b⊗b̃2 are. It is this kronSchur's own, so each
+	// moment chain and each probe solves in its own workspace.
 	sym *kron.Sym3
 }
 
@@ -263,6 +218,7 @@ func (r *Realization) kronSchur() (*kronSchur, error) {
 		return nil, err
 	}
 	k := &kronSchur{s3: s2.Sum3()}
+	k.sym = k.s3.Sym()
 	if r.Sys.G2 != nil {
 		k.g2 = newGather(r.Sys.G2, s2.Schur().Q, 2)
 	}
@@ -291,76 +247,6 @@ func (k *kronSchur) step(ctx context.Context, sigma float64, top, bot []float64)
 	}
 	copy(top, x.A)
 	return nil
-}
-
-// stepC is step for complex σ and iterates.
-func (k *kronSchur) stepC(ctx context.Context, sigma complex128, top, bot []complex128) error {
-	if err := k.s3.SolveSchurC(ctx, sigma, bot); err != nil {
-		return err
-	}
-	n := k.s3.N()
-	sch := k.s3.Sum2().Schur()
-	w := &mat.CDense{R: n, C: n, A: top}
-	if k.g2 != nil {
-		dre, dim := mat.NewDense(n, n), mat.NewDense(n, n)
-		k.g2.apply(dre.A, mat.RealPart(bot))
-		k.g2.apply(dim.A, mat.ImagPart(bot))
-		cre, cim := dre.Mul(sch.Q), dim.Mul(sch.Q)
-		for i := range w.A {
-			w.A[i] -= complex(cre.A[i], cim.A[i])
-		}
-	}
-	x, err := sylv.TrSylvTC(sch.T, sch.T, -sigma, w)
-	if err != nil {
-		return err
-	}
-	copy(top, x.A)
-	return nil
-}
-
-// splitKron splits an H̃3 iterate (n blocks of n+n²) into its
-// column-stacked top n×n block and its bottom n³ block.
-func splitKron[T float64 | complex128](v []T, n int) (top, bot []T) {
-	n2 := n + n*n
-	if len(v) != n*n2 {
-		panic("assoc: H̃3 iterate length mismatch")
-	}
-	top = make([]T, n*n)
-	bot = make([]T, n*n*n)
-	for p := 0; p < n; p++ {
-		copy(top[p*n:(p+1)*n], v[p*n2:p*n2+n])
-		copy(bot[p*n*n:(p+1)*n*n], v[p*n2+n:(p+1)*n2])
-	}
-	return top, bot
-}
-
-// joinKron is the inverse of splitKron.
-func joinKron[T float64 | complex128](top, bot []T, n int) []T {
-	n2 := n + n*n
-	v := make([]T, n*n2)
-	for p := 0; p < n; p++ {
-		copy(v[p*n2:p*n2+n], top[p*n:(p+1)*n])
-		copy(v[p*n2+n:(p+1)*n2], bot[p*n*n:(p+1)*n*n])
-	}
-	return v
-}
-
-// SolveKronC solves (G1⊕G̃2 − σI)·z = v for complex σ, the resolvent
-// of the H̃3 realization: v (length n·(n+n²), n column-stacked blocks)
-// is mapped into Schur coordinates, advanced by one resolvent power and
-// mapped back.
-func (r *Realization) SolveKronC(sigma complex128, v []complex128) ([]complex128, error) {
-	k, err := r.kronSchur()
-	if err != nil {
-		return nil, err
-	}
-	n, s2 := r.Sys.N, k.s3.Sum2()
-	top, bot := splitKron(v, n)
-	top, bot = s2.ToSchurC(top, 2), s2.ToSchurC(bot, 3)
-	if err := k.stepC(r.ctx, sigma, top, bot); err != nil {
-		return nil, err
-	}
-	return joinKron(s2.FromSchurC(top, 2), s2.FromSchurC(bot, 3), n), nil
 }
 
 // errNotSISO flags H3 paths that are implemented for single-input systems.

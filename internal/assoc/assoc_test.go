@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"avtmor/internal/kron"
-	"avtmor/internal/lu"
 	"avtmor/internal/mat"
 	"avtmor/internal/qldae"
+	"avtmor/internal/schur"
 	"avtmor/internal/sparse"
 	"avtmor/internal/volterra"
 )
@@ -60,6 +60,53 @@ func BuildGt2Dense(sys *qldae.System) *mat.Dense {
 	return g
 }
 
+// pairedG1 returns a stable n×n G1 with ⌊n/2⌋ complex eigenvalue pairs,
+// mildly coupled, so that its real Schur form has that many 2×2 blocks.
+func pairedG1(rng *rand.Rand, n int) *mat.Dense {
+	g := mat.NewDense(n, n)
+	for i := 0; i+1 < n; i += 2 {
+		re, im := -0.5-rng.Float64(), 0.5+rng.Float64()
+		g.Set(i, i, re)
+		g.Set(i+1, i+1, re)
+		g.Set(i, i+1, im)
+		g.Set(i+1, i, -im)
+	}
+	if n%2 == 1 {
+		g.Set(n-1, n-1, -1-rng.Float64())
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				g.Add(i, j, 0.1*(2*rng.Float64()-1))
+			}
+		}
+	}
+	return g
+}
+
+// pairedSystem is testSystem with G1 from pairedG1.
+func pairedSystem(rng *rand.Rand, n int, withD1 bool) *qldae.System {
+	sys := testSystem(rng, n, withD1)
+	sys.G1 = pairedG1(rng, n)
+	return sys
+}
+
+// requirePairs fails unless the real Schur form of g has a 2×2 block,
+// so that the complex-σ solves run their diagonalized 2×2 path.
+func requirePairs(t *testing.T, g *mat.Dense) {
+	t.Helper()
+	sc, err := schur.Decompose(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range sc.Blocks() {
+		if b[1] == 2 {
+			return
+		}
+	}
+	t.Fatalf("G1's real Schur form %v has no 2×2 block", sc.Blocks())
+}
+
 func cdiff(a, b []complex128) float64 {
 	d := make([]complex128, len(a))
 	for i := range a {
@@ -68,74 +115,19 @@ func cdiff(a, b []complex128) float64 {
 	return mat.CNorm2(d)
 }
 
-func TestGt2SolveComplexAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	n := 3
-	sys := testSystem(rng, n, true)
-	r, err := New(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gd := BuildGt2Dense(sys)
-	nn := n + n*n
-	tau := 0.2 + 1.4i
-	rhs := make([]complex128, nn)
-	for i := range rhs {
-		rhs[i] = complex(2*rng.Float64()-1, 2*rng.Float64()-1)
-	}
-	got, err := r.gt2.SolveShiftedC(tau, rhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Dense residual: (G̃2 − τI)·got − rhs.
-	res := make([]complex128, nn)
-	gd.Complex().MulVec(res, got)
-	for i := range res {
-		res[i] -= tau*got[i] + rhs[i]
-	}
-	if mat.CNorm2(res) > 1e-8 {
-		t.Fatalf("complex G̃2 residual %g", mat.CNorm2(res))
-	}
-}
-
-func TestSolveKronAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 3
-	sys := testSystem(rng, n, true)
-	r, err := New(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gd := BuildGt2Dense(sys)
-	big := kron.SumDense(sys.G1, gd) // G1 ⊕ G̃2
-	nn := big.R
-	sigma := 0.15 + 0.8i
-	v := make([]complex128, nn)
-	for i := range v {
-		v[i] = complex(2*rng.Float64()-1, 2*rng.Float64()-1)
-	}
-	got, err := r.SolveKronC(sigma, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shifted := big.Complex()
-	for i := 0; i < nn; i++ {
-		shifted.Set(i, i, shifted.At(i, i)-sigma)
-	}
-	want, err := lu.SolveC(shifted, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := cdiff(got, want); d > 1e-7*(1+mat.CNorm2(want)) {
-		t.Fatalf("G1⊕G̃2 solve differs from dense by %g", d)
-	}
-}
-
+// TestEvalAssocH2AgainstOracle: the random G1s of the first four trials
+// have 2×2 Schur blocks as drawn; the last one's has two, beside a 1×1
+// block.
 func TestEvalAssocH2AgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 4; trial++ {
-		n := 3 + rng.Intn(4)
-		sys := testSystem(rng, n, trial%2 == 0)
+	for trial := 0; trial < 5; trial++ {
+		var sys *qldae.System
+		if trial < 4 {
+			sys = testSystem(rng, 3+rng.Intn(4), trial%2 == 0)
+		} else {
+			sys = pairedSystem(rng, 5, true)
+		}
+		requirePairs(t, sys.G1)
 		r, err := New(sys)
 		if err != nil {
 			t.Fatal(err)
@@ -161,11 +153,18 @@ func TestEvalAssocH2AgainstOracle(t *testing.T) {
 	}
 }
 
+// TestEvalAssocH3AgainstOracle: as TestEvalAssocH2AgainstOracle, the
+// drawn G1s have 2×2 Schur blocks and the last trial's has two.
 func TestEvalAssocH3AgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 3; trial++ {
-		n := 3 + rng.Intn(3)
-		sys := testSystem(rng, n, true)
+	for trial := 0; trial < 4; trial++ {
+		var sys *qldae.System
+		if trial < 3 {
+			sys = testSystem(rng, 3+rng.Intn(3), true)
+		} else {
+			sys = pairedSystem(rng, 5, true)
+		}
+		requirePairs(t, sys.G1)
 		r, err := New(sys)
 		if err != nil {
 			t.Fatal(err)
@@ -249,44 +248,51 @@ func TestDiagonalKernelAgainstExpm(t *testing.T) {
 	}
 }
 
+// TestEvalAssocH3CubicAgainstOracle: the drawn n = 4 G1 has one 2×2
+// Schur block, the last one; the n = 5 G1 has two, beside a 1×1 block.
 func TestEvalAssocH3CubicAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	n := 4
-	g3b := sparse.NewBuilder(n, n*n*n)
-	for i := 0; i < 2*n; i++ {
-		g3b.Add(rng.Intn(n), rng.Intn(n*n*n), 0.3*(2*rng.Float64()-1))
-	}
-	sys := &qldae.System{
-		N:  n,
-		G1: mat.RandStable(rng, n, 0.4),
-		G3: g3b.Build(),
-		B:  mat.RandDense(rng, n, 1),
-		L:  mat.RandDense(rng, 1, n),
-	}
-	r, err := New(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s3, err := kron.NewSumSolver3(sys.G1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := volterra.NewOracle(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, err := o.AssocH3Cubic()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []complex128{0.8, 0.2 + 1.1i} {
-		got, err := r.EvalAssocH3Cubic(s3, s)
+	for _, tc := range []struct {
+		n  int
+		g1 func(*rand.Rand, int) *mat.Dense
+	}{
+		{4, func(rng *rand.Rand, n int) *mat.Dense { return mat.RandStable(rng, n, 0.4) }},
+		{5, pairedG1},
+	} {
+		n := tc.n
+		g3b := sparse.NewBuilder(n, n*n*n)
+		for i := 0; i < 2*n; i++ {
+			g3b.Add(rng.Intn(n), rng.Intn(n*n*n), 0.3*(2*rng.Float64()-1))
+		}
+		sys := &qldae.System{
+			N:  n,
+			G1: tc.g1(rng, n),
+			G3: g3b.Build(),
+			B:  mat.RandDense(rng, n, 1),
+			L:  mat.RandDense(rng, 1, n),
+		}
+		requirePairs(t, sys.G1)
+		r, err := New(sys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := pf.Eval(s)
-		if d := cdiff(got, want); d > 1e-7*(1+mat.CNorm2(want)) {
-			t.Fatalf("s=%v: cubic A3(H3) differs from oracle by %g", s, d)
+		o, err := volterra.NewOracle(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := o.AssocH3Cubic()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []complex128{0.8, 0.2 + 1.1i} {
+			got, err := r.EvalAssocH3Cubic(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := pf.Eval(s)
+			if d := cdiff(got, want); d > 1e-7*(1+mat.CNorm2(want)) {
+				t.Fatalf("n=%d s=%v: cubic A3(H3) differs from oracle by %g", n, s, d)
+			}
 		}
 	}
 }

@@ -154,12 +154,12 @@ func TestSolvePiDiagonalizes(t *testing.T) {
 		for i := range x1 {
 			x1[i] = -x1[i] // (sI−G1)⁻¹ = −(G1−sI)⁻¹
 		}
-		// Subsystem 2: Π·(sI−⊕²G1)⁻¹·b².
-		s2, err := r.Sum2()
-		if err != nil {
-			t.Fatal(err)
+		// Subsystem 2: Π·(sI−⊕²G1)⁻¹·b², through a dense LU of ⊕²G1 − sI.
+		k := kron.SumDense(sys.G1, sys.G1).Complex()
+		for d := 0; d < n*n; d++ {
+			k.Set(d, d, k.At(d, d)-s)
 		}
-		w, err := s2.SolveC(s, mat.ToComplex(b2))
+		w, err := lu.SolveC(k, mat.ToComplex(b2))
 		if err != nil {
 			t.Fatal(err)
 		}

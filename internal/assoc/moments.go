@@ -295,7 +295,6 @@ func (r *Realization) H3Moments(k3 int, s0 float64) ([][]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		k.sym = k.s3.Sym()
 		s2 := k.s3.Sum2()
 		q := s2.Schur().Q
 		qt := q.T()

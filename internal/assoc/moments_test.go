@@ -202,7 +202,7 @@ func TestH3MomentsCubicSpanTaylor(t *testing.T) {
 				t.Fatal(err)
 			}
 			coeffs := taylorCoeffs(func(s complex128) ([]complex128, error) {
-				return r.EvalAssocH3Cubic(s3, s)
+				return r.EvalAssocH3Cubic(s)
 			}, complex(tc.s0, 0), 0.05, k3, sys.N, t)
 			for k, c := range coeffs {
 				if res := inSpan(ms[:k+1], c); res > 1e-5 {

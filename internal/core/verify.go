@@ -119,7 +119,7 @@ func (r *ROM) H3Error(s complex128) (float64, error) {
 	}
 	eval := (*assoc.Realization).EvalAssocH3
 	if r.Full.G3 != nil {
-		eval = evalCubic
+		eval = (*assoc.Realization).EvalAssocH3Cubic
 	}
 	xf, err := eval(full, s)
 	if err != nil {
@@ -130,14 +130,4 @@ func (r *ROM) H3Error(s complex128) (float64, error) {
 		return 0, err
 	}
 	return r.relOutErr(xf, xr), nil
-}
-
-// evalCubic evaluates the cubic A3(H3) over the realization's own Schur
-// form of G1.
-func evalCubic(a *assoc.Realization, s complex128) ([]complex128, error) {
-	s2, err := a.Sum2()
-	if err != nil {
-		return nil, err
-	}
-	return a.EvalAssocH3Cubic(s2.Sum3(), s)
 }

@@ -8,10 +8,15 @@
 // the big operators: order 2 reduces to a quasi-triangular Sylvester
 // equation over one cached real Schur form A = Q·R·Qᵀ, and order 3 to a
 // Bartels–Stewart recurrence over R whose inner solves are order-2
-// quasi-triangular solves (complexified across 2×2 Schur blocks). The
-// order-3 recurrence runs in Schur coordinates, so a chain of resolvent
-// powers applies Q once at each end rather than once per power, and on
-// fully symmetric tensors (Sym3) it computes each distinct entry once.
+// quasi-triangular solves. The order-3 recurrence runs in Schur
+// coordinates, so a chain of resolvent powers applies Q once at each end
+// rather than once per power. Every tensor the reduction and its error
+// probes solve is fully symmetric, so they run Sym3, which computes each
+// distinct entry once: at a real σ for the moment chains (a 2×2 Schur
+// block complexified into one solve) and at a complex σ for the
+// transfer-function probes (a 2×2 block diagonalized into two). The
+// general real recurrence (SumSolver2.Solve, SumSolver3.Solve) serves
+// cmd/avtmorbench's solver probe.
 //
 // Conventions (column-stacking): vec(X)[j·rows+i] = X[i][j], so
 // (A⊗B)·vec(X) = vec(B·X·Aᵀ) and (x⊗y)[p·len(y)+q] = x[p]·y[q].
@@ -38,31 +43,6 @@ func Unvec(v []float64, rows, cols int) *mat.Dense {
 		panic("kron: Unvec length mismatch")
 	}
 	x := mat.NewDense(rows, cols)
-	for j := 0; j < cols; j++ {
-		for i := 0; i < rows; i++ {
-			x.Set(i, j, v[j*rows+i])
-		}
-	}
-	return x
-}
-
-// VecC and UnvecC are the complex counterparts.
-func VecC(x *mat.CDense) []complex128 {
-	v := make([]complex128, x.R*x.C)
-	for j := 0; j < x.C; j++ {
-		for i := 0; i < x.R; i++ {
-			v[j*x.R+i] = x.At(i, j)
-		}
-	}
-	return v
-}
-
-// UnvecC reshapes a column-stacked complex vector into rows×cols.
-func UnvecC(v []complex128, rows, cols int) *mat.CDense {
-	if len(v) != rows*cols {
-		panic("kron: UnvecC length mismatch")
-	}
-	x := mat.NewCDense(rows, cols)
 	for j := 0; j < cols; j++ {
 		for i := 0; i < rows; i++ {
 			x.Set(i, j, v[j*rows+i])

@@ -151,37 +151,6 @@ func TestSumSolver2AgainstDense(t *testing.T) {
 	}
 }
 
-func TestSumSolver2Complex(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(6)
-		a := mat.RandStable(rng, n, 0.3)
-		ss, err := NewSumSolver2(a)
-		if err != nil {
-			return false
-		}
-		v := make([]complex128, n*n)
-		for i := range v {
-			v[i] = complex(2*rng.Float64()-1, 2*rng.Float64()-1)
-		}
-		sigma := complex(0.3*rng.Float64(), 2*rng.Float64()-1)
-		z, err := ss.SolveC(sigma, v)
-		if err != nil {
-			return false
-		}
-		// Residual via dense operator.
-		big := SumDense(a, a).Complex()
-		r := make([]complex128, n*n)
-		big.MulVec(r, z)
-		mat.CAxpy(-sigma, z, r)
-		mat.CAxpy(-1, v, r)
-		return mat.CNorm2(r) < 1e-8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSumSolver3AgainstDense(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -256,73 +225,6 @@ func TestSumSolver3ComplexPairs(t *testing.T) {
 		if mat.NormInf(r) > 1e-7 {
 			t.Fatalf("trial %d residual %g", trial, mat.NormInf(r))
 		}
-	}
-}
-
-func TestSumSolver3SolveC(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	n := 4
-	a := rotationBlock(rng, n)
-	ss, err := NewSumSolver3(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := make([]complex128, n*n*n)
-	for i := range v {
-		v[i] = complex(2*rng.Float64()-1, 2*rng.Float64()-1)
-	}
-	sigma := 0.2 + 1.7i
-	z, err := ss.SolveC(sigma, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Residual with complex apply through the real operator.
-	zr, zi := mat.RealPart(z), mat.ImagPart(z)
-	rr := make([]float64, len(z))
-	ri := make([]float64, len(z))
-	SumApply3(a, rr, zr)
-	SumApply3(a, ri, zi)
-	r := make([]complex128, len(z))
-	for i := range r {
-		r[i] = complex(rr[i], ri[i]) - sigma*z[i] - v[i]
-	}
-	if mat.CNorm2(r) > 1e-7 {
-		t.Fatalf("residual %g", mat.CNorm2(r))
-	}
-}
-
-// TestSumSolver3SolveCAgainstDense checks the complex-shift recurrence
-// (2×2 blocks decoupled by diagonalization) against a dense LU of ⊕³A.
-func TestSumSolver3SolveCAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := rotationBlock(rng, 3)
-	ss, err := NewSumSolver3(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigma := 0.1 + 0.9i
-	v := make([]complex128, 27)
-	for i := range v {
-		v[i] = complex(2*rng.Float64()-1, 2*rng.Float64()-1)
-	}
-	got, err := ss.SolveC(sigma, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := SumDense(a, SumDense(a, a)).Complex()
-	for i := 0; i < 27; i++ {
-		big.Set(i, i, big.At(i, i)-sigma)
-	}
-	want, err := lu.SolveC(big, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := make([]complex128, 27)
-	for i := range d {
-		d[i] = got[i] - want[i]
-	}
-	if mat.CNorm2(d) > 1e-8*(1+mat.CNorm2(want)) {
-		t.Fatalf("complex ⊕³ recurrence differs from dense by %g", mat.CNorm2(d))
 	}
 }
 

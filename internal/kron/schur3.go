@@ -3,7 +3,6 @@ package kron
 import (
 	"context"
 	"math"
-	"math/cmplx"
 
 	"avtmor/internal/mat"
 	"avtmor/internal/sylv"
@@ -17,7 +16,7 @@ import (
 // coordinates once (ToSchur), runs every power on R alone (SolveSchur),
 // and maps back only what it reads: the whole vector (FromSchur) or
 // the entries a sparse coupling uses (assoc's gather). SumSolver3.Solve
-// and SolveC are that sequence for a single power.
+// is that sequence for a single power.
 
 // SumSolver3 solves (⊕³A − σI)·z = v. Viewing z = vec(X) with
 // X ∈ R^{n²×n}, the equation is (⊕²A)·X + X·Aᵀ − σ·X = V; in Schur
@@ -55,16 +54,6 @@ func (ss *SumSolver3) Solve(sigma float64, v []float64) ([]float64, error) {
 		return nil, err
 	}
 	return ss.s2.FromSchur(zt, 3), nil
-}
-
-// SolveC computes z with (⊕³A − σI)·z = v for complex σ, v.
-func (ss *SumSolver3) SolveC(sigma complex128, v []complex128) ([]complex128, error) {
-	ss.checkLen(len(v))
-	zt := ss.s2.ToSchurC(v, 3)
-	if err := ss.SolveSchurC(context.Background(), sigma, zt); err != nil {
-		return nil, err
-	}
-	return ss.s2.FromSchurC(zt, 3), nil
 }
 
 func (ss *SumSolver3) checkLen(l int) {
@@ -119,62 +108,6 @@ func (ss *SumSolver3) SolveSchur(ctx context.Context, sigma float64, zt []float6
 	return nil
 }
 
-// SolveSchurC is SolveSchur for complex σ and zt: a 2×2 block is
-// decoupled by diagonalizing its coupling instead of complexifying.
-func (ss *SumSolver3) SolveSchurC(ctx context.Context, sigma complex128, zt []complex128) error {
-	ss.checkLen(len(zt))
-	n, nn := ss.n, ss.n*ss.n
-	r := ss.s2.s.T
-	blks := ss.s2.s.Blocks()
-	solve := func(tau complex128, w []complex128) ([]complex128, error) {
-		x, err := sylv.TrSylvTC(r, r, -tau, &mat.CDense{R: n, C: n, A: w})
-		if err != nil {
-			return nil, err
-		}
-		return x.A, nil
-	}
-	for bi := len(blks) - 1; bi >= 0; bi-- {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		l0, ln := blks[bi][0], blks[bi][1]
-		cols := subtractSolvedC(r, zt, nn, l0, ln)
-		if ln == 1 {
-			x, err := solve(sigma-complex(r.At(l0, l0), 0), cols[0])
-			if err != nil {
-				return err
-			}
-			copy(cols[0], x)
-			continue
-		}
-		alpha := complex(r.At(l0, l0), 0)
-		beta := complex(r.At(l0, l0+1), 0)
-		gamma := complex(r.At(l0+1, l0), 0)
-		m := cmplx.Sqrt(beta * gamma)
-		w1 := make([]complex128, nn)
-		w2 := make([]complex128, nn)
-		for i, wp := range cols[0] {
-			wq := cols[1][i]
-			w1[i] = wp*gamma + wq*m
-			w2[i] = wp*gamma - wq*m
-		}
-		y1, err := solve(sigma-(alpha+m), w1)
-		if err != nil {
-			return err
-		}
-		y2, err := solve(sigma-(alpha-m), w2)
-		if err != nil {
-			return err
-		}
-		det := -2 * gamma * m
-		for i := range cols[0] {
-			cols[0][i] = (y1[i]*(-m) + y2[i]*(-m)) / det
-			cols[1][i] = (y1[i]*(-gamma) + y2[i]*gamma) / det
-		}
-	}
-	return nil
-}
-
 // subtractSolved returns the ln columns of block l0 of z (n columns of
 // length nn, stored contiguously) after subtracting the coupling
 // Σ_{k ≥ l0+ln} R[l,k]·x_k to the columns already solved. The columns
@@ -210,42 +143,12 @@ func subtractSolved(r *mat.Dense, z []float64, nn, l0, ln int) [][]float64 {
 	return cols
 }
 
-func subtractSolvedC(r *mat.Dense, z []complex128, nn, l0, ln int) [][]complex128 {
-	n := r.R
-	cols := make([][]complex128, ln)
-	for p := range cols {
-		w := z[(l0+p)*nn : (l0+p+1)*nn]
-		for k := l0 + ln; k < n; k++ {
-			rlk := r.At(l0+p, k)
-			if rlk == 0 {
-				continue
-			}
-			xk := z[k*nn : (k+1)*nn]
-			for i := range w {
-				w[i] -= complex(rlk, 0) * xk[i]
-			}
-		}
-		cols[p] = w
-	}
-	return cols
-}
-
 // ToSchur returns (Q⊗…⊗Q)ᵀ·v for a d-way tensor v of length nᵈ.
 func (ss *SumSolver2) ToSchur(v []float64, d int) []float64 { return kronPow(ss.qt, ss.s.Q, v, d) }
 
 // FromSchur returns (Q⊗…⊗Q)·zt for a d-way tensor zt of length nᵈ.
 func (ss *SumSolver2) FromSchur(zt []float64, d int) []float64 {
 	return kronPow(ss.s.Q, ss.qt, zt, d)
-}
-
-// ToSchurC is ToSchur for a complex tensor.
-func (ss *SumSolver2) ToSchurC(v []complex128, d int) []complex128 {
-	return kronPowC(ss.qt, ss.s.Q, v, d)
-}
-
-// FromSchurC is FromSchur for a complex tensor.
-func (ss *SumSolver2) FromSchurC(zt []complex128, d int) []complex128 {
-	return kronPowC(ss.s.Q, ss.qt, zt, d)
 }
 
 // kronPow returns (m⊗…⊗m)·t for a d-way tensor t of length nᵈ (mode 0
@@ -266,18 +169,6 @@ func kronPow(m, mt *mat.Dense, t []float64, d int) []float64 {
 		src = dst
 	}
 	return src
-}
-
-// kronPowC applies m^{⊗d} to a complex tensor through its real and
-// imaginary parts.
-func kronPowC(m, mt *mat.Dense, t []complex128, d int) []complex128 {
-	re := kronPow(m, mt, mat.RealPart(t), d)
-	im := kronPow(m, mt, mat.ImagPart(t), d)
-	out := make([]complex128, len(t))
-	for i := range out {
-		out[i] = complex(re[i], im[i])
-	}
-	return out
 }
 
 // modeChunk bounds the slab width of a mode product so that the n rows

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"avtmor/internal/circuits"
+	"avtmor/internal/lu"
 	"avtmor/internal/mat"
 )
 
@@ -84,6 +85,65 @@ func TestSym3MatchesSolveSchur(t *testing.T) {
 				checkFullySymmetric(t, got, n)
 			}
 		})
+	}
+}
+
+// TestSym3SolveSchurCAgainstDense checks the complex-σ symmetric solve
+// against a dense LU of ⊕³A − σI on fully symmetric complex right-hand
+// sides Σ c_k·x_k^{⊗3}. Every G1 has 2×2 Schur blocks, and n = 5 a 1×1
+// block beside them, so both block solves run.
+func TestSym3SolveSchurCAgainstDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{4, 5, 6} {
+		a := rotationBlock(rng, n)
+		ss, err := NewSumSolver3(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := 0
+		for _, b := range ss.Sum2().Schur().Blocks() {
+			if b[1] == 2 {
+				pairs++
+			}
+		}
+		if pairs != n/2 {
+			t.Fatalf("n = %d: %d 2×2 Schur blocks, want %d", n, pairs, n/2)
+		}
+		nnn := n * n * n
+		v := make([]complex128, nnn)
+		for k := 0; k < 3; k++ {
+			x := mat.RandVec(rng, n)
+			c := complex(2*rng.Float64()-1, 2*rng.Float64()-1)
+			for i, xi := range VecKron(VecKron(x, x), x) {
+				v[i] += c * complex(xi, 0)
+			}
+		}
+		sym := ss.Sym()
+		for _, sigma := range []complex128{0.3 + 1.1i, -0.2 + 0.4i, 2i} {
+			re := ss.Sum2().ToSchur(mat.RealPart(v), 3)
+			im := ss.Sum2().ToSchur(mat.ImagPart(v), 3)
+			if err := sym.SolveSchurC(context.Background(), sigma, re, im); err != nil {
+				t.Fatal(err)
+			}
+			checkFullySymmetric(t, re, n)
+			checkFullySymmetric(t, im, n)
+			gotRe, gotIm := ss.Sum2().FromSchur(re, 3), ss.Sum2().FromSchur(im, 3)
+			big := SumDense(a, SumDense(a, a)).Complex()
+			for i := 0; i < nnn; i++ {
+				big.Set(i, i, big.At(i, i)-sigma)
+			}
+			want, err := lu.SolveC(big, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := make([]complex128, nnn)
+			for i := range d {
+				d[i] = complex(gotRe[i], gotIm[i]) - want[i]
+			}
+			if rel := mat.CNorm2(d) / mat.CNorm2(want); rel > 1e-12 {
+				t.Fatalf("n = %d, σ = %v: complex symmetric solve differs from dense LU by %.3g relative", n, sigma, rel)
+			}
+		}
 	}
 }
 

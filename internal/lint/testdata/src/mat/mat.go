@@ -1,7 +1,7 @@
 // Package mat is a fixture stand-in for avtmor/internal/mat: it
 // mirrors the pooled-buffer API surface the wspool analyzer pairs up
-// (GetVec/PutVec, GetCVec/PutCVec, Workspace.Get/Put) without pulling
-// the real numerics package into analyzer fixtures.
+// (GetVec/PutVec, Workspace.Get/Put) without pulling the real numerics
+// package into analyzer fixtures.
 package mat
 
 // Workspace mimics the per-integration buffer arena.
@@ -18,9 +18,3 @@ func GetVec(n int) []float64 { return make([]float64, n) }
 
 // PutVec returns a vector obtained from GetVec.
 func PutVec(buf []float64) {}
-
-// GetCVec hands out a pooled complex vector.
-func GetCVec(n int) []complex128 { return make([]complex128, n) }
-
-// PutCVec returns a vector obtained from GetCVec.
-func PutCVec(buf []complex128) {}

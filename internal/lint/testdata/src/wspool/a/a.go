@@ -29,9 +29,9 @@ func fieldEscape(h *holder, n int) {
 }
 
 func implicitLeak(n int) {
-	z := mat.GetCVec(n)
-	z[0] = 1i
-} // want "return without PutCVec"
+	z := mat.GetVec(n)
+	z[0] = 1
+} // want "return without PutVec"
 
 // deferredPut is the sanctioned idiom: a deferred Put covers every
 // return path, including ones added later.

@@ -7,9 +7,9 @@ import (
 )
 
 // WsPool enforces workspace-pool hygiene around internal/mat's pooled
-// buffers: a slice obtained from mat.GetVec/mat.GetCVec (or a
-// Workspace's Get method) and bound to a local variable must be
-// released by the matching Put on every return path, and must not
+// buffers: a slice obtained from mat.GetVec (or a Workspace's Get
+// method) and bound to a local variable must be released by the
+// matching Put on every return path, and must not
 // escape the function (returned, sent, stored in a field, global, or
 // composite literal) — an escaped buffer aliases whatever the pool
 // hands out next after the Put.
@@ -30,9 +30,8 @@ var WsPool = &Analyzer{
 // wsPairs maps Get entry points to their required Put, for both the
 // package-level pool helpers and Workspace methods.
 var wsPairs = map[string]string{
-	"GetVec":  "PutVec",
-	"GetCVec": "PutCVec",
-	"Get":     "Put",
+	"GetVec": "PutVec",
+	"Get":    "Put",
 }
 
 func runWsPool(pass *Pass) error {
@@ -180,7 +179,7 @@ func wsGetName(pass *Pass, e ast.Expr) string {
 		return ""
 	}
 	switch fn.Name() {
-	case "GetVec", "GetCVec":
+	case "GetVec":
 		if isPkgFunc(fn, "mat", fn.Name()) {
 			return fn.Name()
 		}
@@ -204,7 +203,7 @@ func wsPutCall(pass *Pass, call *ast.CallExpr) (string, *ast.Ident) {
 		return "", nil
 	}
 	switch fn.Name() {
-	case "PutVec", "PutCVec":
+	case "PutVec":
 		if isPkgFunc(fn, "mat", fn.Name()) {
 			return fn.Name(), arg
 		}

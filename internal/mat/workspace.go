@@ -49,27 +49,3 @@ func GetVec(n int) []float64 { return shared.Get(n) }
 
 // PutVec returns a GetVec buffer to the shared pool.
 func PutVec(buf []float64) { shared.Put(buf) }
-
-// csharedPool mirrors the shared pool for complex scratch (the
-// verification-path evaluators).
-var cshared sync.Pool
-
-// GetCVec borrows a length-n complex scratch vector (undefined
-// contents) from the shared pool.
-func GetCVec(n int) []complex128 {
-	if v := cshared.Get(); v != nil {
-		if buf := *(v.(*[]complex128)); cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]complex128, n)
-}
-
-// PutCVec returns a GetCVec buffer to the shared pool.
-func PutCVec(buf []complex128) {
-	if cap(buf) == 0 {
-		return
-	}
-	buf = buf[:cap(buf)]
-	cshared.Put(&buf)
-}

@@ -128,17 +128,19 @@ func (s *System) Linear() bool {
 // a circuit model's, with a few nonzeros per row, are not, and keep the
 // indexed kernels bit for bit. The derived forms live only as long as
 // the run, which uses them from one goroutine (a packed coupling's
-// Eval writes scratch the Packed owns); the System stays a plain value
-// that copies freely, and the codecs never see them.
+// Eval writes scratch the Packed owns, and Eval writes tmp); the
+// System stays a plain value that copies freely, and the codecs never
+// see them.
 type Prepared struct {
 	*System
 	d1     []*sparse.CSR  // CSR form of D1[i]; nil where D1[i] is nil
 	g2, g3 *sparse.Packed // packed G2, G3; nil where absent or not packed
+	tmp    []float64      // Eval's scratch for an unpacked G3 and the D1 products
 }
 
 // Prepare derives s's integration-time forms.
 func (s *System) Prepare() *Prepared {
-	p := &Prepared{System: s, d1: csrBlocks(s.D1)}
+	p := &Prepared{System: s, d1: csrBlocks(s.D1), tmp: make([]float64, s.N)}
 	if s.G2 != nil {
 		p.g2 = s.G2.Pack(s.N, 2)
 	}
@@ -163,13 +165,13 @@ func csrBlocks(blocks []*mat.Dense) []*sparse.CSR {
 	return out
 }
 
-// Eval computes dst = RHS(x, u). Scratch comes from the shared
-// workspace pool, so the per-stage integrator loops (four Evals per RK4
-// step, one per Newton iteration) evaluate allocation-free. Each D1
-// product runs through the block's CSR form: by MulG1's argument it
-// has the bits of the dense product for finite x. A packed G2 or G3
-// sums its monomials in another order than the indexed kernel, so it
-// moves the result in its last bits.
+// Eval computes dst = RHS(x, u). Its scratch is p's own, so the
+// per-stage integrator loops (four Evals per RK4 step, one per Newton
+// iteration) evaluate allocation-free. Each D1 product runs through
+// the block's CSR form: by MulG1's argument it has the bits of the
+// dense product for finite x. A packed G2 or G3 sums its monomials in
+// another order than the indexed kernel, so it moves the result in its
+// last bits.
 func (p *Prepared) Eval(dst, x, u []float64) {
 	s := p.System
 	if len(x) != s.N || len(dst) != s.N || len(u) != s.Inputs() {
@@ -186,24 +188,15 @@ func (p *Prepared) Eval(dst, x, u []float64) {
 	case p.g3 != nil:
 		p.g3.AddApply(dst, 1, x)
 	case s.G3 != nil:
-		cube := mat.GetVec(s.N)
-		s.G3.CubeApply(cube, x)
-		mat.Axpy(1, cube, dst)
-		mat.PutVec(cube)
+		s.G3.CubeApply(p.tmp, x)
+		mat.Axpy(1, p.tmp, dst)
 	}
-	var tmp []float64
 	for i, d := range p.d1 {
 		if d == nil || u[i] == 0 {
 			continue
 		}
-		if tmp == nil {
-			tmp = mat.GetVec(s.N)
-		}
-		d.MulVecTo(tmp, x)
-		mat.Axpy(u[i], tmp, dst)
-	}
-	if tmp != nil {
-		mat.PutVec(tmp)
+		d.MulVecTo(p.tmp, x)
+		mat.Axpy(u[i], p.tmp, dst)
 	}
 	// Each dst[r] receives its input terms in ascending input order.
 	for r := range dst {

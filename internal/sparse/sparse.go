@@ -112,20 +112,6 @@ func (m *CSR) MulVec(dst, x []float64) {
 // mat.Dense.MulVecTo.
 func (m *CSR) MulVecTo(dst, x []float64) { m.MulVec(dst, x) }
 
-// MulVecC computes dst = M·x for complex x.
-func (m *CSR) MulVecC(dst, x []complex128) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic("sparse: MulVecC length mismatch")
-	}
-	for r := 0; r < m.Rows; r++ {
-		var s complex128
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			s += complex(m.Val[k], 0) * x[m.ColIdx[k]]
-		}
-		dst[r] = s
-	}
-}
-
 // AddMulVec computes dst += a·M·x.
 func (m *CSR) AddMulVec(dst []float64, a float64, x []float64) {
 	if len(x) != m.Cols || len(dst) != m.Rows {

@@ -72,28 +72,6 @@ func TestAddMulVec(t *testing.T) {
 	}
 }
 
-func TestMulVecC(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m := randCSR(rng, 5, 5, 12)
-	xr := mat.RandVec(rng, 5)
-	xi := mat.RandVec(rng, 5)
-	x := make([]complex128, 5)
-	for i := range x {
-		x[i] = complex(xr[i], xi[i])
-	}
-	got := make([]complex128, 5)
-	m.MulVecC(got, x)
-	wr := make([]float64, 5)
-	wi := make([]float64, 5)
-	m.MulVec(wr, xr)
-	m.MulVec(wi, xi)
-	for i := range got {
-		if math.Abs(real(got[i])-wr[i]) > 1e-13 || math.Abs(imag(got[i])-wi[i]) > 1e-13 {
-			t.Fatal("MulVecC wrong")
-		}
-	}
-}
-
 func TestFromDenseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	d := mat.RandDense(rng, 6, 8)

@@ -130,7 +130,10 @@ func (r *ROM) H1Error(in int, s complex128) (float64, error) {
 }
 
 // H2Error returns the relative output error of the associated A2(H2)
-// for input pair (i, j) at s.
+// for input pair (i, j) at s. Each side's ⊕²G1 block solves as the H2
+// moment chain's does, in the Schur coordinates of its G1 with the
+// symmetric Sylvester kernel, here at complex s: one solve of O(n³)
+// per side, with no n⁴ transform.
 func (r *ROM) H2Error(i, j int, s complex128) (float64, error) {
 	if r.rom.Full == nil {
 		return 0, errNoFull
@@ -139,7 +142,11 @@ func (r *ROM) H2Error(i, j int, s complex128) (float64, error) {
 }
 
 // H3Error returns the relative output error of the associated A3(H3)
-// at s (SISO systems).
+// at s (SISO systems). Each side solves one power of its H3 moment
+// chain at complex s: the symmetric ⊕³ recurrence in the Schur
+// coordinates of G1 (about n⁴/2 multiply-adds), read through G2's or
+// G3's nonzeros. On the §3 full models (n ≈ 100) a probe costs about
+// as much as the whole reduction, and it grows as n⁴.
 func (r *ROM) H3Error(s complex128) (float64, error) {
 	if r.rom.Full == nil {
 		return 0, errNoFull

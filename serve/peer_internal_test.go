@@ -245,6 +245,8 @@ func (n *fleetNode) received(method, path string) int {
 // carries the sender's newer epoch beside X-Avtmor-Forwarded, but its
 // body is the view itself. The receivers adopt it without counting an
 // epoch mismatch, and without fetching the view back from the sender.
+// Each answers with the epoch it applied, so the sender counts none
+// either.
 func TestMembershipPushNotesNoEpoch(t *testing.T) {
 	nodes := startFleet(t, 3)
 	seed := nodes[0].s.cluster.self
@@ -287,6 +289,9 @@ func TestMembershipPushNotesNoEpoch(t *testing.T) {
 		if got := n.received(http.MethodGet, "/v1/cluster/membership"); got != 0 {
 			t.Fatalf("%s served %d membership GETs; the push already carried the view", n.s.cluster.self, got)
 		}
+	}
+	if m := nodes[0].s.cluster.epochMismatches.Value(); m != 0 {
+		t.Fatalf("the sender counted %d epoch mismatches on the answers to its pushes", m)
 	}
 }
 

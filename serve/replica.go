@@ -204,9 +204,13 @@ func (s *Server) handlePutReplica(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleGetMembership is GET /v1/cluster/membership: the node's
-// current epoch-versioned view.
+// current epoch-versioned view. The epoch header is stamped again from
+// that view: withEpoch stamped it before handlePostMembership applied
+// a pushed view, and the pusher compares the answer's epoch with its
+// own.
 func (s *Server) handleGetMembership(w http.ResponseWriter, r *http.Request) {
 	ms, _ := s.cluster.state.View()
+	w.Header().Set(HeaderEpoch, strconv.FormatUint(ms.Epoch, 10))
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	replica.EncodeMembership(w, ms)
 }
