@@ -382,9 +382,9 @@ func BenchmarkReducerCachedN500(b *testing.B) {
 // k right-hand sides through one SolveBatch per iteration; k=1 is the
 // single-RHS baseline shape. Batching amortizes the triangular-factor
 // traversal (dense rows / sparse step metadata) across columns, and the
-// pooled workspaces make the steady state allocation-free — compare
-// allocs/op against the k-looped Solve path recorded pre-refactor in
-// BENCH_solver.json.
+// factorization's own scratch makes the steady state allocation-free —
+// compare allocs/op against the k-looped Solve path recorded
+// pre-refactor in BENCH_solver.json.
 
 func benchSolveBatch(b *testing.B, ls solver.LinearSolver) {
 	b.Helper()

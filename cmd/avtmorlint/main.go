@@ -1,6 +1,6 @@
-// Command avtmorlint is the project's invariant wall: it runs the five
-// analyzers of internal/lint (ctxflow, wspool, detrom, cappedread,
-// lockedfield) over the named packages, alongside the stock `go vet`
+// Command avtmorlint is the project's invariant wall: it runs the four
+// analyzers of internal/lint (ctxflow, detrom, cappedread, lockedfield)
+// over the named packages, alongside the stock `go vet`
 // passes, and exits nonzero on any finding. CI blocks on it; run it
 // locally with
 //
@@ -9,7 +9,7 @@
 // Determinism-scoped analyzers only run where their contract applies:
 // detrom on the packages that feed ROM bytes and cache keys (the module
 // root, core, assoc, qldae), cappedread on the wire tier (the module
-// root's romio/systemio and internal/wire). The other three run
+// root's romio/systemio and internal/wire). The other two run
 // everywhere. Packages under testdata are invisible to ./... wildcards
 // but can be named explicitly, which is how the CI smoke proves the
 // wall fails on seeded violations:

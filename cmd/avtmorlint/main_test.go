@@ -10,11 +10,11 @@ import (
 
 const seededPattern = "../../internal/lint/testdata/seeded/..."
 
-var allNames = []string{"ctxflow", "wspool", "detrom", "cappedread", "lockedfield"}
+var allNames = []string{"ctxflow", "detrom", "cappedread", "lockedfield"}
 
 // TestSeededViolations is the local twin of the CI smoke step: the
 // seeded testdata tree carries exactly one violation of every analyzer
-// class, so the wall must exit 1 and report all five tags.
+// class, so the wall must exit 1 and report all four tags.
 func TestSeededViolations(t *testing.T) {
 	var stdout, stderr strings.Builder
 	code := run([]string{"-novet", seededPattern}, &stdout, &stderr)
@@ -30,7 +30,7 @@ func TestSeededViolations(t *testing.T) {
 
 // TestSeededViolationsDisable proves each analyzer is load-bearing:
 // disabling it (and only it) makes its seeded finding disappear while
-// the other four still fire.
+// the other three still fire.
 func TestSeededViolationsDisable(t *testing.T) {
 	for _, name := range allNames {
 		t.Run(name, func(t *testing.T) {
@@ -64,7 +64,7 @@ func TestUnknownDisableRejected(t *testing.T) {
 // TestAnalyzerScopes pins where the package-scoped analyzers run: the
 // determinism contract covers the module root and the numerics spine,
 // the capped-read contract covers the root codecs and the wire tier,
-// and the other three run everywhere.
+// and the other two run everywhere.
 func TestAnalyzerScopes(t *testing.T) {
 	const mod = "avtmor"
 	cases := []struct {
@@ -72,13 +72,13 @@ func TestAnalyzerScopes(t *testing.T) {
 		want       []string
 	}{
 		{mod, allNames},
-		{mod + "/internal/core", []string{"ctxflow", "wspool", "detrom", "lockedfield"}},
-		{mod + "/internal/assoc", []string{"ctxflow", "wspool", "detrom", "lockedfield"}},
-		{mod + "/internal/qldae", []string{"ctxflow", "wspool", "detrom", "lockedfield"}},
-		{mod + "/internal/wire", []string{"ctxflow", "wspool", "cappedread", "lockedfield"}},
-		{mod + "/internal/promtext", []string{"ctxflow", "wspool", "cappedread", "lockedfield"}},
-		{mod + "/internal/ode", []string{"ctxflow", "wspool", "lockedfield"}},
-		{mod + "/serve", []string{"ctxflow", "wspool", "lockedfield"}},
+		{mod + "/internal/core", []string{"ctxflow", "detrom", "lockedfield"}},
+		{mod + "/internal/assoc", []string{"ctxflow", "detrom", "lockedfield"}},
+		{mod + "/internal/qldae", []string{"ctxflow", "detrom", "lockedfield"}},
+		{mod + "/internal/wire", []string{"ctxflow", "cappedread", "lockedfield"}},
+		{mod + "/internal/promtext", []string{"ctxflow", "cappedread", "lockedfield"}},
+		{mod + "/internal/ode", []string{"ctxflow", "lockedfield"}},
+		{mod + "/serve", []string{"ctxflow", "lockedfield"}},
 	}
 	for _, c := range cases {
 		got := analyzersFor(mod, c.importPath, nil)

@@ -17,7 +17,6 @@ import (
 // calls is allowed too.
 var testOnlyAllowed = map[string]string{
 	"kron.SumDense":               "kron.TestSym3SolveSchurCAgainstDense",
-	"lint.RunFixture":             "lint.TestFixtures",
 	"lu.(*Record).NNZ":            "ode.TestReplaySkipsWork",
 	"lu.Solve":                    "assoc.TestH2OpAgainstDense",
 	"lu.SolveC":                   "kron.TestSym3SolveSchurCAgainstDense",

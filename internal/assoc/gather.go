@@ -15,6 +15,10 @@ import (
 // trailing indices: the first mode costs nᵈ per distinct trailing
 // index (at most n^{d+1}), each further mode n^{d−j} per distinct
 // trailing j-tuple, against d·n^{d+1} for the full back-transform.
+//
+// A gather is built for one chain or one probe and applied by one
+// goroutine at a time: the recursion keeps its digit spans and partial
+// contractions in per-level buffers, grown on first use.
 type gather struct {
 	n, d, rows int
 	q          *mat.Dense
@@ -22,12 +26,20 @@ type gather struct {
 	// the trailing one, so columns sharing trailing indices are
 	// adjacent at every level of the contraction.
 	ents []gatherEnt
+	// spans[m-1] and next[m-1] are the level-m digit spans and partial
+	// contractions of walk. Every entry the recursion reads is written
+	// first, so stale contents from an earlier application never leak.
+	spans [][]gatherSpan
+	next  [][]float64
 }
 
 type gatherEnt struct {
 	col, row int
 	val      float64
 }
+
+// gatherSpan is a run ents[lo:hi] sharing one digit at a level.
+type gatherSpan struct{ digit, lo, hi int }
 
 // newGather prepares the contraction of g (rows × nᵈ) against the
 // orthogonal factor q (n×n).
@@ -55,7 +67,8 @@ func newGather(g *sparse.CSR, q *mat.Dense, d int) *gather {
 		return rev
 	}
 	sort.SliceStable(ents, func(a, b int) bool { return reversed(ents[a].col) < reversed(ents[b].col) })
-	return &gather{n: n, d: d, rows: g.Rows, q: q, ents: ents}
+	return &gather{n: n, d: d, rows: g.Rows, q: q, ents: ents,
+		spans: make([][]gatherSpan, d), next: make([][]float64, d)}
 }
 
 // apply sets dst[β·rows + r] = (G·(Q⊗…⊗Q)·x̃_β)[r] for every block
@@ -110,16 +123,16 @@ func (g *gather) walk(dst, t []float64, m, lo, hi int, sym bool) {
 		div *= g.n
 	}
 	digit := func(k int) int { return g.ents[k].col / div % g.n }
-	type span struct{ digit, lo, hi int }
-	var spans []span
+	spans := g.spans[m-1][:0]
 	for lo < hi {
 		end := lo + 1
 		for end < hi && digit(end) == digit(lo) {
 			end++
 		}
-		spans = append(spans, span{digit(lo), lo, end})
+		spans = append(spans, gatherSpan{digit(lo), lo, end})
 		lo = end
 	}
+	g.spans[m-1] = spans
 	n := g.n
 	size := len(t) / n
 	// The fibers to contract: all of them, or for a symmetric t the
@@ -132,7 +145,10 @@ func (g *gather) walk(dst, t []float64, m, lo, hi int, sym bool) {
 	// the partial contractions held at once stay near spanBuf entries
 	// however many distinct digits G uses.
 	group := min(len(spans), max(1, spanBuf/size))
-	next := make([]float64, group*size)
+	if len(g.next[m-1]) < group*size {
+		g.next[m-1] = make([]float64, group*size)
+	}
+	next := g.next[m-1]
 	for g0 := 0; g0 < len(spans); g0 += group {
 		grp := spans[g0:min(g0+group, len(spans))]
 		for i := 0; i < rows; i++ {

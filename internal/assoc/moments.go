@@ -80,7 +80,8 @@ type h2Op struct {
 	r   *Realization
 	s0  float64
 	s2  *kron.SumSolver2
-	g2  *gather // G2·(Q⊗Q); nil when G2 = 0
+	g2  *gather   // G2·(Q⊗Q); nil when G2 = 0
+	g2w []float64 // the gather's output for one column
 	f   solver.Factorization
 	err error // the first failure; later applications return zeros
 }
@@ -97,6 +98,7 @@ func (r *Realization) newH2Op(s0 float64) (*h2Op, error) {
 	op := &h2Op{r: r, s0: s0, s2: s2, f: f}
 	if r.Sys.G2 != nil {
 		op.g2 = newGather(r.Sys.G2, s2.Schur().Q, 2)
+		op.g2w = make([]float64, r.Sys.N)
 	}
 	return op, nil
 }
@@ -118,8 +120,6 @@ func (o *h2Op) apply(dst, src [][]float64) error {
 	}
 	n := o.r.Sys.N
 	tops := make([][]float64, len(dst))
-	g2w := mat.GetVec(n)
-	defer mat.PutVec(g2w)
 	for c, d := range dst {
 		copy(d, src[c])
 		w := d[n:]
@@ -127,8 +127,8 @@ func (o *h2Op) apply(dst, src [][]float64) error {
 			return err
 		}
 		if o.g2 != nil {
-			o.g2.apply(g2w, w)
-			mat.Axpy(-1, g2w, d[:n])
+			o.g2.apply(o.g2w, w)
+			mat.Axpy(-1, o.g2w, d[:n])
 		}
 		tops[c] = d[:n]
 	}
@@ -327,11 +327,10 @@ func (r *Realization) H3Moments(k3 int, s0 float64) ([][]float64, error) {
 	var d2 []float64
 	if sys.D1 != nil && sys.D1[0] != nil {
 		b := sys.B.Col(0)
-		d1b := mat.GetVec(n)
+		d1b := make([]float64, n)
 		sys.D1[0].MulVec(d1b, b)
 		d2 = make([]float64, n)
 		sys.D1[0].MulVec(d2, d1b)
-		mat.PutVec(d1b)
 	}
 	return r.h3MomentSums(f, ws, d2, k3)
 }

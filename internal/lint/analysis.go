@@ -1,10 +1,9 @@
-// Package lint is avtmor's project-specific static-analysis suite: five
+// Package lint is avtmor's project-specific static-analysis suite: four
 // analyzers that mechanically enforce invariants the design docs only
-// promise — cancellation threading (ctxflow), workspace pool hygiene
-// (wspool), bit-exact determinism (detrom), adversarial-length
-// allocation caps (cappedread), and mutex-guarded field access
-// (lockedfield). cmd/avtmorlint runs them as a multichecker beside the
-// stock vet passes; CI blocks on the result.
+// promise — cancellation threading (ctxflow), bit-exact determinism
+// (detrom), adversarial-length allocation caps (cappedread), and
+// mutex-guarded field access (lockedfield). cmd/avtmorlint runs them as
+// a multichecker beside the stock vet passes; CI blocks on the result.
 //
 // The analyzer surface deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic, testdata/src fixtures with `// want`
@@ -13,7 +12,7 @@
 // alone because the build must stay dependency-free: packages load
 // through go/build + go/parser, typecheck through go/types with the
 // source importer, and fixtures run under the analysistest-style driver
-// in linttest.go.
+// in fixtures_test.go.
 //
 // Findings are suppressed line by line with
 //
@@ -122,7 +121,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 
 // All returns the full analyzer suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{CtxFlow, WsPool, DetROM, CappedRead, LockedField}
+	return []*Analyzer{CtxFlow, DetROM, CappedRead, LockedField}
 }
 
 // exprString renders simple ident/selector chains ("rd", "s.pool.mu")
@@ -158,6 +157,13 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
+}
+
+// calleeIdent returns the identifier a call invokes directly (a
+// builtin, conversion, or package-local function), or nil.
+func calleeIdent(call *ast.CallExpr) *ast.Ident {
+	id, _ := ast.Unparen(call.Fun).(*ast.Ident)
+	return id
 }
 
 // isPkgFunc reports whether fn is the package-level function name in a

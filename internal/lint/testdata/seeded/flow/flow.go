@@ -1,17 +1,16 @@
 // Package flow seeds a ctxflow violation for the CI smoke test: the
 // lint wall must exit nonzero on this tree. Deliberately wrong — do
-// not fix.
+// not fix. It imports the real solver package, so it also exercises
+// the loader's module-internal import path.
 package flow
 
-import "context"
+import (
+	"context"
 
-type fac struct{}
+	"avtmor/internal/solver"
+)
 
-func (fac) Solve(rhs []float64) {}
-
-func (fac) SolveCtx(ctx context.Context, rhs []float64) error { return nil }
-
-// Drop holds a context but calls the context-free Solve anyway.
-func Drop(ctx context.Context, f fac) {
-	f.Solve(nil)
+// Drop holds a context but calls the context-free SolveBatch anyway.
+func Drop(ctx context.Context, f solver.Factorization, cols [][]float64) {
+	f.SolveBatch(cols)
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 
 	"avtmor/internal/mat"
 )
@@ -18,10 +19,15 @@ import (
 // matrix is not invertible).
 var ErrSingular = errors.New("lu: matrix is singular")
 
-// LU holds a factorization P·A = L·U of a real square matrix.
+// LU holds a factorization P·A = L·U of a real square matrix. Its
+// solves work in one scratch slice the factorization owns, so solves on
+// one LU take its lock in turn.
 type LU struct {
 	lu  *mat.Dense
 	piv []int // row i of lu came from row piv[i] of A
+
+	mu      sync.Mutex
+	scratch []float64 // guarded by mu; grown to the widest batch
 }
 
 // Factor computes the LU factorization of a. The input is not modified:
@@ -85,15 +91,16 @@ func factorInPlace(a *mat.Dense) (*LU, int, error) {
 func (f *LU) N() int { return f.lu.R }
 
 // Solve computes x with A x = b, writing into dst (dst may alias b).
-// The permuted working copy comes from the shared workspace pool, so
+// The permuted working copy is the factorization's scratch, so
 // steady-state chain iterations solve without allocating.
 func (f *LU) Solve(dst, b []float64) {
 	n := f.N()
 	if len(b) != n || len(dst) != n {
 		panic("lu: Solve length mismatch")
 	}
-	x := mat.GetVec(n)
-	defer mat.PutVec(x)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	x := grow(&f.scratch, n)
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
 	}
@@ -154,8 +161,9 @@ func (f *LU) solveBatch(ctx context.Context, cols [][]float64) error {
 		}
 	}
 	// Contiguous k×n scratch: column c lives at [c*n, (c+1)*n).
-	x := mat.GetVec(k * n)
-	defer mat.PutVec(x)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	x := grow(&f.scratch, k*n)
 	for c, col := range cols {
 		xc := x[c*n : (c+1)*n]
 		for i := 0; i < n; i++ {
@@ -227,6 +235,15 @@ func Solve(a *mat.Dense, b []float64) ([]float64, error) {
 	x := make([]float64, len(b))
 	f.Solve(x, b)
 	return x, nil
+}
+
+// grow returns (*buf)[:n] with undefined contents, replacing *buf by a
+// length-n slice when it is shorter.
+func grow(buf *[]float64, n int) []float64 {
+	if len(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	return (*buf)[:n]
 }
 
 func swapRows(m *mat.Dense, i, j int) {

@@ -3,6 +3,7 @@ package lu
 import (
 	"context"
 	"math"
+	"sync"
 
 	"avtmor/internal/mat"
 )
@@ -30,8 +31,10 @@ import (
 // factors fresh and records again.
 
 // Record is the structural record of one FactorInPlace run over a known
-// sparsity pattern. It is immutable once built and may serve any number
-// of Refactor calls, concurrently if their matrices differ.
+// sparsity pattern. Its structure is immutable once built and may serve
+// any number of Refactor calls, concurrently if their matrices differ.
+// The Refactored factorizations it yields share its solve scratch, so
+// their solves take its lock in turn.
 type Record struct {
 	n   int
 	piv []int // factor row i is row piv[i] of A
@@ -49,6 +52,9 @@ type Record struct {
 	// fill lists the cells r·n + c of S outside P, which Refactor zeroes
 	// before it eliminates.
 	fill []int
+
+	mu      sync.Mutex
+	scratch []float64 // guarded by mu; grown to the widest batch
 }
 
 // NewRecord records the factorization f, which FactorInPlace computed
@@ -244,8 +250,10 @@ func (f *Refactored) Solve(dst, b []float64) {
 	if len(b) != f.N() || len(dst) != f.N() {
 		panic("lu: Solve length mismatch")
 	}
-	x := mat.GetVec(f.N())
-	defer mat.PutVec(x)
+	rec := f.rec
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	x := grow(&rec.scratch, f.N())
 	_ = f.sweep(nil, x, b) // a nil ctx never aborts
 	copy(dst, x)
 }
@@ -272,8 +280,10 @@ func (f *Refactored) solveBatch(ctx context.Context, cols [][]float64) error {
 			panic("lu: SolveBatch length mismatch")
 		}
 	}
-	x := mat.GetVec(len(cols) * n)
-	defer mat.PutVec(x)
+	rec := f.rec
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	x := grow(&rec.scratch, len(cols)*n)
 	for c, col := range cols {
 		if err := f.sweep(ctx, x[c*n:(c+1)*n], col); err != nil {
 			return err

@@ -1,6 +1,7 @@
 package lu
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -116,6 +117,28 @@ func sameSolves(t *testing.T, rng *rand.Rand, got *Refactored, fresh *LU) {
 	if got.MinAbsPivot() != fresh.MinAbsPivot() {
 		t.Fatalf("MinAbsPivot: replay %v, FactorInPlace %v", got.MinAbsPivot(), fresh.MinAbsPivot())
 	}
+	for _, f := range []solver{got, fresh} {
+		if solve, batch := warmAllocs(f, n); solve != 0 || batch != 0 {
+			t.Fatalf("%T: a warm Solve allocates %v times, a warm SolveBatchCtx %v; want 0", f, solve, batch)
+		}
+	}
+}
+
+// solver is the solve surface LU and Refactored share.
+type solver interface {
+	Solve(dst, b []float64)
+	SolveBatchCtx(ctx context.Context, cols [][]float64) error
+}
+
+// warmAllocs reports the allocations of a warm Solve and a warm
+// three-column SolveBatchCtx through f, which work in scratch the
+// factorization owns.
+func warmAllocs(f solver, n int) (solve, batch float64) {
+	b, dst := make([]float64, n), make([]float64, n)
+	cols := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
+	solve = testing.AllocsPerRun(5, func() { f.Solve(dst, b) })
+	batch = testing.AllocsPerRun(5, func() { _ = f.SolveBatchCtx(context.Background(), cols) })
+	return solve, batch
 }
 
 // TestRefactorMatchesFactorInPlace records random sparse patterns and

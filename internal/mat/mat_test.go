@@ -377,3 +377,19 @@ func TestMulVecRowGroupsMatchRowSums(t *testing.T) {
 		}
 	}
 }
+
+// TestMulVecToMatchesMulVec: MulVecTo is MulVec by another name.
+func TestMulVecToMatchesMulVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	m := RandDense(rng, 23, 17)
+	x := RandVec(rng, 17)
+	want := make([]float64, 23)
+	m.MulVec(want, x)
+	one := make([]float64, 23)
+	m.MulVecTo(one, x)
+	for i := range one {
+		if one[i] != want[i] {
+			t.Fatal("MulVecTo diverged from MulVec")
+		}
+	}
+}

@@ -21,29 +21,18 @@ import (
 // Input is a scalar-per-channel input signal u(t).
 type Input func(t float64) []float64
 
-// workspace is the per-integrator scratch set: the stage, residual, and
-// Newton vectors every step reuses, borrowed from the shared pool for
-// the lifetime of one integration and returned on exit. Combined with
-// the allocation-free System.Eval and the pooled solver substitutions,
-// it keeps the inner stepping loops of all three integrators from
-// allocating per step.
-type workspace struct{ bufs [][]float64 }
-
-// vec borrows a length-n scratch vector for the integration. The
-// buffer deliberately outlives this function: the workspace tracks it
-// until release() hands it back to the pool.
-func (w *workspace) vec(n int) []float64 {
-	b := mat.GetVec(n)
-	w.bufs = append(w.bufs, b) //avtmorlint:ignore wspool the workspace owns b until release() returns it to the pool
-	return b                   //avtmorlint:ignore wspool callers borrow through the workspace, which releases on integrator exit
-}
-
-// release returns every borrowed vector to the pool.
-func (w *workspace) release() {
-	for _, b := range w.bufs {
-		mat.PutVec(b)
+// vecs carves k length-n vectors out of one allocation: the stage,
+// residual, and Newton vectors every step of one integration reuses.
+// Combined with the allocation-free System.Eval and the solvers' own
+// scratch, it keeps the inner stepping loops of all three integrators
+// from allocating per step.
+func vecs(k, n int) [][]float64 {
+	buf := make([]float64, k*n)
+	v := make([][]float64, k)
+	for i := range v {
+		v[i] = buf[i*n : (i+1)*n : (i+1)*n]
 	}
-	w.bufs = nil
+	return v
 }
 
 // Result is a recorded trajectory.
@@ -103,13 +92,8 @@ func RK4Ctx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tEnd 
 	res.T = append(res.T, 0)
 	res.Y = append(res.Y, sys.Output(x))
 	f := sys.Prepare()
-	ws := &workspace{}
-	defer ws.release()
-	k1 := ws.vec(n)
-	k2 := ws.vec(n)
-	k3 := ws.vec(n)
-	k4 := ws.vec(n)
-	xs := ws.vec(n)
+	ws := vecs(5, n)
+	k1, k2, k3, k4, xs := ws[0], ws[1], ws[2], ws[3], ws[4]
 	for s := 0; s < nSteps; s++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -167,13 +151,8 @@ func Dopri5Ctx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tE
 	res.T = append(res.T, 0)
 	res.Y = append(res.Y, sys.Output(x))
 	f := sys.Prepare()
-	ws := &workspace{}
-	defer ws.release()
-	k := make([][]float64, 7)
-	for i := range k {
-		k[i] = ws.vec(n)
-	}
-	xs := ws.vec(n)
+	ws := vecs(8, n)
+	k, xs := ws[:7], ws[7]
 	t := 0.0
 	h := tEnd / 100
 	hMin := tEnd * 1e-12
@@ -369,16 +348,12 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 	x := mat.CopyVec(x0)
 	res.T = append(res.T, 0)
 	res.Y = append(res.Y, sys.Output(x))
-	ws := &workspace{}
-	defer ws.release()
-	f0 := ws.vec(n)
-	f1 := ws.vec(n)
-	g := ws.vec(n)
-	xn := ws.vec(n)
+	ws := vecs(4, n)
+	f0, f1, g, xn := ws[0], ws[1], ws[2], ws[3]
 	// The Newton correction solves through the factorization's batch
 	// path with a persistent one-column block (g solved in place), so a
-	// stiff run's thousands of Newton iterations share one workspace
-	// instead of allocating per solve.
+	// stiff run's thousands of Newton iterations reuse these vectors
+	// and the factorizations' scratch instead of allocating per solve.
 	newton := [][]float64{g}
 	const maxNewton = 25
 	for s := 0; s < nSteps; s++ {

@@ -231,17 +231,11 @@ func doubleShiftSweep(h, q *mat.Dense, lo, hi int, exceptional bool) {
 	z := h.At(lo+1, lo) * h.At(lo+2, lo+1)
 
 	for k := lo; k <= hi-2; k++ {
-		vec := []float64{x, y, z}
-		if k == hi-2 {
-			// Final reflector is 2-dimensional only when the bulge
-			// reaches the bottom; handled below by the trailing Givens.
-			vec = []float64{x, y, z}
-		}
-		v, ok := householder3(vec)
-		if ok {
-			reflectRows(h, v, k, max(k-1, 0))
-			reflectCols(h, v, k, min(k+3, hi)+1)
-			reflectCols(q, v, k, q.R)
+		v := [3]float64{x, y, z}
+		if householder(v[:]) {
+			reflectRows(h, v[:], k, max(k-1, 0))
+			reflectCols(h, v[:], k, min(k+3, hi)+1)
+			reflectCols(q, v[:], k, q.R)
 		}
 		if k < hi-2 {
 			x = h.At(k+1, k)
@@ -254,12 +248,10 @@ func doubleShiftSweep(h, q *mat.Dense, lo, hi int, exceptional bool) {
 		}
 	}
 	// Trailing 2-vector reflector to restore Hessenberg form at the bottom.
-	x = h.At(hi-1, hi-2)
-	y = h.At(hi, hi-2)
-	if v, ok := householder2([]float64{x, y}); ok {
-		reflectRows(h, v, hi-1, hi-2)
-		reflectCols(h, v, hi-1, hi+1)
-		reflectCols(q, v, hi-1, q.R)
+	if v := [2]float64{h.At(hi-1, hi-2), h.At(hi, hi-2)}; householder(v[:]) {
+		reflectRows(h, v[:], hi-1, hi-2)
+		reflectCols(h, v[:], hi-1, hi+1)
+		reflectCols(q, v[:], hi-1, q.R)
 	}
 	// Clean below-bulge entries that should be exactly zero.
 	for i := lo + 2; i <= hi; i++ {
@@ -269,27 +261,25 @@ func doubleShiftSweep(h, q *mat.Dense, lo, hi int, exceptional bool) {
 	}
 }
 
-// householder3 builds a unit reflector vector for a 3-vector (len may be 3
-// with trailing zeros). Returns ok=false when the input is already e1-like.
-func householder3(x []float64) ([]float64, bool) {
+// householder overwrites the 2- or 3-vector x with the unit vector of
+// the reflector that maps x onto a multiple of e1. It returns false when
+// there is no reflector to apply (x is zero); x is then unusable.
+func householder(x []float64) bool {
 	alpha := mat.Norm2(x)
 	if alpha == 0 {
-		return nil, false
+		return false
 	}
 	if x[0] > 0 {
 		alpha = -alpha
 	}
-	v := mat.CopyVec(x)
-	v[0] -= alpha
-	vn := mat.Norm2(v)
+	x[0] -= alpha
+	vn := mat.Norm2(x)
 	if vn == 0 {
-		return nil, false
+		return false
 	}
-	mat.ScaleVec(1/vn, v)
-	return v, true
+	mat.ScaleVec(1/vn, x)
+	return true
 }
-
-func householder2(x []float64) ([]float64, bool) { return householder3(x) }
 
 // standardize2x2 rotates the 2×2 diagonal block at rows/cols p, p+1 into
 // standard form: either upper triangular (real eigenvalues) or

@@ -71,7 +71,7 @@ func refSweep(h, q *mat.Dense, lo, hi int, exceptional bool) {
 	y := h.At(lo+1, lo) * (h.At(lo, lo) + h.At(lo+1, lo+1) - s)
 	z := h.At(lo+1, lo) * h.At(lo+2, lo+1)
 	for k := lo; k <= hi-2; k++ {
-		if v, ok := householder3([]float64{x, y, z}); ok {
+		if v := []float64{x, y, z}; householder(v) {
 			refReflectRows(h, v, k)
 			refReflectCols(h, v, k)
 			refReflectCols(q, v, k)
@@ -86,7 +86,7 @@ func refSweep(h, q *mat.Dense, lo, hi int, exceptional bool) {
 			}
 		}
 	}
-	if v, ok := householder2([]float64{h.At(hi-1, hi-2), h.At(hi, hi-2)}); ok {
+	if v := []float64{h.At(hi-1, hi-2), h.At(hi, hi-2)}; householder(v) {
 		refReflectRows(h, v, hi-1)
 		refReflectCols(h, v, hi-1)
 		refReflectCols(q, v, hi-1)

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -85,6 +86,15 @@ func TestSolveBatchBitExact(t *testing.T) {
 					}
 				}
 			}
+			// Warm solves work in the factorization's own scratch.
+			b, dst := mat.RandVec(rng, n), make([]float64, n)
+			cols := [][]float64{mat.RandVec(rng, n), mat.RandVec(rng, n), mat.RandVec(rng, n)}
+			solve := testing.AllocsPerRun(5, func() { f.Solve(dst, b) })
+			batch := testing.AllocsPerRun(5, func() { _ = f.SolveBatchCtx(context.Background(), cols) })
+			if solve != 0 || batch != 0 {
+				t.Fatalf("%s/%s: a warm Solve allocates %v times, a warm SolveBatchCtx %v; want 0",
+					caseName, beName, solve, batch)
+			}
 		}
 	}
 }
@@ -167,21 +177,38 @@ func TestSolveBatchCtxAbort(t *testing.T) {
 // same shift (run with -race: this is the WithParallel race that used
 // to be able to double-factor a sigma) and asserts the pencil was
 // factored exactly once, with every other request counted as a hit.
+// Each worker then solves its own batch on the shared factorization,
+// whose scratch the solves take in turn, and must get the bits of a
+// serial solve.
 func TestShiftedCacheSingleflight(t *testing.T) {
 	a := rlcLineCSR(200)
+	n := a.Rows
+	rng := rand.New(rand.NewSource(59))
+	const workers = 16
+	rhs := make([][][]float64, workers)
+	for w := range rhs {
+		rhs[w] = [][]float64{mat.RandVec(rng, n), mat.RandVec(rng, n), mat.RandVec(rng, n)}
+	}
 	for _, ls := range []LinearSolver{Dense{}, Sparse{}} {
 		sc := NewShiftedCache(Operand(a.Dense(), a), nil, ls)
-		const workers = 16
 		var wg sync.WaitGroup
 		facts := make([]Factorization, workers)
 		errs := make([]error, workers)
+		sols := make([][][]float64, workers)
 		start := make(chan struct{})
 		for w := 0; w < workers; w++ {
+			sols[w] = make([][]float64, len(rhs[w]))
+			for c, b := range rhs[w] {
+				sols[w][c] = mat.CopyVec(b)
+			}
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
 				<-start
 				facts[w], errs[w] = sc.FactorCtx(context.Background(), -0.5)
+				if errs[w] == nil {
+					errs[w] = facts[w].SolveBatchCtx(context.Background(), sols[w])
+				}
 			}(w)
 		}
 		close(start)
@@ -192,6 +219,22 @@ func TestShiftedCacheSingleflight(t *testing.T) {
 			}
 			if facts[w] != facts[0] {
 				t.Fatalf("%s: worker %d got a different factorization instance", ls.Name(), w)
+			}
+		}
+		serial, err := ls.FactorCtx(context.Background(), sc.shifted(-0.5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < workers; w++ {
+			for c, b := range rhs[w] {
+				want := make([]float64, n)
+				serial.Solve(want, b)
+				for i := range want {
+					if math.Float64bits(sols[w][c][i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: worker %d col %d row %d: concurrent %v, serial %v",
+							ls.Name(), w, c, i, sols[w][c][i], want[i])
+					}
+				}
 			}
 		}
 		st := sc.Stats()

@@ -33,8 +33,8 @@ var ErrSingular = errors.New("solver: matrix is singular")
 
 // Factorization is a ready-to-reuse triangular factorization of a square
 // matrix A: the factor step is paid once, back-solves are cheap. A
-// Factorization is safe for concurrent solves (scratch comes from a
-// shared pool, never from factorization state).
+// Factorization owns the scratch its solves work in, so it is safe for
+// concurrent solves, which take its lock in turn.
 type Factorization interface {
 	// Solve computes x with A·x = b, writing into dst (dst may alias b).
 	Solve(dst, b []float64)

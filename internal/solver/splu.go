@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
-	"avtmor/internal/mat"
 	"avtmor/internal/sparse"
 )
 
@@ -30,7 +30,9 @@ const defaultPivotTol = 0.1
 // indices and values, diagonal in d). Flat slabs instead of per-column
 // slices keep the factor build to O(log nnz) allocations — append-grown
 // in step order, each column finalized before the next begins — and
-// give the solves one contiguous metadata stream to traverse.
+// give the solves one contiguous metadata stream to traverse. The
+// solves work in one scratch slice the factorization owns, so solves on
+// one spLU take its lock in turn.
 type spLU struct {
 	n       int
 	colperm []int // factored column k ↔ original column colperm[k]
@@ -42,6 +44,21 @@ type spLU struct {
 	uidx    []int32
 	uval    []float64
 	d       []float64
+
+	mu sync.Mutex
+	// scratch holds a batch's residuals in its first half and its
+	// step-ordered solutions in the second.
+	scratch []float64 // guarded by mu; grown to the widest batch
+}
+
+// halves returns two length-m halves of f's scratch with undefined
+// contents, growing the scratch when it is shorter than 2m. Caller
+// holds f.mu.
+func (f *spLU) halves(m int) (res, z []float64) {
+	if len(f.scratch) < 2*m {
+		f.scratch = make([]float64, 2*m)
+	}
+	return f.scratch[:m], f.scratch[m : 2*m]
 }
 
 // ctxCheckStride is how many factored columns pass between ctx polls:
@@ -283,19 +300,18 @@ func toCSC(a *sparse.CSR, withSrc bool) (colPtr, rowIdx []int, vals []float64, s
 	return colPtr, rowIdx, vals, src
 }
 
-// Solve computes x with A·x = b (dst may alias b). Scratch comes from
-// the shared workspace pool, so chain iterations solve allocation-free.
+// Solve computes x with A·x = b (dst may alias b). It works in the
+// factorization's scratch, so chain iterations solve allocation-free.
 func (f *spLU) Solve(dst, b []float64) {
 	n := f.n
 	if len(b) != n || len(dst) != n {
 		panic("solver: sparse Solve length mismatch")
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	// Forward: L·z = b over steps, consuming the residual in row space.
-	res := mat.GetVec(n)
-	defer mat.PutVec(res)
+	res, z := f.halves(n)
 	copy(res, b)
-	z := mat.GetVec(n)
-	defer mat.PutVec(z)
 	for k := 0; k < n; k++ {
 		zk := res[f.prow[k]]
 		z[k] = zk
@@ -351,10 +367,9 @@ func (f *spLU) solveBatch(ctx context.Context, cols [][]float64) error {
 			panic("solver: sparse SolveBatch length mismatch")
 		}
 	}
-	res := mat.GetVec(k * n)
-	defer mat.PutVec(res)
-	z := mat.GetVec(k * n)
-	defer mat.PutVec(z)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	res, z := f.halves(k * n)
 	for c, col := range cols {
 		copy(res[c*n:(c+1)*n], col)
 	}

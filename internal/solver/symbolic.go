@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"avtmor/internal/mat"
 	"avtmor/internal/sparse"
 )
 
@@ -113,6 +112,9 @@ func (s *symbolicLU) Refactor(ctx context.Context, a *sparse.CSR) (f *spLU, ok b
 		return nil, false, err
 	}
 	n := s.n
+	// The step scratch is the first half of the new factorization's
+	// solve scratch, sized for a one-column solve.
+	scratch := make([]float64, 2*n)
 	f = &spLU{
 		n:       n,
 		colperm: s.colperm,
@@ -124,6 +126,7 @@ func (s *symbolicLU) Refactor(ctx context.Context, a *sparse.CSR) (f *spLU, ok b
 		lval:    make([]float64, len(s.lidx)),
 		uval:    make([]float64, len(s.uidx)),
 		d:       make([]float64, n),
+		scratch: scratch,
 	}
 	scale := 0.0
 	for _, v := range a.Val {
@@ -131,8 +134,7 @@ func (s *symbolicLU) Refactor(ctx context.Context, a *sparse.CSR) (f *spLU, ok b
 			scale = av
 		}
 	}
-	x := mat.GetVec(n)
-	defer mat.PutVec(x)
+	x := scratch[:n]
 	for k := 0; k < n; k++ {
 		if k%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
