@@ -437,6 +437,22 @@ func BenchmarkReduceBlocked(b *testing.B) {
 	}
 }
 
+// BenchmarkReduceTwoPortLine800 reduces the golden two-port-line-800
+// request: a 1,599-state two-port RLC line, K1 = 6 about 0, 0.4 and
+// 0.9. Its moments decay along the line past the basis cut
+// (internal/qr), which keeps their underflowing tails out of MGS, the
+// projection and the ROM.
+func BenchmarkReduceTwoPortLine800(b *testing.B) {
+	sys, opts := avtmor.GoldenRequest(b, "two-port-line-800")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := avtmor.Reduce(context.Background(), sys, opts...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSolverKronSum3N102(b *testing.B) {
 	w := circuits.Varistor()
 	ss, err := kron.NewSumSolver3(w.Sys.G1)

@@ -6,11 +6,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"avtmor/internal/mat"
 )
 
 // goldenCase is one request of the golden artifact set.
@@ -24,10 +27,10 @@ type goldenCase struct {
 // goldenCases is the golden artifact set: the §3 testbenches at
 // internal/exper's orders, §3.2 and §3.3 through ReduceNORM too, a
 // sparse multipoint RLC line, the netlist diode ladder, a two-port
-// RLC line whose far-port products underflow — the one member whose
-// projection the subnormal flush changes — and a chain with both a
-// quadratic and a cubic term, whose quadratic and cubic H3 chains share
-// one Schur form of G1.
+// RLC line whose far-port moments decay past the basis cut
+// (internal/qr) — it and the RLC line are the members whose bases the
+// cut changes — and a chain with both a quadratic and a cubic term,
+// whose quadratic and cubic H3 chains share one Schur form of G1.
 func goldenCases(t testing.TB) []goldenCase {
 	s31, s32, s33, s34 := NTLVoltage(50), NTLCurrent(70), RFReceiver(), Varistor()
 	return []goldenCase{
@@ -41,6 +44,49 @@ func goldenCases(t testing.TB) []goldenCase {
 		{"netlist-ladder", diodeLadder(t), false, []Option{WithOrders(4, 2, 0), WithExpansion(0.4)}},
 		{"two-port-line-800", twoPortLine(t, 800), false, []Option{WithOrders(6, 0, 0), WithExpansion(0, 0.4, 0.9)}},
 		{"mixed-quad-cubic", mixedChain(t), false, []Option{WithOrders(4, 2, 2), WithExpansion(0.5)}},
+	}
+}
+
+// GoldenRequest returns the system and options of the named golden
+// case, so that the benchmarks of package avtmor_test reduce exactly a
+// golden request.
+func GoldenRequest(tb testing.TB, name string) (*System, []Option) {
+	tb.Helper()
+	for _, c := range goldenCases(tb) {
+		if c.name == name {
+			return c.sys, c.opts
+		}
+	}
+	tb.Fatalf("no golden case %q", name)
+	return nil, nil
+}
+
+// TestTwoPortLineBasisCut: the two-port line's far-port moments decay
+// along it over far more than 2^200, and every column of its ROM's V
+// holds only zeros and entries within 2^200 of the column's largest
+// |entry|, so no product of up to five basis entries leaves the normal
+// range.
+func TestTwoPortLineBasisCut(t *testing.T) {
+	sys, opts := GoldenRequest(t, "two-port-line-800")
+	rom, err := Reduce(context.Background(), sys, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := rom.rom.V
+	zeros := 0
+	for j := 0; j < v.C; j++ {
+		col := v.Col(j)
+		big := mat.NormInf(col)
+		for i, x := range col {
+			if x == 0 {
+				zeros++
+			} else if math.Abs(x) < math.Ldexp(big, -200) {
+				t.Fatalf("V[%d, %d] = %g, below 2^−200 of its column's largest %g", i, j, x, big)
+			}
+		}
+	}
+	if zeros == 0 {
+		t.Fatalf("V (%d×%d) holds no zeros: the line's moments no longer reach the cut", v.R, v.C)
 	}
 }
 
@@ -202,21 +248,21 @@ func TestROMBytesDeterministicAfterEviction(t *testing.T) {
 }
 
 // goldenEpoch is the artifactEpoch at which goldenDigests was recorded.
-const goldenEpoch = 2
+const goldenEpoch = 3
 
 // goldenDigests is the SHA-256 of each golden artifact, recorded on
 // linux/amd64.
 var goldenDigests = map[string]string{
 	"mixed-quad-cubic":  "3b4d8dc8af6ee7789e129d96de299526e075ea0c9293aff4efcc87454e7f215a",
 	"netlist-ladder":    "4b7f923e72c1e05a8c846a4b4010534017a7b603e158b11f4659fbe610da9ba5",
-	"rlc-line-256":      "53256ba03c8c633bf87a16b36cd77a0eaa020cd5d07be1ca575b775ad2d6c9ca",
+	"rlc-line-256":      "cdb8635e102260936fbd6cdf59b8583381a1fe0be9bcd397fc07a5b9a1503e07",
 	"s31":               "6c5026dfd294575f79a0030bb13394f8e438209c6c64b64bb25f679b4059f64a",
 	"s32":               "4df96ed3860bbd0e4390d76ba6663c65b22f861a1c5823eaa013c5a4ee8e90d2",
 	"s32-norm":          "8d703dc777cfb2613b7a337af4c18c1774af4307c2689959bf82c912aaa1ec6b",
 	"s33":               "7186597311fe97421331a4fc37698d57c2d461611c5d03c88ab2f3148ecd5438",
 	"s33-norm":          "c3fbaf71a1a775f51e62130ffc7a8f34f27a3a444ddddf0a13f41ba07009d1c2",
 	"s34":               "567daebe732038f09df2b7efb1b50a4f75a392ff5327477cd54fb69933c2afa9",
-	"two-port-line-800": "f5f673131d1dbbfaa97551c13bf49d04fe83a4ee2c2fa7a0b32c3dce70435ed9",
+	"two-port-line-800": "9a7a34a47fc39fdab2495e6387c8679abeb9b7e65aa77fbab1995349759edea3",
 }
 
 // TestArtifactEpochGolden ties artifact bytes to artifactEpoch: a digest

@@ -121,26 +121,27 @@ func (s *System) Linear() bool {
 }
 
 // Prepared is a System readied for the many evaluations of one
-// integration run: it carries the CSR form of every D1 block and the
-// packed symmetric form (sparse.Packed) of each dense enough G2 or G3,
-// derived once here rather than per evaluation. A ROM's projected
-// couplings store every monomial in every index order and are packed;
-// a circuit model's, with a few nonzeros per row, are not, and keep the
-// indexed kernels bit for bit. The derived forms live only as long as
-// the run, which uses them from one goroutine (a packed coupling's
-// Eval writes scratch the Packed owns, and Eval writes tmp); the
-// System stays a plain value that copies freely, and the codecs never
-// see them.
+// integration run: it carries the CSR form of every D1 block and of
+// Bᵀ, and the packed symmetric form (sparse.Packed) of each dense
+// enough G2 or G3, derived once here rather than per evaluation. A
+// ROM's projected couplings store every monomial in every index order
+// and are packed; a circuit model's, with a few nonzeros per row, are
+// not, and keep the indexed kernels bit for bit. The derived forms
+// live only as long as the run, which uses them from one goroutine (a
+// packed coupling's Eval writes scratch the Packed owns, and Eval
+// writes tmp); the System stays a plain value that copies freely, and
+// the codecs never see them.
 type Prepared struct {
 	*System
 	d1     []*sparse.CSR  // CSR form of D1[i]; nil where D1[i] is nil
+	bt     *sparse.CSR    // Bᵀ: row i holds input i's nonzeros, state rows ascending
 	g2, g3 *sparse.Packed // packed G2, G3; nil where absent or not packed
 	tmp    []float64      // Eval's scratch for an unpacked G3 and the D1 products
 }
 
 // Prepare derives s's integration-time forms.
 func (s *System) Prepare() *Prepared {
-	p := &Prepared{System: s, d1: csrBlocks(s.D1), tmp: make([]float64, s.N)}
+	p := &Prepared{System: s, d1: csrBlocks(s.D1), bt: sparse.FromDense(s.B.T()), tmp: make([]float64, s.N)}
 	if s.G2 != nil {
 		p.g2 = s.G2.Pack(s.N, 2)
 	}
@@ -169,9 +170,11 @@ func csrBlocks(blocks []*mat.Dense) []*sparse.CSR {
 // per-stage integrator loops (four Evals per RK4 step, one per Newton
 // iteration) evaluate allocation-free. Each D1 product runs through
 // the block's CSR form: by MulG1's argument it has the bits of the
-// dense product for finite x. A packed G2 or G3 sums its monomials in
-// another order than the indexed kernel, so it moves the result in its
-// last bits.
+// dense product for finite x. B·u adds only B's nonzeros, by the same
+// argument bit-identical to the dense sum for finite u: a skipped
+// 0·u[i] adds ±0 to a sum that starts at +0 and so is never −0. A
+// packed G2 or G3 sums its monomials in another order than the indexed
+// kernel, so it moves the result in its last bits.
 func (p *Prepared) Eval(dst, x, u []float64) {
 	s := p.System
 	if len(x) != s.N || len(dst) != s.N || len(u) != s.Inputs() {
@@ -199,12 +202,13 @@ func (p *Prepared) Eval(dst, x, u []float64) {
 		mat.Axpy(u[i], p.tmp, dst)
 	}
 	// Each dst[r] receives its input terms in ascending input order.
-	for r := range dst {
-		row := s.B.Row(r)
-		for i, ui := range u {
-			if ui != 0 {
-				dst[r] += row[i] * ui
-			}
+	bt := p.bt
+	for i, ui := range u {
+		if ui == 0 {
+			continue
+		}
+		for k := bt.RowPtr[i]; k < bt.RowPtr[i+1]; k++ {
+			dst[bt.ColIdx[k]] += bt.Val[k] * ui
 		}
 	}
 }

@@ -82,9 +82,10 @@ func TestEvalAgainstExplicitKron(t *testing.T) {
 
 // TestEvalMatchesDenseColumnOrder pins Eval bit for bit to a plain
 // transcription of its earlier form: G1 through the dense matrix, and
-// B·u accumulated one input column at a time. The CSR-mirror product
-// and the row-major B loop must reproduce it exactly, with inputs that
-// are zero or not.
+// B·u accumulated one input column at a time over every row. The
+// CSR-mirror product and the B·u over B's nonzeros must reproduce it
+// exactly, with inputs that are zero or not, for a dense random B and
+// for a port-like one: a few nonzero rows and an all-zero column.
 func TestEvalMatchesDenseColumnOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	n, m := 7, 3
@@ -95,35 +96,42 @@ func TestEvalMatchesDenseColumnOrder(t *testing.T) {
 	}
 	s.G3 = g3b.Build()
 	s.G1S = sparse.FromDense(s.G1)
+	ports := mat.NewDense(n, m)
+	ports.Set(0, 0, 1)
+	ports.Set(n-1, 1, -0.5)
+	ports.Set(2, 1, 2)
 	got := make([]float64, n)
 	want := make([]float64, n)
 	tmp := make([]float64, n)
-	for trial := 0; trial < 6; trial++ {
-		x := mat.RandVec(rng, n)
-		u := mat.RandVec(rng, m)
-		u[trial%m] = 0
-		s.Prepare().Eval(got, x, u)
-		s.G1.MulVec(want, x)
-		s.G2.QuadAddApply(want, 1, x, x)
-		s.G3.CubeApply(tmp, x)
-		mat.Axpy(1, tmp, want)
-		for i, d := range s.D1 {
-			if u[i] != 0 {
-				d.MulVec(tmp, x)
-				mat.Axpy(u[i], tmp, want)
+	for _, b := range []*mat.Dense{s.B, ports} {
+		s.B = b
+		for trial := 0; trial < 6; trial++ {
+			x := mat.RandVec(rng, n)
+			u := mat.RandVec(rng, m)
+			u[trial%m] = 0
+			s.Prepare().Eval(got, x, u)
+			s.G1.MulVec(want, x)
+			s.G2.QuadAddApply(want, 1, x, x)
+			s.G3.CubeApply(tmp, x)
+			mat.Axpy(1, tmp, want)
+			for i, d := range s.D1 {
+				if u[i] != 0 {
+					d.MulVec(tmp, x)
+					mat.Axpy(u[i], tmp, want)
+				}
 			}
-		}
-		for i := 0; i < m; i++ {
-			if u[i] == 0 {
-				continue
+			for i := 0; i < m; i++ {
+				if u[i] == 0 {
+					continue
+				}
+				for r := 0; r < n; r++ {
+					want[r] += s.B.At(r, i) * u[i]
+				}
 			}
-			for r := 0; r < n; r++ {
-				want[r] += s.B.At(r, i) * u[i]
-			}
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d: Eval[%d] = %v, transcription %v", trial, i, got[i], want[i])
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("B %v, trial %d: Eval[%d] = %v, transcription %v", b.A, trial, i, got[i], want[i])
+				}
 			}
 		}
 	}

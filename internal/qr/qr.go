@@ -9,11 +9,37 @@ import (
 	"avtmor/internal/mat"
 )
 
+// tailCutExp places the basis cut: cutTail zeroes every entry of a
+// vector below 2^tailCutExp times its largest |entry|. A moment vector
+// of a long line decays along it, and most products of its tail
+// underflow; on x86 each one costs a microcode assist, in MGS, in the
+// projection and in every ROM evaluation. After the cut every basis
+// entry is 0 or within 2^200 of its column's largest, so a product of
+// up to five of them (Vᵀ·G3·(V⊗V⊗V) multiplies four and a coefficient)
+// stays far inside the normal range: 5·200 < 1022. A unit column loses
+// at most √n·2^−200 of its norm.
+const tailCutExp = -200
+
+// cutTail zeroes, in place, every nonzero entry of w whose magnitude is
+// below 2^tailCutExp times w's largest. The comparison is exact; zeros
+// keep their sign and NaNs stay, so a NaN vector still deflates.
+func cutTail(w []float64) {
+	floor := math.Ldexp(mat.NormInf(w), tailCutExp)
+	for i, x := range w {
+		if x != 0 && math.Abs(x) < floor {
+			w[i] = 0
+		}
+	}
+}
+
 // orthogonalize removes from w, in place, its components along the
-// orthonormal basis by two MGS passes and normalizes the remainder. It
-// reports false when w deflates: when w is zero or its remainder is not
-// above dropTol times its original norm, which a NaN remainder never is.
+// orthonormal basis by two MGS passes and normalizes the remainder,
+// cutting w's tail (cutTail) before the passes and after normalizing.
+// It reports false when w deflates: when w is zero or its remainder is
+// not above dropTol times its original norm, which a NaN remainder
+// never is.
 func orthogonalize(basis [][]float64, w []float64, dropTol float64) bool {
+	cutTail(w)
 	orig := mat.Norm2(w)
 	if orig == 0 {
 		return false
@@ -28,6 +54,7 @@ func orthogonalize(basis [][]float64, w []float64, dropTol float64) bool {
 		return false
 	}
 	mat.ScaleVec(1/rem, w)
+	cutTail(w)
 	return true
 }
 

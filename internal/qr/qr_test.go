@@ -1,6 +1,7 @@
 package qr
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -25,6 +26,49 @@ func TestOrthonormalizeDeflation(t *testing.T) {
 	v := Orthonormalize(cols, 1e-10)
 	if v.C != 2 {
 		t.Fatalf("expected deflation to 2 vectors, got %d", v.C)
+	}
+	// A candidate holding an Inf or a NaN deflates, first or later,
+	// and the finite candidates around it stay.
+	inf := math.Inf(1)
+	cols = [][]float64{{inf, 1, 0}, {1, 0, 0}, {math.NaN(), 0, 1}, {0, 1, -inf}, {0, 1, 0}}
+	if v := Orthonormalize(cols, 1e-10); v == nil || v.C != 2 {
+		t.Fatalf("non-finite candidates: basis %v, want 2 columns", v)
+	}
+}
+
+// TestOrthonormalizeCutsTail: candidates whose entries decay over far
+// more than 2^200, one from each end, come out with exactly their
+// entries below 2^−200 of their largest zeroed. The second one's
+// orthogonalization leaves tiny multiples of the first column where
+// its own tail was cut, and the cut after normalizing removes them.
+// The basis stays orthonormal.
+func TestOrthonormalizeCutsTail(t *testing.T) {
+	const n = 12
+	down, up := make([]float64, n), make([]float64, n)
+	for i := range down {
+		// Entries 2^30 apart: none sits near the cut, before or after
+		// normalizing.
+		down[i] = (1 + float64(i)/16) * math.Ldexp(1, -30*i)
+		if i%2 == 1 {
+			down[i] = -down[i]
+		}
+		up[n-1-i] = math.Ldexp(1, -30*i)
+	}
+	cols := [][]float64{down, up}
+	v := Orthonormalize(cols, 1e-10)
+	if v == nil || v.C != 2 {
+		t.Fatalf("basis %v, want 2 columns", v)
+	}
+	if e := OrthoError(v); e > 1e-14 {
+		t.Fatalf("basis not orthonormal: %g", e)
+	}
+	for j, c := range cols {
+		floor := math.Ldexp(mat.NormInf(c), -200)
+		for i, x := range c {
+			if cut, got := math.Abs(x) < floor, v.At(i, j); (got == 0) != cut {
+				t.Errorf("column %d, entry %d: candidate %g, basis %g; want zero %v", j, i, x, got, cut)
+			}
+		}
 	}
 }
 

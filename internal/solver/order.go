@@ -110,12 +110,11 @@ func rcmOrder(a *sparse.CSR) []int {
 		if start < 0 {
 			break
 		}
-		start = pseudoPeripheral(flat, ptr, end, deg, placed, start, dist, visit, &visitID)
+		start = pseudoPeripheral(flat, ptr, end, deg, placed, start, queue, dist, visit, &visitID)
 		queue = append(queue[:0], start)
 		placed[start] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
 			order = append(order, u)
 			for k := ptr[u]; k < end[u]; k++ {
 				if v := int(flat[k]); !placed[v] {
@@ -134,11 +133,11 @@ func rcmOrder(a *sparse.CSR) []int {
 
 // pseudoPeripheral walks to an approximate end of the component: the
 // lowest-degree node of the last BFS level, iterated until the
-// eccentricity stops growing. dist/visit are caller-owned scratch
-// (stamp-cleared per BFS, never reallocated).
-func pseudoPeripheral(flat []int32, ptr, end, deg []int, placed []bool, start int, dist []int32, visit []int, visitID *int) int {
+// eccentricity stops growing. queue (capacity n), dist and visit are
+// caller-owned scratch: each BFS walks queue from a head index, and
+// dist/visit are stamp-cleared per BFS, so nothing is reallocated.
+func pseudoPeripheral(flat []int32, ptr, end, deg []int, placed []bool, start int, queue []int, dist []int32, visit []int, visitID *int) int {
 	best, bestEcc := start, -1
-	queue := make([]int, 0, 64)
 	for iter := 0; iter < 4; iter++ {
 		*visitID++
 		id := *visitID
@@ -146,9 +145,8 @@ func pseudoPeripheral(flat []int32, ptr, end, deg []int, placed []bool, start in
 		dist[best] = 0
 		queue = append(queue[:0], best)
 		last, ecc := best, int32(0)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
 			for k := ptr[u]; k < end[u]; k++ {
 				v := int(flat[k])
 				if placed[v] || visit[v] == id {

@@ -172,6 +172,17 @@ func TestRCMOrderIsPermutation(t *testing.T) {
 	}
 }
 
+// TestRCMOrderAllocs: the preorder allocates its scratch once per call,
+// whatever the pattern. On the path-like 1999-state RLC line the BFS
+// queues are one or two wide, so a queue that lost its front capacity
+// to each pop would regrow every few pops.
+func TestRCMOrderAllocs(t *testing.T) {
+	a := rlcLineCSR(1000)
+	if allocs := testing.AllocsPerRun(5, func() { rcmOrder(a) }); allocs > 16 {
+		t.Fatalf("rcmOrder of the %d-state RLC line allocates %v times, want at most 16", a.Rows, allocs)
+	}
+}
+
 func TestShiftedCacheIdentityDescriptor(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randSparse(rng, 30, 0.1)

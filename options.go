@@ -81,7 +81,7 @@ func buildConfig(opts []Option) *config {
 // (TestArtifactEpochGolden). Because the epoch is part of every cache
 // key, a store, a fleet or a client that holds bytes from an older
 // epoch never serves them under a new key.
-const artifactEpoch = 2
+const artifactEpoch = 3
 
 // cacheKey canonicalizes a reduction request for the Reducer: the
 // artifact epoch, the system fingerprint and every option that can
