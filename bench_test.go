@@ -228,11 +228,28 @@ func BenchmarkFig5VaristorODESolveProposed(b *testing.B) {
 
 // BenchmarkTrapezoidalRLCLine is the full-order stiff transient of the
 // 1999-state RLC line (RLCLine(1000)) over its workload's 4000
-// trapezoidal steps: a linear system on the sparse Newton route, whose
-// one Newton matrix is factored once per run.
+// trapezoidal steps: a linear system on the sparse route, whose one
+// Newton matrix is factored once per run and back-solved once per step.
 func BenchmarkTrapezoidalRLCLine(b *testing.B) {
 	w := circuits.RLCLine(1000)
 	benchODESolve(b, w, w.Sys)
+}
+
+// BenchmarkTrapezoidalRLCLineROM is the same line's ROM transient:
+// RLCLine(1000) reduced with K1 = 8 moments about its S0, 0.4 and 0.9
+// (q = 24) over the workload's 4000 trapezoidal steps. It is the linear
+// step on the dense route: one dense LU per run, one dense back-solve
+// per step.
+func BenchmarkTrapezoidalRLCLineROM(b *testing.B) {
+	w := circuits.RLCLine(1000)
+	rom, err := core.ReduceContext(context.Background(), w.Sys, core.Options{K1: 8, S0: w.S0, ExtraPoints: []float64{0.4, 0.9}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if rom.Sys.N != 24 {
+		b.Fatalf("the ROM has %d states, want 24", rom.Sys.N)
+	}
+	benchODESolve(b, w, rom.Sys)
 }
 
 // --- §4 ablation: subspace growth vs moment count ---

@@ -238,7 +238,7 @@ func TestOutputsAndSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Output selects n2.
-	y := sys.Output([]float64{3, 7})
+	y := sys.Prepare().Output([]float64{3, 7})
 	if y[0] != 7 {
 		t.Fatalf("output %v", y)
 	}
@@ -265,7 +265,7 @@ func TestDCGainRC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := sys.Output(x)
+	y := sys.Prepare().Output(x)
 	if math.Abs(y[0]-2) > 1e-12 {
 		t.Fatalf("DC gain %v, want 2 (current through R2)", y[0])
 	}

@@ -14,6 +14,31 @@ import (
 	"avtmor/internal/sparse"
 )
 
+// freshNewtonMatrix assembles I − h/2·J(xn, u1) as the loop did before
+// anything was hoisted: in CSR on the sparse route, where
+// TrapezoidalSolverCtx assembles under solver.Auto, and as a fresh
+// dense matrix otherwise.
+func freshNewtonMatrix(prep *qldae.Prepared, xn, u1 []float64, h float64) *solver.Matrix {
+	n := prep.N
+	if prep.G1 == nil || (prep.G1S != nil && n >= solver.AutoDenseCutoff) {
+		return solver.FromCSR(sparse.Add(1, sparse.Eye(n), -0.5*h, prep.JacobianCSRInto(sparse.NewBuilder(n, n), xn, u1)))
+	}
+	jac := mat.NewDense(n, n)
+	prep.JacobianInto(jac, xn, u1)
+	jac = jac.Scale(-0.5 * h)
+	for i := 0; i < n; i++ {
+		jac.Add(i, i, 1)
+	}
+	return solver.FromDense(jac)
+}
+
+// denseOutput is y = L·x through the dense L.
+func denseOutput(sys *qldae.System, x []float64) []float64 {
+	y := make([]float64, sys.L.R)
+	sys.L.MulVec(y, x)
+	return y
+}
+
 // oracleTrapezoidal is a plain transcription of the trapezoidal Newton
 // loop before the constant Newton matrix was hoisted: it assembles the
 // Jacobian at every step (and every newtonRefresh iterations), factors
@@ -31,24 +56,11 @@ func oracleTrapezoidal(sys *qldae.System, x0 []float64, u Input, tEnd float64, n
 	}
 	evalPrep := evalSys.Prepare()
 	ls := solver.Auto{}
-	sparseAssembly := sys.G1 == nil || (sys.G1S != nil && n >= solver.AutoDenseCutoff)
-	prep, jb := sys.Prepare(), sparse.NewBuilder(n, n)
-	newtonMatrix := func(xn, u1 []float64, h float64) *solver.Matrix {
-		if sparseAssembly {
-			return solver.FromCSR(sparse.Add(1, sparse.Eye(n), -0.5*h, prep.JacobianCSRInto(jb, xn, u1)))
-		}
-		jac := mat.NewDense(n, n)
-		prep.JacobianInto(jac, xn, u1)
-		jac = jac.Scale(-0.5 * h)
-		for i := 0; i < n; i++ {
-			jac.Add(i, i, 1)
-		}
-		return solver.FromDense(jac)
-	}
+	prep := sys.Prepare()
 	factorizations := 0
 	h := tEnd / float64(nSteps)
 	x := mat.CopyVec(x0)
-	res := &Result{T: []float64{0}, Y: [][]float64{sys.Output(x)}}
+	res := &Result{T: []float64{0}, Y: [][]float64{denseOutput(sys, x)}}
 	f0 := make([]float64, n)
 	f1 := make([]float64, n)
 	g := make([]float64, n)
@@ -74,7 +86,7 @@ func oracleTrapezoidal(sys *qldae.System, x0 []float64, u Input, tEnd float64, n
 			}
 			if fac == nil || (it > 0 && it%newtonRefresh == 0) {
 				var err error
-				if fac, err = ls.FactorCtx(context.Background(), newtonMatrix(xn, u1, h)); err != nil {
+				if fac, err = ls.FactorCtx(context.Background(), freshNewtonMatrix(prep, xn, u1, h)); err != nil {
 					return nil, 0, err
 				}
 				factorizations++
@@ -92,9 +104,52 @@ func oracleTrapezoidal(sys *qldae.System, x0 []float64, u Input, tEnd float64, n
 		copy(x, xn)
 		res.Steps++
 		res.T = append(res.T, t+h)
-		res.Y = append(res.Y, sys.Output(x))
+		res.Y = append(res.Y, denseOutput(sys, x))
 	}
 	return res, factorizations, nil
+}
+
+// oneSolveTrapezoidal transcribes the linear step of
+// TrapezoidalSolverCtx with nothing hoisted and nothing sparse: each
+// step assembles and factors I − h/2·G1 afresh through the auto-routed
+// backend, forms z = 2x + h/2·B·(u(t) + u(t+h)) with the dense B,
+// solves in place and sets x ← z − x. Each step counts one Newton
+// iteration.
+func oneSolveTrapezoidal(sys *qldae.System, x0 []float64, u Input, tEnd float64, nSteps int) (*Result, error) {
+	n, m := sys.N, sys.Inputs()
+	prep := sys.Prepare()
+	h := tEnd / float64(nSteps)
+	x := mat.CopyVec(x0)
+	res := &Result{T: []float64{0}, Y: [][]float64{denseOutput(sys, x)}}
+	z := make([]float64, n)
+	w := make([]float64, m)
+	for s := 0; s < nSteps; s++ {
+		t := float64(s) * h
+		u0 := u(t)
+		u1 := u(t + h)
+		for i := range w {
+			w[i] = 0.5 * h * (u0[i] + u1[i])
+		}
+		for r := range z {
+			z[r] = 2 * x[r]
+			for i, wi := range w {
+				z[r] += sys.B.At(r, i) * wi
+			}
+		}
+		fac, err := solver.Auto{}.FactorCtx(context.Background(), freshNewtonMatrix(prep, x, u1, h))
+		if err != nil {
+			return nil, err
+		}
+		fac.SolveBatch([][]float64{z})
+		for r := range x {
+			x[r] = z[r] - x[r]
+		}
+		res.Steps++
+		res.NewtonIters++
+		res.T = append(res.T, t+h)
+		res.Y = append(res.Y, denseOutput(sys, x))
+	}
+	return res, nil
 }
 
 type newtonCase struct {
@@ -246,11 +301,13 @@ func sameBits(t *testing.T, got, want *Result) {
 	}
 }
 
-// TestTrapezoidalMatchesOracleLoop pins the Newton loop bit for bit to
-// the per-step-refactor transcription above, and pins what hoisting
-// buys: a linear system is factored exactly once per run, every other
-// one as often as before. Both the auto backend (with its symbolic
-// cache) and a counting wrapper must agree.
+// TestTrapezoidalMatchesOracleLoop pins the Newton loop of a nonlinear
+// system bit for bit to the per-step-refactor transcription above,
+// factored as often. A linear system is pinned bit for bit to the
+// one-solve transcription instead: factored once per run, one Newton
+// iteration per step, and within 1e-12 of the Newton oracle's output
+// peak. Both the auto backend (with its symbolic cache) and a counting
+// wrapper must agree.
 func TestTrapezoidalMatchesOracleLoop(t *testing.T) {
 	const tEnd, steps = 2.0, 200
 	for _, tc := range newtonCases() {
@@ -259,14 +316,18 @@ func TestTrapezoidalMatchesOracleLoop(t *testing.T) {
 				t.Fatalf("Linear() = %v, want %v", got, tc.linear)
 			}
 			x0 := make([]float64, tc.sys.N)
-			want, wantFact, err := oracleTrapezoidal(tc.sys, x0, tc.u, tEnd, steps)
+			oracle, wantFact, err := oracleTrapezoidal(tc.sys, x0, tc.u, tEnd, steps)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if wantFact < steps {
 				t.Fatalf("the oracle factored %d times in %d steps; the case exercises too little", wantFact, steps)
 			}
+			want := oracle
 			if tc.linear {
+				if want, err = oneSolveTrapezoidal(tc.sys, x0, tc.u, tEnd, steps); err != nil {
+					t.Fatal(err)
+				}
 				wantFact = 1
 			}
 			auto, err := TrapezoidalSolverCtx(context.Background(), tc.sys, x0, tc.u, tEnd, steps, nil)
@@ -284,6 +345,23 @@ func TestTrapezoidalMatchesOracleLoop(t *testing.T) {
 			if seen != wantFact || counted.Factorizations != wantFact || auto.Factorizations != wantFact {
 				t.Fatalf("factorizations: wrapper saw %d, Result says %d (auto %d), want %d",
 					seen, counted.Factorizations, auto.Factorizations, wantFact)
+			}
+			if !tc.linear {
+				return
+			}
+			if auto.NewtonIters != auto.Steps {
+				t.Fatalf("%d Newton iterations in %d steps; a linear step is one", auto.NewtonIters, auto.Steps)
+			}
+			for c := range oracle.Y[0] {
+				peak, dev := 0.0, 0.0
+				for k, y := range oracle.Y {
+					peak = math.Max(peak, math.Abs(y[c]))
+					dev = math.Max(dev, math.Abs(auto.Y[k][c]-y[c]))
+				}
+				if dev > 1e-12*peak {
+					t.Fatalf("output %d: %.3g from the Newton oracle, %.3g of its peak %.3g", c, dev, dev/peak, peak)
+				}
+				t.Logf("output %d: %.3g of the Newton oracle's peak from it", c, dev/peak)
 			}
 		})
 	}

@@ -1,8 +1,9 @@
 // Package ode integrates QLDAE systems (full models and ROMs) for the
 // paper's transient experiments: classical RK4, adaptive Dormand–Prince
 // RK45 for the smooth receiver/transmission-line waveforms, and an
-// implicit trapezoidal method with Newton iteration for the stiff varistor
-// surge simulation of §3.4.
+// implicit trapezoidal method — Newton iteration for nonlinear systems,
+// one back-solve per step for linear ones — for the stiff varistor
+// surge simulation of §3.4 and the interconnects.
 package ode
 
 import (
@@ -43,7 +44,8 @@ type Result struct {
 	// Steps counts accepted integrator steps; Rejected counts adaptive
 	// rejections; NewtonIters counts total Newton iterations and
 	// Factorizations the Newton matrices factored (implicit methods
-	// only).
+	// only). A linear trapezoidal step is one exact Newton step, so a
+	// linear run's NewtonIters equals its Steps.
 	Steps, Rejected, NewtonIters, Factorizations int
 	// Recorded and Replayed split the Factorizations of a nonlinear
 	// trapezoidal run on the dense LU: Recorded ran the fresh kernel and
@@ -89,9 +91,9 @@ func RK4Ctx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tEnd 
 	h := tEnd / float64(nSteps)
 	x := mat.CopyVec(x0)
 	res := &Result{}
-	res.T = append(res.T, 0)
-	res.Y = append(res.Y, sys.Output(x))
 	f := sys.Prepare()
+	res.T = append(res.T, 0)
+	res.Y = append(res.Y, f.Output(x))
 	ws := vecs(5, n)
 	k1, k2, k3, k4, xs := ws[0], ws[1], ws[2], ws[3], ws[4]
 	for s := 0; s < nSteps; s++ {
@@ -117,7 +119,7 @@ func RK4Ctx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tEnd 
 		}
 		res.Steps++
 		res.T = append(res.T, t+h)
-		res.Y = append(res.Y, sys.Output(x))
+		res.Y = append(res.Y, f.Output(x))
 	}
 	return res, nil
 }
@@ -148,9 +150,9 @@ func Dopri5Ctx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tE
 	n := sys.N
 	x := mat.CopyVec(x0)
 	res := &Result{}
-	res.T = append(res.T, 0)
-	res.Y = append(res.Y, sys.Output(x))
 	f := sys.Prepare()
+	res.T = append(res.T, 0)
+	res.Y = append(res.Y, f.Output(x))
 	ws := vecs(8, n)
 	k, xs := ws[:7], ws[7]
 	t := 0.0
@@ -205,7 +207,7 @@ func Dopri5Ctx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tE
 			copy(x, xs)
 			res.Steps++
 			res.T = append(res.T, t)
-			res.Y = append(res.Y, sys.Output(x))
+			res.Y = append(res.Y, f.Output(x))
 		} else {
 			res.Rejected++
 		}
@@ -224,25 +226,34 @@ func Dopri5Ctx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tE
 // step's Jacobian is factored once at the predictor state and reused;
 // while the iteration has not converged, it is refactored at the
 // current iterate every newtonRefresh iterations (an unconditional
-// cadence — there is no separate stall detector). A linear system's
-// Newton matrix never changes, so it is factored once per run instead.
+// cadence — there is no separate stall detector).
 const newtonRefresh = 6
 
-// TrapezoidalSolverCtx integrates with the implicit trapezoidal rule
-// and Newton iteration, suitable for the stiff varistor surge of §3.4
-// where explicit methods need punishing step sizes. ls is the
-// linear-solver backend (nil selects solver.Auto). The Newton matrix
-// I − h/2·∂f/∂x is factored through the LinearSolver interface — in CSR
-// form for systems carrying a sparse G1 mirror beyond the dense routing
-// cutoff — once per step, or once per run when the Jacobian is G1 alone
-// (qldae.System.Linear), since the fixed step then makes every Newton
-// matrix identical. Large circuits thus pay O(nnz·fill) per factor, not
-// O(n³) per Newton iteration, and a linear one pays it once. A
-// nonlinear run on the dense LU records its first factorization's
-// pivot sequence and fill, and replays that record on the nonzeros
-// alone at every later step. ctx is polled once per step and inside the
-// Newton refactorization, so even a stiff large-system run aborts
-// within one factor-plus-a-few-solves of the cancel.
+// TrapezoidalSolverCtx integrates with the implicit trapezoidal rule,
+// suitable for the stiff varistor surge of §3.4 where explicit methods
+// need punishing step sizes. ls is the linear-solver backend (nil
+// selects solver.Auto). The Newton matrix I − h/2·∂f/∂x is factored
+// through the LinearSolver interface — in CSR form for systems carrying
+// a sparse G1 mirror beyond the dense routing cutoff — so large
+// circuits pay O(nnz·fill) per factor, not O(n³).
+//
+// A linear system (qldae.System.Linear) has the one Newton matrix
+// M = I − h/2·G1, factored once before the first step. Each step is the
+// one Newton step that solves it exactly, in its one-solve form: since
+// I + h/2·G1 = 2I − M, the trapezoidal step M·x' = (I + h/2·G1)·x +
+// h/2·B·(u(t) + u(t+h)) is z = M⁻¹·(2x + h/2·B·(u(t) + u(t+h))),
+// x' = z − x. A step costs one back-solve, a pass over B's nonzeros
+// and two O(n) passes, and counts as one Newton iteration. Each step's
+// back-solve (SolveBatchCtx) is its ctx poll.
+//
+// A nonlinear system runs modified Newton from a forward-Euler
+// predictor: the Newton matrix is factored at each step's predictor
+// and refreshed every newtonRefresh iterations. A run on the dense LU
+// records its first factorization's pivot sequence and fill, and
+// replays that record on the nonzeros alone at every later step. ctx
+// is polled once per step and inside the Newton refactorization, so
+// even a stiff large-system run aborts within one
+// factor-plus-a-few-solves of the cancel.
 func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, u Input, tEnd float64, nSteps int, ls solver.LinearSolver) (*Result, error) {
 	n := sys.N
 	if ls == nil {
@@ -297,9 +308,6 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 	// Either way the factors — and the trajectory — are bit-identical to
 	// factoring fresh every time.
 	var sym solver.SymbolicCache
-	// A linear system's Newton matrix I − h/2·G1 is the same at every
-	// iterate of every step, so its one factorization serves the whole
-	// run: the same bits a per-step refactor would produce.
 	linear := sys.Linear()
 	res := &Result{}
 	// A nonlinear run that the dense LU factors records its first
@@ -308,8 +316,8 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 	// re-assembled on P alone and eliminated on the recorded fill alone,
 	// with the bits of a fresh factorization. A pivot the record did not
 	// predict sends that factorization down the fresh path, which
-	// records again. A custom LinearSolver, and Auto wherever it routes
-	// by density, keep the fresh path.
+	// records again. A linear run, a custom LinearSolver, and Auto
+	// wherever it routes by density keep the fresh path.
 	var pat *qldae.NewtonPattern
 	var rec *lu.Record
 	if !sparseAssembly && !linear && routesDense(ls, n) {
@@ -343,11 +351,23 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 		res.Recorded++
 		return f, nil
 	}
-	var fac solver.Factorization
 	h := tEnd / float64(nSteps)
 	x := mat.CopyVec(x0)
 	res.T = append(res.T, 0)
-	res.Y = append(res.Y, sys.Output(x))
+	res.Y = append(res.Y, prep.Output(x))
+	if linear {
+		// The one Newton matrix I − h/2·G1 reads neither the state nor
+		// the input.
+		fac, err := factor(x, nil, h)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			return nil, fmt.Errorf("ode: Newton matrix I − h/2·G1 singular: %w", err)
+		}
+		res.Factorizations++
+		return linearSteps(ctx, prep, fac, x, u, h, nSteps, res)
+	}
 	ws := vecs(4, n)
 	f0, f1, g, xn := ws[0], ws[1], ws[2], ws[3]
 	// The Newton correction solves through the factorization's batch
@@ -368,9 +388,7 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 		copy(xn, x)
 		mat.Axpy(h, f0, xn)
 		converged := false
-		if !linear {
-			fac = nil
-		}
+		var fac solver.Factorization
 		for it := 0; it < maxNewton; it++ {
 			res.NewtonIters++
 			prep.Eval(f1, xn, u1)
@@ -384,7 +402,7 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 				converged = true
 				break
 			}
-			if fac == nil || (!linear && it > 0 && it%newtonRefresh == 0) {
+			if fac == nil || (it > 0 && it%newtonRefresh == 0) {
 				var err error
 				fac, err = factor(xn, u1, h)
 				if err != nil {
@@ -413,7 +431,40 @@ func TrapezoidalSolverCtx(ctx context.Context, sys *qldae.System, x0 []float64, 
 		copy(x, xn)
 		res.Steps++
 		res.T = append(res.T, t+h)
-		res.Y = append(res.Y, sys.Output(x))
+		res.Y = append(res.Y, prep.Output(x))
+	}
+	return res, nil
+}
+
+// linearSteps runs TrapezoidalSolverCtx's nSteps steps of a linear
+// system from x in their one-solve form, through fac, the run's one
+// factorization of I − h/2·G1, and records them into res.
+func linearSteps(ctx context.Context, prep *qldae.Prepared, fac solver.Factorization, x []float64, u Input, h float64, nSteps int, res *Result) (*Result, error) {
+	z := make([]float64, prep.N)
+	w := make([]float64, prep.Inputs())
+	rhs := [][]float64{z}
+	for s := 0; s < nSteps; s++ {
+		t := float64(s) * h
+		u0 := u(t)
+		u1 := u(t + h)
+		for i := range w {
+			w[i] = 0.5 * h * (u0[i] + u1[i])
+		}
+		for i, xi := range x {
+			z[i] = 2 * xi
+		}
+		prep.AddInput(z, w)
+		// The back-solve polls ctx and leaves z untouched on abort.
+		if err := fac.SolveBatchCtx(ctx, rhs); err != nil {
+			return nil, err
+		}
+		for i, zi := range z {
+			x[i] = zi - x[i]
+		}
+		res.Steps++
+		res.NewtonIters++
+		res.T = append(res.T, t+h)
+		res.Y = append(res.Y, prep.Output(x))
 	}
 	return res, nil
 }

@@ -129,18 +129,28 @@ func TestDopri5NaNErrorCollapses(t *testing.T) {
 
 func TestTrapezoidalStiffDecay(t *testing.T) {
 	// λ = −10⁴: explicit RK4 with 100 steps over [0,1] would explode;
-	// trapezoidal stays stable and accurate at the resolved scale.
-	sys := linearScalar(-1e4)
-	res, err := TrapezoidalSolverCtx(context.Background(), sys, []float64{1}, Const([]float64{0}), 1, 400, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.Y[len(res.Y)-1][0]
-	if math.Abs(got) > 1e-3 {
-		t.Fatalf("stiff decay not damped: %v", got)
-	}
-	if res.NewtonIters == 0 {
-		t.Fatal("Newton iteration counter not incremented")
+	// trapezoidal stays stable and accurate at the resolved scale. Every
+	// sample of x' = λx, x(0) = 1 is the closed-form trapezoid Rᵏ,
+	// R = (1 + hλ/2)/(1 − hλ/2), for the stiff λ and two mild ones.
+	const steps = 400
+	for _, lambda := range []float64{-1e4, -1.7, -0.01} {
+		res, err := TrapezoidalSolverCtx(context.Background(), linearScalar(lambda), []float64{1}, Const([]float64{0}), 1, steps, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Y[len(res.Y)-1][0]; lambda == -1e4 && math.Abs(got) > 1e-3 {
+			t.Fatalf("stiff decay not damped: %v", got)
+		}
+		if res.NewtonIters == 0 {
+			t.Fatal("Newton iteration counter not incremented")
+		}
+		hl := 1.0 / steps * lambda / 2
+		r := (1 + hl) / (1 - hl)
+		for k, y := range res.Y {
+			if want := math.Pow(r, float64(k)); math.Abs(y[0]-want) > 1e-12*math.Abs(want) {
+				t.Fatalf("λ = %g: y[%d] = %v, want Rᵏ = %v", lambda, k, y[0], want)
+			}
+		}
 	}
 }
 

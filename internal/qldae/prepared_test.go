@@ -202,6 +202,37 @@ func TestD1CSRMatchesDense(t *testing.T) {
 	}
 }
 
+// TestOutputMatchesDense pins Prepared.Output to the dense L·x bit for
+// bit: on a port-like L (four rows over 40 states, one of them all
+// zero, and every other column zero) and on a dense one, at states with
+// signed zeros, on L's nonzero columns too.
+func TestOutputMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const n = 40
+	port := mat.NewDense(4, n)
+	port.Set(0, 3, 1)
+	port.Set(1, 17, -0.5)
+	port.Set(1, 18, 2)
+	port.Set(3, n-1, 1)
+	for _, l := range []*mat.Dense{port, mat.RandDense(rng, 3, n)} {
+		p := (&System{N: n, G1: mat.Eye(n), B: mat.RandDense(rng, n, 1), L: l}).Prepare()
+		for trial := 0; trial < 20; trial++ {
+			x := mat.RandVec(rng, n)
+			for i := range x {
+				switch rng.Intn(3) {
+				case 0:
+					x[i] = 0
+				case 1:
+					x[i] = math.Copysign(0, -1)
+				}
+			}
+			want := make([]float64, l.R)
+			l.MulVec(want, x)
+			sameBitsVec(t, "Prepared.Output", p.Output(x), want)
+		}
+	}
+}
+
 // packedSystems returns a ROM whose G2 and G3 are packed, and a 6-state
 // system with a tridiagonal G1 whose G2 and G3 pass the density rule
 // while naming only monomials of x_0…x_3: by their nonzeros alone,

@@ -121,9 +121,9 @@ func (s *System) Linear() bool {
 }
 
 // Prepared is a System readied for the many evaluations of one
-// integration run: it carries the CSR form of every D1 block and of
-// Bᵀ, and the packed symmetric form (sparse.Packed) of each dense
-// enough G2 or G3, derived once here rather than per evaluation. A
+// integration run: it carries the CSR form of every D1 block, of Bᵀ
+// and of L, and the packed symmetric form (sparse.Packed) of each
+// dense enough G2 or G3, derived once here rather than per evaluation. A
 // ROM's projected couplings store every monomial in every index order
 // and are packed; a circuit model's, with a few nonzeros per row, are
 // not, and keep the indexed kernels bit for bit. The derived forms
@@ -135,13 +135,15 @@ type Prepared struct {
 	*System
 	d1     []*sparse.CSR  // CSR form of D1[i]; nil where D1[i] is nil
 	bt     *sparse.CSR    // Bᵀ: row i holds input i's nonzeros, state rows ascending
+	l      *sparse.CSR    // L's nonzeros, columns ascending
 	g2, g3 *sparse.Packed // packed G2, G3; nil where absent or not packed
 	tmp    []float64      // Eval's scratch for an unpacked G3 and the D1 products
 }
 
 // Prepare derives s's integration-time forms.
 func (s *System) Prepare() *Prepared {
-	p := &Prepared{System: s, d1: csrBlocks(s.D1), bt: sparse.FromDense(s.B.T()), tmp: make([]float64, s.N)}
+	p := &Prepared{System: s, d1: csrBlocks(s.D1), bt: sparse.FromDense(s.B.T()), l: sparse.FromDense(s.L),
+		tmp: make([]float64, s.N)}
 	if s.G2 != nil {
 		p.g2 = s.G2.Pack(s.N, 2)
 	}
@@ -170,11 +172,9 @@ func csrBlocks(blocks []*mat.Dense) []*sparse.CSR {
 // per-stage integrator loops (four Evals per RK4 step, one per Newton
 // iteration) evaluate allocation-free. Each D1 product runs through
 // the block's CSR form: by MulG1's argument it has the bits of the
-// dense product for finite x. B·u adds only B's nonzeros, by the same
-// argument bit-identical to the dense sum for finite u: a skipped
-// 0·u[i] adds ±0 to a sum that starts at +0 and so is never −0. A
-// packed G2 or G3 sums its monomials in another order than the indexed
-// kernel, so it moves the result in its last bits.
+// dense product for finite x. B·u goes through AddInput. A packed G2
+// or G3 sums its monomials in another order than the indexed kernel,
+// so it moves the result in its last bits.
 func (p *Prepared) Eval(dst, x, u []float64) {
 	s := p.System
 	if len(x) != s.N || len(dst) != s.N || len(u) != s.Inputs() {
@@ -201,7 +201,16 @@ func (p *Prepared) Eval(dst, x, u []float64) {
 		d.MulVecTo(p.tmp, x)
 		mat.Axpy(u[i], p.tmp, dst)
 	}
-	// Each dst[r] receives its input terms in ascending input order.
+	p.AddInput(dst, u)
+}
+
+// AddInput adds B·u to dst from B's nonzeros, one input at a time, so
+// each dst[r] receives its input terms in ascending input order. For
+// finite u it leaves the bits of the dense sum dst[r] += B[r,i]·u[i]
+// wherever dst[r] is not −0: a skipped 0·u[i] is ±0, and adding ±0
+// changes neither a nonzero value nor +0. Eval's sums start at +0 and
+// so are never −0.
+func (p *Prepared) AddInput(dst, u []float64) {
 	bt := p.bt
 	for i, ui := range u {
 		if ui == 0 {
@@ -398,10 +407,12 @@ func (p *Prepared) JacobianCSRInto(b *sparse.Builder, x, u []float64) *sparse.CS
 	return b.Build()
 }
 
-// Output computes y = L·x.
-func (s *System) Output(x []float64) []float64 {
-	y := make([]float64, s.L.R)
-	s.L.MulVec(y, x)
+// Output returns y = L·x, from L's nonzeros. By MulG1's argument it has
+// the bits of the dense product for finite x: each row sum starts at
+// +0 and so is never −0, and a skipped 0·x[j] is ±0.
+func (p *Prepared) Output(x []float64) []float64 {
+	y := make([]float64, p.l.Rows)
+	p.l.MulVec(y, x)
 	return y
 }
 

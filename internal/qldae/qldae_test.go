@@ -239,8 +239,8 @@ func TestProjectGalerkinConsistency(t *testing.T) {
 		}
 	}
 	// Output map consistency: L̂·x̂ = L·V·x̂.
-	yhat := rom.Output(xhat)
-	y := s.Output(x)
+	yhat := rom.Prepare().Output(xhat)
+	y := s.Prepare().Output(x)
 	if math.Abs(yhat[0]-y[0]) > 1e-10 {
 		t.Fatalf("output mismatch: %v vs %v", yhat[0], y[0])
 	}
@@ -324,7 +324,7 @@ func TestOutputShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	s := randSystem(rng, 5, 1)
 	s.L = mat.RandDense(rng, 3, 5)
-	y := s.Output(mat.RandVec(rng, 5))
+	y := s.Prepare().Output(mat.RandVec(rng, 5))
 	if len(y) != 3 {
 		t.Fatalf("output length %d", len(y))
 	}

@@ -24,7 +24,8 @@ type Result struct {
 	// Steps counts accepted integrator steps; Rejected counts adaptive
 	// rejections; NewtonIters counts total Newton iterations and
 	// Factorizations the Newton matrices factored (implicit methods
-	// only).
+	// only). A linear system's trapezoidal step is one exact Newton
+	// step, so a linear run's NewtonIters equals its Steps.
 	Steps, Rejected, NewtonIters, Factorizations int
 
 	res *ode.Result
@@ -70,12 +71,13 @@ func WithRK4(steps int) SimOption {
 	return func(c *simConfig) { c.method, c.steps = simRK4, steps }
 }
 
-// WithTrapezoidal selects the implicit trapezoidal rule with Newton
-// iteration — the right choice for stiff systems. The Newton matrix is
-// factored through the auto-routed solver layer (sparse assembly for
-// large CSR-mirrored systems) once per step, or once per run for a linear
-// system, whose Newton matrix never changes; Result.Factorizations
-// counts them.
+// WithTrapezoidal selects the implicit trapezoidal rule — the right
+// choice for stiff systems. The Newton matrix I − h/2·∂f/∂x is factored
+// through the auto-routed solver layer (sparse assembly for large
+// CSR-mirrored systems). A nonlinear system runs Newton iteration and
+// refactors once per step. A linear one, whose Newton matrix never
+// changes, is factored once per run, and each step is one back-solve
+// with no G1 product. Result.Factorizations counts the factorizations.
 func WithTrapezoidal(steps int) SimOption {
 	return func(c *simConfig) { c.method, c.steps = simTrapezoidal, steps }
 }
